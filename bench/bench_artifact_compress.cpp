@@ -1,16 +1,19 @@
-// Compressed family artifact bench: v4 sectioned union-basis storage vs the
-// v3 inline raw-double container, plus the mmap lazy-serving path.
+// Compressed family artifact bench: union-basis storage at four encoding
+// tiers vs the members saved as plain model artifacts, plus the mmap
+// lazy-serving path.
 //
 // Offline, a 2-D NLTL family is built once and encoded four ways (f64 /
 // f32 / q16 / q8 payload tiers); the q8 artifact doubles as the CI sample
 // (family_compressed.atmor-fam). Invariants (nonzero exit on violation):
-//   * the q8 sectioned artifact is >= 5x smaller than the v3 container;
+//   * the q8 artifact is >= 5x smaller than the sum of the members'
+//     serialize_model sizes (the family stored uncompressed);
 //   * the family still certifies EVERY held-out query after lossy encoding
 //     (the measured rounding error is folded into the stored certificates,
 //     so a converged compressed family serves under the same tol);
-//   * the mmap reader answers bit-identically to the eager decode;
-//   * cold-serving ONE member through the mmap reader beats eagerly
-//     decoding the whole artifact, and leaves less resident.
+//   * the hosted artifact answers bit-identically to the decode_family
+//     members' own sweeps;
+//   * cold-serving ONE member through the mmap reader beats opening the
+//     artifact and materializing every member, and leaves less resident.
 //
 //   usage: bench_artifact_compress [stages] [--threads N] [--json-out=PATH]
 #include <cstdio>
@@ -27,6 +30,7 @@
 #include "rom/io.hpp"
 #include "rom/serve_engine.hpp"
 #include "util/timer.hpp"
+#include "volterra/transfer.hpp"
 
 int main(int argc, char** argv) {
     using namespace atmor;
@@ -35,7 +39,7 @@ int main(int argc, char** argv) {
         bench::json_out_arg(argc, argv, "BENCH_artifact_compress.json");
     const int stages = bench::arg_int(argc, argv, 1, 12);
 
-    std::printf("=== family artifact compression: v4 sectioned tiers vs v3 inline ===\n");
+    std::printf("=== family artifact compression: encoding tiers vs plain member models ===\n");
 
     // Same design space as bench_pmor_family: diode nonlinearity x series
     // resistance over a 12-stage NLTL line.
@@ -70,8 +74,10 @@ int main(int argc, char** argv) {
     bench::InvariantChecker inv;
     inv.require(family.converged, "the uncompressed family converges under tol");
 
-    // -- Storage: one v3 inline container, three v4 tiers. ------------------
-    const std::size_t v3_bytes = rom::serialize_family(family).size();
+    // -- Storage: the members as plain model artifacts, four tiers. ---------
+    std::size_t plain_bytes = 0;
+    for (const rom::FamilyMember& m : family.members)
+        plain_bytes += rom::serialize_model(m.model).size();
     struct TierRecord {
         rom::EncodingTier tier;
         rom::CompressedFamily cf;
@@ -90,10 +96,11 @@ int main(int argc, char** argv) {
         rec.cf = rom::compress_family(family, copt, &stats);
         rec.bytes = rom::serialize_family_artifact(rec.cf).size();
         rec.encoding_eta = stats.max_encoding_error;
-        std::printf("v4 %s: %zu bytes (%.1fx smaller than v3's %zu), "
+        std::printf("%s: %zu bytes (%.1fx smaller than the members' %zu), "
                     "union basis %zu <- %zu columns, measured eta %.2e, converged %s\n",
                     rom::to_string(tier), rec.bytes,
-                    static_cast<double>(v3_bytes) / static_cast<double>(rec.bytes), v3_bytes,
+                    static_cast<double>(plain_bytes) / static_cast<double>(rec.bytes),
+                    plain_bytes,
                     stats.basis_columns_union, stats.basis_columns_in, rec.encoding_eta,
                     rec.cf.converged ? "yes" : "no");
         tiers.push_back(std::move(rec));
@@ -109,9 +116,10 @@ int main(int argc, char** argv) {
         std::printf("q8 payload breakdown: basis %zu, coefficients %zu, member meta %zu\n",
                     basis, coeff, meta);
     }
-    const double compression = static_cast<double>(v3_bytes) / static_cast<double>(q8.bytes);
+    const double compression =
+        static_cast<double>(plain_bytes) / static_cast<double>(q8.bytes);
     inv.require(compression >= 5.0,
-                "the q8 sectioned artifact is >= 5x smaller than the v3 container");
+                "the q8 artifact is >= 5x smaller than the members' model artifacts");
     inv.require(q8.cf.converged,
                 "the family still converges after q8 encoding (certificates inflated by "
                 "the measured rounding error stay under tol)");
@@ -127,37 +135,45 @@ int main(int argc, char** argv) {
     for (int g = 1; g <= 24; ++g) grid.emplace_back(0.0, 2.0 * g / 24.0);
     const std::vector<pmor::Point> held_out = design.space.offset_grid(3);
 
-    const rom::Family eager = rom::decode_family(q8.cf);
+    const rom::Family decoded = rom::decode_family(q8.cf);
     const rom::FamilyArtifact mapped = rom::FamilyArtifact::open(artifact);
-    inv.require(mapped.lazy(), "the artifact opens through the mmap reader");
-    rom::ServeEngine eager_engine(std::make_shared<rom::Registry>());
-    rom::ServeEngine lazy_engine(std::make_shared<rom::Registry>());
+    rom::ServeEngine engine(std::make_shared<rom::Registry>());
+    engine.host_family(mapped);
 
     int certified = 0;
     bool identical = true;
     for (const pmor::Point& q : held_out) {
-        const rom::ParametricAnswer a = eager_engine.serve_parametric(eager, q, grid);
-        const rom::ParametricAnswer b = lazy_engine.serve_parametric(mapped, q, grid);
-        if (!a.fallback && a.certificate.estimated_error <= family.tol) ++certified;
-        identical = identical && a.member == b.member &&
-                    a.certificate.estimated_error == b.certificate.estimated_error;
+        const rom::ServeResponse b = bench::serve_point(engine, family.family_id, q, grid);
+        if (b.ok() && !b.fallback && b.certificate.estimated_error <= family.tol) ++certified;
+        const std::size_t cell = static_cast<std::size_t>(mapped.locate(q));
+        identical = identical && b.ok() && b.member == decoded.cells[cell].best &&
+                    b.certificate.estimated_error == decoded.cells[cell].best_error;
+        if (!identical) continue;
+        const std::vector<la::ZMatrix> a =
+            volterra::TransferEvaluator(
+                decoded.members[static_cast<std::size_t>(b.member)].model.rom)
+                .output_h1_sweep(grid);
         for (std::size_t g = 0; identical && g < grid.size(); ++g)
-            identical = la::max_abs(a.response[g] - b.response[g]) == 0.0;
+            identical = la::max_abs(a[g] - b.response[g]) == 0.0;
     }
     std::printf("held-out queries: %d / %zu certified under tol %g from the q8 tier, "
                 "mmap answers %s\n",
                 certified, held_out.size(), family.tol,
-                identical ? "bit-identical to the eager decode" : "DIVERGED");
+                identical ? "bit-identical to the decoded members" : "DIVERGED");
     inv.require(certified == static_cast<int>(held_out.size()),
                 "EVERY held-out query is still certified after lossy encoding");
-    inv.require(identical, "mmap serving is bit-identical to the eager decode");
+    inv.require(identical, "mmap serving is bit-identical to the decoded members");
     std::printf("mmap reader touched %d of %d members to answer the sweep\n",
                 mapped.materialized_members(), mapped.member_count());
 
-    // -- Cold-load: one member through mmap vs the whole artifact eagerly. --
+    // -- Cold-load: one member through mmap vs every member. ----------------
     const pmor::Point probe = held_out.front();
-    const double eager_cold_seconds =
-        bench::median_timed([&] { (void)rom::load_family(artifact); });
+    const auto open_all = [&] {
+        const rom::FamilyArtifact art = rom::FamilyArtifact::open(artifact);
+        for (int i = 0; i < art.member_count(); ++i) (void)art.member(i);
+        return art;
+    };
+    const double eager_cold_seconds = bench::median_timed([&] { (void)open_all(); });
     const double mmap_cold_seconds = bench::median_timed([&] {
         const rom::FamilyArtifact art = rom::FamilyArtifact::open(artifact);
         (void)art.member(art.cells()[static_cast<std::size_t>(art.locate(probe))].best);
@@ -165,14 +181,14 @@ int main(int argc, char** argv) {
     const rom::FamilyArtifact cold = rom::FamilyArtifact::open(artifact);
     (void)cold.member(cold.cells()[static_cast<std::size_t>(cold.locate(probe))].best);
     const std::size_t mmap_resident = cold.resident_bytes();
-    const std::size_t eager_resident = rom::resident_bytes(eager);
+    const std::size_t eager_resident = open_all().resident_bytes();
     std::printf("cold path to first answer: mmap single member %.3e s / %zu resident bytes, "
-                "eager whole artifact %.3e s / %zu resident bytes (%.1fx faster, %.1fx lighter)\n",
+                "every member %.3e s / %zu resident bytes (%.1fx faster, %.1fx lighter)\n",
                 mmap_cold_seconds, mmap_resident, eager_cold_seconds, eager_resident,
                 eager_cold_seconds / mmap_cold_seconds,
                 static_cast<double>(eager_resident) / static_cast<double>(mmap_resident));
     inv.require(mmap_cold_seconds < eager_cold_seconds,
-                "mmap cold-load of a single member beats the eager whole-artifact load");
+                "mmap cold-load of a single member beats materializing every member");
     inv.require(mmap_resident < eager_resident,
                 "a single materialized member leaves less resident than the whole family");
 
@@ -182,7 +198,7 @@ int main(int argc, char** argv) {
     json.num("members", static_cast<long>(family.members.size()));
     json.num("tol", family.tol);
     json.num("family_build_seconds", family_build_seconds);
-    json.num("v3_family_bytes", static_cast<long>(v3_bytes));
+    json.num("member_models_bytes", static_cast<long>(plain_bytes));
     json.num("artifact_f64_bytes", static_cast<long>(tiers[0].bytes));
     json.num("artifact_f32_bytes", static_cast<long>(tiers[1].bytes));
     json.num("artifact_q16_bytes", static_cast<long>(tiers[2].bytes));

@@ -4,19 +4,20 @@
 // instance registry cannot scale to).
 //
 // Offline, pmor::FamilyBuilder greedily samples the box until every
-// training-grid point is covered under the family tolerance. Online, a
-// HELD-OUT offset grid (never coincides with training points) queries
-// rom::ServeEngine::serve_parametric. Invariants (nonzero exit on
-// violation):
+// training-grid point is covered under the family tolerance. Online, the
+// family is hosted as a lossless (f64) artifact and a HELD-OUT offset grid
+// (never coincides with training points) queries it through
+// rom::ServeEngine::serve. Invariants (nonzero exit on violation):
 //   * every held-out query is either served by a member whose online
 //     certificate is <= tol, or routed to the fallback on-demand build;
 //   * warm family serving beats a per-instance cold build by >= 10x;
-//   * the family survives the v3 artifact round-trip bit-exactly (the
-//     loaded family serves the same responses).
+//   * the saved f64 artifact, reopened in a fresh engine, serves responses
+//     bit-identical to the in-memory member's own sweep.
 //
 //   usage: bench_pmor_family [grid_per_dim] [--threads N] [--json-out=PATH]
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,10 +25,12 @@
 #include "bench_util.hpp"
 #include "circuits/nltl.hpp"
 #include "pmor/family_builder.hpp"
+#include "rom/family_codec.hpp"
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
 #include "util/timer.hpp"
+#include "volterra/transfer.hpp"
 
 int main(int argc, char** argv) {
     using namespace atmor;
@@ -99,13 +102,15 @@ int main(int argc, char** argv) {
     popt.fallback_key = [&](const pmor::Point& p) {
         return pmor::member_key(design, fopt.adaptive, p);
     };
+    (void)bench::host_family(engine, family, popt);
 
     const std::vector<pmor::Point> held_out = design.space.offset_grid(held_out_per_dim);
     bench::InvariantChecker inv;
     int certified = 0;
     int fallbacks = 0;
     for (const pmor::Point& q : held_out) {
-        const rom::ParametricAnswer ans = engine.serve_parametric(family, q, grid, popt);
+        const rom::ServeResponse ans = bench::serve_point(engine, family.family_id, q, grid);
+        inv.require(ans.ok(), "held-out query [" + family.space.key(q) + "] is answered");
         if (ans.fallback) {
             ++fallbacks;
         } else {
@@ -127,24 +132,23 @@ int main(int argc, char** argv) {
     // training cell is beyond its cross-point certificate, so the engine
     // must fall back to a fresh on-demand build -- and that build's own
     // certificate must meet the demand.
-    rom::ParametricOptions tight = popt;
-    tight.tol = fopt.adaptive.tol;
+    const double tight = fopt.adaptive.tol;
     std::size_t worst_cell = 0;
     for (std::size_t c = 1; c < family.cells.size(); ++c)
         if (family.cells[c].best_error > family.cells[worst_cell].best_error) worst_cell = c;
-    const rom::ParametricAnswer strict =
-        engine.serve_parametric(family, family.cells[worst_cell].coords, grid, tight);
+    const rom::ServeResponse strict = bench::serve_point(
+        engine, family.family_id, family.cells[worst_cell].coords, grid, tight);
     inv.require(strict.fallback, "a tighter-than-family tolerance routes to fallback");
-    inv.require(strict.certificate.estimated_error <= tight.tol,
+    inv.require(strict.certificate.estimated_error <= tight,
                 "the fallback build certifies the tightened tolerance");
-    std::printf("tightened query (tol %g): %s, certificate %.2e\n", tight.tol,
+    std::printf("tightened query (tol %g): %s, certificate %.2e\n", tight,
                 strict.fallback ? "fallback build" : "member", strict.certificate.estimated_error);
 
     // -- Latency: warm family serve vs per-instance cold build. -------------
     const pmor::Point probe = held_out.front();
-    (void)engine.serve_parametric(family, probe, grid, popt);  // warm the caches
+    (void)bench::serve_point(engine, family.family_id, probe, grid);  // warm the caches
     const double serve_seconds = bench::median_timed(
-        [&] { (void)engine.serve_parametric(family, probe, grid, popt); });
+        [&] { (void)bench::serve_point(engine, family.family_id, probe, grid); });
     const double cold_build_seconds =
         bench::median_timed([&] { (void)popt.fallback_build(probe); }, 3);
     const double speedup = cold_build_seconds / serve_seconds;
@@ -153,30 +157,37 @@ int main(int argc, char** argv) {
                 cold_build_seconds, speedup);
     inv.require(speedup >= 10.0, "family serving beats per-instance cold builds by >= 10x");
 
-    // -- Artifact round-trip: the family serves identically after reload. ---
+    // -- Artifact round-trip: the saved f64 artifact, reopened, serves the
+    // in-memory member's own sweep bit for bit. ----------------------------
     const std::string artifact = "family_sample.atmor-fam";
-    rom::save_family(family, artifact);
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::f64;
+    rom::save_family_artifact(rom::compress_family(family, copt), artifact);
+    const std::size_t artifact_bytes =
+        static_cast<std::size_t>(std::filesystem::file_size(artifact));
     util::Timer load_timer;
-    const rom::Family loaded = rom::load_family(artifact);
+    const rom::FamilyArtifact loaded = rom::FamilyArtifact::open(artifact);
     const double cold_load_seconds = load_timer.seconds();
-    const std::size_t artifact_bytes = rom::serialize_family(family).size();
-    const std::size_t resident_after_load = rom::resident_bytes(loaded);
-    bool roundtrip_ok = loaded.members.size() == family.members.size() &&
-                        loaded.cells.size() == family.cells.size();
+    const std::size_t resident_after_load = loaded.resident_bytes();
+    bool roundtrip_ok = loaded.member_count() == static_cast<int>(family.members.size()) &&
+                        loaded.cells().size() == family.cells.size();
     if (roundtrip_ok) {
-        // A FRESH engine for the loaded family: sharing `engine` would
-        // replay the original members' cached evaluators (same cache key)
-        // and never evaluate the deserialized models.
         rom::ServeEngine loaded_engine(std::make_shared<rom::Registry>());
-        const rom::ParametricAnswer a = engine.serve_parametric(family, probe, grid, popt);
-        const rom::ParametricAnswer b = loaded_engine.serve_parametric(loaded, probe, grid, popt);
-        roundtrip_ok = a.member == b.member &&
-                       a.certificate.estimated_error == b.certificate.estimated_error;
-        for (std::size_t g = 0; roundtrip_ok && g < grid.size(); ++g)
-            roundtrip_ok = a.response[g](0, 0) == b.response[g](0, 0);
+        loaded_engine.host_family(loaded, popt);
+        const rom::ServeResponse b =
+            bench::serve_point(loaded_engine, family.family_id, probe, grid);
+        roundtrip_ok = b.ok() && !b.fallback && b.response.size() == grid.size();
+        if (roundtrip_ok) {
+            const std::vector<la::ZMatrix> a =
+                volterra::TransferEvaluator(
+                    family.members[static_cast<std::size_t>(b.member)].model.rom)
+                    .output_h1_sweep(grid);
+            for (std::size_t g = 0; roundtrip_ok && g < grid.size(); ++g)
+                roundtrip_ok = la::max_abs(a[g] - b.response[g]) == 0.0;
+        }
     }
-    inv.require(roundtrip_ok, "v3 family artifact round-trips to bit-identical serving");
-    std::printf("family artifact: %s (%s)\n", artifact.c_str(),
+    inv.require(roundtrip_ok, "the f64 family artifact serves bit-identically to its members");
+    std::printf("family artifact: %s, %zu bytes (%s)\n", artifact.c_str(), artifact_bytes,
                 roundtrip_ok ? "round-trip bit-exact" : "ROUND-TRIP MISMATCH");
 
     const rom::ServeStats stats = engine.stats();

@@ -99,26 +99,34 @@ int main(int argc, char** argv) {
     // ---------------------------------------------------------------------
     // 3. WARM: repeated online queries against the resident model.
     // ---------------------------------------------------------------------
+    // The model is resident in `registry`, so a by-key ref resolves it from
+    // the memory tier on every request.
     rom::ServeEngine engine(registry);
     std::vector<la::Complex> grid;
     for (int g = 0; g < 32; ++g) grid.emplace_back(0.0, 0.05 * (g + 1));
-    (void)engine.frequency_response(key, builder, grid);  // warm the factor caches
-    const double freq_seconds = bench::median_timed(
-        [&] { (void)engine.frequency_response(key, builder, grid); });
+    rom::ServeRequest sweep;
+    sweep.body = rom::FrequencySweepRequest{rom::ModelRef::by_key(key), grid};
+    (void)engine.serve(sweep);  // warm the factor caches
+    const double freq_seconds = bench::median_timed([&] { (void)engine.serve(sweep); });
     std::printf("warm frequency sweep (32 points): %.3e s\n", freq_seconds);
 
     std::vector<ode::InputFn> scenarios;
     for (int s = 0; s < 8; ++s)
         scenarios.push_back(
             circuits::pulse_input(0.4 + 0.02 * s, 0.5, 1.0, 5.0 + 0.2 * s, 1.5));
-    ode::TransientOptions topt;
-    topt.t_end = 30.0;
-    topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
-    topt.record_stride = 100;
-    (void)engine.transient_batch(key, builder, scenarios, topt);  // stamps the warm Jacobian
-    const double transient_seconds = bench::median_timed(
-        [&] { (void)engine.transient_batch(key, builder, scenarios, topt); }, 3);
+    rom::TransientBatchRequest batch;
+    batch.model = rom::ModelRef::by_key(key);
+    batch.raw_inputs = scenarios;
+    batch.options.t_end = 30.0;
+    batch.options.dt = 2e-3;
+    batch.options.method = ode::Method::trapezoidal;
+    batch.options.record_stride = 100;
+    const ode::TransientOptions topt = batch.options.to_options();
+    rom::ServeRequest transient;
+    transient.body = std::move(batch);
+    (void)engine.serve(transient);  // stamps the warm Jacobian
+    const double transient_seconds =
+        bench::median_timed([&] { (void)engine.serve(transient); }, 3);
     std::printf("warm transient batch (8 waveforms, t_end = 30): %.3e s\n", transient_seconds);
 
     // Reference: the same 8 waveforms against the FULL model, once (the cost

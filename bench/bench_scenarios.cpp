@@ -13,7 +13,7 @@
 //      build samples measurably fewer training candidates (both counts are
 //      recorded side by side).
 //   C. Held-out queries against the sparse-built family: a seeded
-//      Monte-Carlo batch through ServeEngine::serve_parametric_batch (every
+//      Monte-Carlo batch through one ServeEngine::serve parametric_batch (every
 //      point must come back member-certified under the family tolerance,
 //      no fallbacks), plus a two-tone intermodulation sweep (RF x LO
 //      products through H1/H2/H3 harmonic probing) where the ROM must track
@@ -120,20 +120,22 @@ int main(int argc, char** argv) {
                 "members are genuine reductions (rom order < full/10)");
 
     rom::ServeEngine grid_engine(std::make_shared<rom::Registry>());
+    (void)bench::host_family(grid_engine, grid_family);
     std::vector<la::Complex> band;
     for (int g = 1; g <= 16; ++g) band.emplace_back(0.0, 0.25 + 1.75 * (g - 1) / 15.0);
-    rom::ParametricOptions gserve;
-    gserve.tol = gfam.tol;
+    const auto grid_serve = [&](const pmor::Point& q) {
+        return bench::serve_point(grid_engine, grid_family.family_id, q, band, gfam.tol);
+    };
     const std::vector<pmor::Point> grid_held_out = grid_design.space.offset_grid(3);
     int grid_certified = 0;
     for (const pmor::Point& q : grid_held_out) {
-        const rom::ParametricAnswer ans = grid_engine.serve_parametric(grid_family, q, band, gserve);
-        if (!ans.fallback && ans.certificate.estimated_error <= gfam.tol) ++grid_certified;
+        const rom::ServeResponse ans = grid_serve(q);
+        if (ans.ok() && !ans.fallback && ans.certificate.estimated_error <= gfam.tol)
+            ++grid_certified;
     }
     const pmor::Point grid_probe = grid_held_out.front();
-    (void)grid_engine.serve_parametric(grid_family, grid_probe, band, gserve);
-    const double grid_serve_seconds = bench::median_timed(
-        [&] { (void)grid_engine.serve_parametric(grid_family, grid_probe, band, gserve); });
+    (void)grid_serve(grid_probe);
+    const double grid_serve_seconds = bench::median_timed([&] { (void)grid_serve(grid_probe); });
 
     const rom::ServeStats gstats = grid_engine.stats();
     const bool no_full_order_factor = gstats.solver.max_factor_dim < full_order;
@@ -213,18 +215,24 @@ int main(int argc, char** argv) {
     // -- C1. Held-out Monte-Carlo batch against the sparse-built family. -----
     const rom::Family& mixer_family = sparse_built.family;
     rom::ServeEngine mixer_engine(std::make_shared<rom::Registry>());
-    std::vector<la::Complex> mgrid;
-    for (int g = 1; g <= 12; ++g) mgrid.emplace_back(0.0, g / 6.0);
+    const rom::FamilyArtifact mixer_artifact = bench::host_family(mixer_engine, mixer_family);
+    // Materialize every member up front, so the timed batch starts from the
+    // fully resident family it is compared against.
+    for (int i = 0; i < mixer_artifact.member_count(); ++i) (void)mixer_artifact.member(i);
+    rom::ParametricBatchRequest mbody;
+    mbody.family_id = mixer_family.family_id;
+    for (int g = 1; g <= 12; ++g) mbody.grid.emplace_back(0.0, g / 6.0);
     const std::vector<pmor::Point> mc = mixer_design.space.monte_carlo(mc_points, 2026);
-    rom::ParametricOptions mserve;
-    mserve.tol = mfam.tol;
+    mbody.coords = mc;
+    mbody.tol = mfam.tol;
+    rom::ServeRequest mreq;
+    mreq.body = std::move(mbody);
     util::Timer batch_timer;
-    const rom::ServeResponse batch =
-        mixer_engine.serve_parametric_batch(mixer_family, mc, mgrid, mserve);
+    const rom::ServeResponse batch = mixer_engine.serve(mreq);
     const double batch_seconds = batch_timer.seconds();
     int mc_certified = 0;
     double mc_worst = 0.0;
-    for (std::size_t p = 0; p < mc.size(); ++p) {
+    for (std::size_t p = 0; p < batch.batch_fallback.size(); ++p) {
         const bool certified = batch.batch_fallback[p] == 0 && batch.batch_error[p] <= mfam.tol;
         if (certified) ++mc_certified;
         mc_worst = std::max(mc_worst, batch.batch_error[p]);

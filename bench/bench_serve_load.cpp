@@ -31,8 +31,8 @@
 //                           [--json-out=PATH] [--daemon]
 //
 // --daemon adds a fourth phase: the same mixed workload (spelled as wire
-// ServeRequests -- BuildSpecs instead of builder lambdas, WaveformSpecs
-// instead of input closures) served by a net::Daemon over loopback from N
+// ServeRequests -- WaveformSpecs instead of input closures) served by a
+// net::Daemon over loopback from N
 // concurrent clients. Every wire answer is compared byte-for-byte against
 // a fresh in-process reference engine (the unified-API contract), the
 // admission path is probed with an over-budget tenant (typed Overloaded,
@@ -135,23 +135,32 @@ int main(int argc, char** argv) {
     const rom::Family family = pmor::FamilyBuilder(design, fopt).build().family;
     std::printf("family: %zu members (tol %g)\n", family.members.size(), fopt.tol);
 
+    // The build-spec catalog: "nltl_load" = keyed model m (one designated
+    // HOT), "nltl_load_write" = a fresh registry-write model per request.
+    // Deterministic, so every engine (and the daemon) builds the same bits.
     const volterra::Qldae plant = circuits::current_source_line(base).to_qldae();
     constexpr int kKeyedModels = 4;
-    std::vector<std::string> keys;
-    std::vector<rom::Registry::Builder> builders;
-    for (int m = 0; m < kKeyedModels; ++m) {
-        keys.push_back("load:" + base.key() + "|atmor(k1=4,k2=2,s0=" + std::to_string(m) + ")");
-        builders.push_back([&plant, m, key = keys.back()] {
-            core::AtMorOptions mor;
+    const auto model_spec = [](const char* recipe, int m) {
+        return rom::ModelRef::from_spec(rom::BuildSpec{recipe, {static_cast<double>(m)}});
+    };
+    const auto resolver = [&](const rom::BuildSpec& spec) -> rom::ReducedModel {
+        core::AtMorOptions mor;
+        mor.k3 = 0;
+        if (spec.recipe == "nltl_load") {
             mor.k1 = 4;
             mor.k2 = 2;
-            mor.k3 = 0;
-            mor.expansion_points = {la::Complex(1.0 + 0.3 * m, 0.0)};
-            core::MorResult r = core::reduce_associated(plant, mor);
-            r.provenance.source = key;
-            return r;
-        });
-    }
+            mor.expansion_points = {la::Complex(1.0 + 0.3 * spec.params.at(0), 0.0)};
+        } else if (spec.recipe == "nltl_load_write") {
+            mor.k1 = 3;
+            mor.k2 = 2;
+            mor.expansion_points = {la::Complex(0.8 + 0.01 * spec.params.at(0), 0.0)};
+        } else {
+            throw rom::UnresolvedError("bench catalog: unknown recipe '" + spec.recipe + "'");
+        }
+        core::MorResult r = core::reduce_associated(plant, mor);
+        r.provenance.source = spec.key();
+        return r;
+    };
 
     // Memory tier sized to the workload: cold-fallback and registry-write
     // churn must not evict the warm keyed models mid-run.
@@ -159,6 +168,7 @@ int main(int argc, char** argv) {
     ropt.max_memory_models = 256;
     auto registry = std::make_shared<rom::Registry>(ropt);
     rom::ServeEngine engine(registry);
+    engine.set_spec_resolver(resolver);
 
     const auto grids = make_grids(4);
     rom::ParametricOptions popt;
@@ -167,19 +177,28 @@ int main(int argc, char** argv) {
         r.model.provenance.source = pmor::member_key(design, fopt.adaptive, p);
         return std::move(r.model);
     };
+    const rom::FamilyArtifact hosted = bench::host_family(engine, family, popt);
+    /// Another engine over the shared registry, serving the same catalog.
+    const auto twin_engine = [&] {
+        auto eng = std::make_unique<rom::ServeEngine>(registry);
+        eng->set_spec_resolver(resolver);
+        eng->host_family(hosted, popt);
+        return eng;
+    };
 
     // Warm parametric probes: held-out points a member certifies (screened
     // through a throwaway engine so the measured engine's counters stay
     // exactly accountable). Cold-fallback points come from a finer offset
     // grid queried at the MEMBER tolerance, which no cell certifies.
     bench::InvariantChecker inv;
-    rom::ServeEngine setup_engine(registry);
+    const auto setup_engine = twin_engine();
     std::vector<pmor::Point> warm_points;
-    for (const pmor::Point& p : design.space.offset_grid(3))
-        if (!setup_engine.serve_parametric(family, p, grids[0], popt).fallback)
-            warm_points.push_back(p);
-    rom::ParametricOptions cold_popt = popt;
-    cold_popt.tol = fopt.adaptive.tol;
+    for (const pmor::Point& p : design.space.offset_grid(3)) {
+        const rom::ServeResponse r =
+            bench::serve_point(*setup_engine, family.family_id, p, grids[0]);
+        if (r.ok() && !r.fallback) warm_points.push_back(p);
+    }
+    const double cold_tol = fopt.adaptive.tol;
     // Keep only points the routing rule REJECTS at the member tolerance
     // (nearest cell's certified error above it), so every cold request
     // provably takes the fallback path and the accounting below is exact.
@@ -190,8 +209,7 @@ int main(int argc, char** argv) {
             if (family.space.distance(p, family.cells[c].coords) <
                 family.space.distance(p, family.cells[nearest].coords))
                 nearest = c;
-        if (family.cells[nearest].best < 0 ||
-            family.cells[nearest].best_error > cold_popt.tol)
+        if (family.cells[nearest].best < 0 || family.cells[nearest].best_error > cold_tol)
             cold_points.push_back(p);
     }
     inv.require(!cold_points.empty(), "some points reject at the member tolerance");
@@ -204,54 +222,48 @@ int main(int argc, char** argv) {
     for (int s = 0; s < 2; ++s)
         waveforms.push_back(
             circuits::pulse_input(0.4 + 0.05 * s, 0.5, 1.0, 2.0 + 0.2 * s, 1.5));
-    ode::TransientOptions topt;
+    rom::TransientSpec topt;
     topt.t_end = 5.0;
     topt.dt = 1e-2;
     topt.method = ode::Method::trapezoidal;
     topt.record_stride = 50;
 
-    // Per-class request handlers against the measured engine. warm_freq
-    // item i: even -> HOT model keys[0] (coalescing pressure), odd ->
-    // spread across the other models; the grid cycles the overlapping
-    // variants either way.
-    int rom_order = 0;
+    // Per-class request handlers against an engine. warm_freq item i: even
+    // -> the HOT model 0 (coalescing pressure), odd -> spread across the
+    // other models; the grid cycles the overlapping variants either way.
     const auto do_warm_freq = [&](rom::ServeEngine& eng, int i) {
         const int k = (i % 2 == 0) ? 0 : 1 + (i / 2) % (kKeyedModels - 1);
-        return eng.frequency_response(keys[static_cast<std::size_t>(k)],
-                                      builders[static_cast<std::size_t>(k)],
-                                      grids[static_cast<std::size_t>(i % 4)]);
+        rom::ServeRequest req;
+        req.body = rom::FrequencySweepRequest{model_spec("nltl_load", k),
+                                              grids[static_cast<std::size_t>(i % 4)]};
+        return eng.serve(req).response;
     };
     const auto do_warm_parametric = [&](rom::ServeEngine& eng, int i) {
-        return eng.serve_parametric(family,
-                                    warm_points[static_cast<std::size_t>(i) % warm_points.size()],
-                                    grids[static_cast<std::size_t>(i % 4)], popt);
+        return bench::serve_point(eng, family.family_id,
+                                  warm_points[static_cast<std::size_t>(i) % warm_points.size()],
+                                  grids[static_cast<std::size_t>(i % 4)]);
     };
     const auto do_transient = [&](rom::ServeEngine& eng, int i) {
-        const int k = i % kKeyedModels;
-        return eng.transient_batch(keys[static_cast<std::size_t>(k)],
-                                   builders[static_cast<std::size_t>(k)], waveforms, topt);
+        rom::TransientBatchRequest tb;
+        tb.model = model_spec("nltl_load", i % kKeyedModels);
+        tb.raw_inputs = waveforms;
+        tb.options = topt;
+        rom::ServeRequest req;
+        req.body = std::move(tb);
+        return eng.serve(req);
     };
     const auto do_cold_fallback = [&](rom::ServeEngine& eng, int i) {
-        return eng.serve_parametric(
-            family, cold_points[static_cast<std::size_t>(i) % cold_points.size()], grids[0],
-            cold_popt);
+        return bench::serve_point(eng, family.family_id,
+                                  cold_points[static_cast<std::size_t>(i) % cold_points.size()],
+                                  grids[0], cold_tol);
     };
     const auto do_registry_write = [&](rom::ServeEngine& eng, int i) {
-        // A fresh key per request: the build + insert path, concurrent with
-        // warm serves (the single-flight fairness scenario).
-        const std::string key = keys[0] + "|write" + std::to_string(i);
-        return eng.model(key, [&, key] {
-            core::AtMorOptions mor;
-            mor.k1 = 3;
-            mor.k2 = 2;
-            mor.k3 = 0;
-            mor.expansion_points = {la::Complex(0.8 + 0.01 * i, 0.0)};
-            core::MorResult r = core::reduce_associated(plant, mor);
-            r.provenance.source = key;
-            return r;
-        });
+        // A fresh model per request: the build + insert path, concurrent
+        // with warm serves (the single-flight fairness scenario).
+        rom::ServeRequest req;
+        req.body = rom::CertificateRequest{model_spec("nltl_load_write", i)};
+        return eng.serve(req);
     };
-    rom_order = setup_engine.model(keys[0], builders[0])->order;
 
     // ---------------------------------------------------------------------
     // Phase 1 -- closed-loop saturation: drain a fixed count of warm mixed
@@ -317,19 +329,20 @@ int main(int argc, char** argv) {
     for (int i = 0; i < cold_count; ++i) schedule.push_back({Cls::cold_fallback, i, 0.0});
     for (int i = 0; i < write_count; ++i) schedule.push_back({Cls::registry_write, i, 0.0});
 
-    const double freq_cost = bench::median_timed([&] { (void)do_warm_freq(setup_engine, 0); }, 3);
+    const double freq_cost =
+        bench::median_timed([&] { (void)do_warm_freq(*setup_engine, 0); }, 3);
     const double par_cost =
-        bench::median_timed([&] { (void)do_warm_parametric(setup_engine, 0); }, 3);
+        bench::median_timed([&] { (void)do_warm_parametric(*setup_engine, 0); }, 3);
     util::Timer tr_timer;
-    (void)do_transient(setup_engine, 0);
+    (void)do_transient(*setup_engine, 0);
     const double tr_cost = tr_timer.seconds();
     // Sacrificial samples (item index past the scheduled range) so the
     // estimate never warms a scheduled cold key.
     util::Timer cold_timer;
-    (void)do_cold_fallback(setup_engine, cold_count);
+    (void)do_cold_fallback(*setup_engine, cold_count);
     const double cold_cost = cold_timer.seconds();
     util::Timer write_timer;
-    (void)do_registry_write(setup_engine, write_count);
+    (void)do_registry_write(*setup_engine, write_count);
     const double write_cost = write_timer.seconds();
     const double serial_estimate = per_class * (freq_cost + par_cost) +
                                    transient_count * tr_cost + cold_count * cold_cost +
@@ -355,7 +368,7 @@ int main(int argc, char** argv) {
     // Per-request answer slots for the bit-identity replay (distinct slots,
     // no synchronisation needed).
     std::vector<std::vector<la::ZMatrix>> freq_answers(static_cast<std::size_t>(per_class));
-    std::vector<rom::ParametricAnswer> par_answers(static_cast<std::size_t>(per_class));
+    std::vector<rom::ServeResponse> par_answers(static_cast<std::size_t>(per_class));
 
     {
         std::atomic<int> next{0};
@@ -404,7 +417,7 @@ int main(int argc, char** argv) {
     // Phase 3 -- serial replay: the coalescing bit-identity contract.
     // ---------------------------------------------------------------------
     bool bits_ok = true;
-    rom::ServeEngine serial_engine(registry);
+    const auto serial_engine = twin_engine();
     const auto same = [](const std::vector<la::ZMatrix>& a, const std::vector<la::ZMatrix>& b) {
         if (a.size() != b.size()) return false;
         for (std::size_t g = 0; g < a.size(); ++g) {
@@ -417,8 +430,8 @@ int main(int argc, char** argv) {
     };
     for (int i = 0; i < per_class; ++i) {
         bits_ok = bits_ok &&
-                  same(freq_answers[static_cast<std::size_t>(i)], do_warm_freq(serial_engine, i));
-        const rom::ParametricAnswer serial = do_warm_parametric(serial_engine, i);
+                  same(freq_answers[static_cast<std::size_t>(i)], do_warm_freq(*serial_engine, i));
+        const rom::ServeResponse serial = do_warm_parametric(*serial_engine, i);
         bits_ok = bits_ok && serial.member == par_answers[static_cast<std::size_t>(i)].member &&
                   same(par_answers[static_cast<std::size_t>(i)].response, serial.response);
     }
@@ -452,7 +465,6 @@ int main(int argc, char** argv) {
     inv.require(accounting_ok, "engine counters match the issued request counts exactly");
     inv.require(stats.solver.max_factor_dim < plant.order(),
                 "serving never factors at full order");
-    (void)rom_order;
     std::printf("\ncoalescing: %ld joined queries, %ld merged batches, %ld deduped points\n",
                 stats.coalesced_queries, stats.coalesced_batches, stats.deduped_points);
     if (!accounting_ok)
@@ -475,45 +487,11 @@ int main(int argc, char** argv) {
     long daemon_request_count = 0;
     util::LatencyHistogram daemon_hist;
     if (run_daemon) {
-        const auto model_spec = [&](int m) {
-            rom::BuildSpec s;
-            s.recipe = "nltl_load";
-            s.params = {static_cast<double>(m)};
-            return s;
-        };
-        const auto write_spec = [&](int i) {
-            rom::BuildSpec s;
-            s.recipe = "nltl_load_write";
-            s.params = {static_cast<double>(i)};
-            return s;
-        };
-        // The daemon-side twin of `builders`/`do_registry_write`, keyed by
-        // spec instead of closure; deterministic, so the daemon's build and
-        // the reference's build agree bitwise.
-        const auto resolver = [&](const rom::BuildSpec& spec) -> rom::ReducedModel {
-            core::AtMorOptions mor;
-            mor.k3 = 0;
-            if (spec.recipe == "nltl_load") {
-                mor.k1 = 4;
-                mor.k2 = 2;
-                mor.expansion_points = {la::Complex(1.0 + 0.3 * spec.params.at(0), 0.0)};
-            } else if (spec.recipe == "nltl_load_write") {
-                mor.k1 = 3;
-                mor.k2 = 2;
-                mor.expansion_points = {la::Complex(0.8 + 0.01 * spec.params.at(0), 0.0)};
-            } else {
-                throw rom::UnresolvedError("bench catalog: unknown recipe '" + spec.recipe +
-                                           "'");
-            }
-            core::MorResult r = core::reduce_associated(plant, mor);
-            r.provenance.source = spec.key();
-            return r;
-        };
         const auto make_serving_engine = [&] {
             auto eng = std::make_shared<rom::ServeEngine>(
                 std::make_shared<rom::Registry>(ropt));
             eng->set_spec_resolver(resolver);
-            eng->host_family(family, popt);  // fallback hooks live daemon-side
+            eng->host_family(hosted, popt);  // fallback hooks live daemon-side
             return eng;
         };
 
@@ -528,8 +506,7 @@ int main(int argc, char** argv) {
                 case Cls::warm_freq: {
                     const int k = (i % 2 == 0) ? 0 : 1 + (i / 2) % (kKeyedModels - 1);
                     req.body = rom::FrequencySweepRequest{
-                        rom::ModelRef::from_spec(model_spec(k)),
-                        grids[static_cast<std::size_t>(i % 4)]};
+                        model_spec("nltl_load", k), grids[static_cast<std::size_t>(i % 4)]};
                     break;
                 }
                 case Cls::warm_parametric: {
@@ -542,9 +519,9 @@ int main(int argc, char** argv) {
                 }
                 case Cls::transient: {
                     rom::TransientBatchRequest tb;
-                    tb.model = rom::ModelRef::from_spec(model_spec(i % kKeyedModels));
+                    tb.model = model_spec("nltl_load", i % kKeyedModels);
                     tb.inputs = wire_waveforms;
-                    tb.options = rom::TransientSpec::from_options(topt);
+                    tb.options = topt;
                     req.body = tb;
                     break;
                 }
@@ -553,12 +530,12 @@ int main(int argc, char** argv) {
                     pq.family_id = family.family_id;
                     pq.coords = cold_points[static_cast<std::size_t>(i) % cold_points.size()];
                     pq.grid = grids[0];
-                    pq.tol = cold_popt.tol;
+                    pq.tol = cold_tol;
                     req.body = pq;
                     break;
                 }
                 default:
-                    req.body = rom::CertificateRequest{rom::ModelRef::from_spec(write_spec(i))};
+                    req.body = rom::CertificateRequest{model_spec("nltl_load_write", i)};
                     break;
             }
             return req;
@@ -630,7 +607,7 @@ int main(int argc, char** argv) {
             for (int i = 0; i < 6; ++i) {
                 rom::ServeRequest req;
                 req.tenant = "overbudget";
-                req.body = rom::CertificateRequest{rom::ModelRef::from_spec(model_spec(0))};
+                req.body = rom::CertificateRequest{model_spec("nltl_load", 0)};
                 const rom::ServeResponse resp = probe.call(req);
                 if (resp.ok())
                     ++ok;

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -18,8 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "la/simd.hpp"
 #include "ode/transient.hpp"
+#include "rom/family_codec.hpp"
+#include "rom/io.hpp"
+#include "rom/serve_engine.hpp"
 #include "util/latency.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -191,6 +198,40 @@ public:
 private:
     bool ok_ = true;
 };
+
+/// Serve an in-memory family the one way families are served: compressed at
+/// the lossless f64 tier, saved, opened and hosted under `defaults`. The
+/// file is unlinked once mapped (the mapping outlives its name). Returns the
+/// hosted artifact.
+inline rom::FamilyArtifact host_family(rom::ServeEngine& engine, const rom::Family& family,
+                                       rom::ParametricOptions defaults = {}) {
+    static std::atomic<int> counter{0};
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              ("atmor_bench_" + std::to_string(::getpid()) + "_" +
+                               std::to_string(counter++) + rom::kFamilyExtension))
+                                 .string();
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::f64;
+    rom::save_family_artifact(rom::compress_family(family, copt), path);
+    rom::FamilyArtifact artifact = rom::FamilyArtifact::open(path);
+    std::filesystem::remove(path);
+    engine.host_family(artifact, std::move(defaults));
+    return artifact;
+}
+
+/// One parametric point against a hosted family, through serve().
+inline rom::ServeResponse serve_point(rom::ServeEngine& engine, const std::string& family_id,
+                                      const pmor::Point& coords,
+                                      const std::vector<la::Complex>& grid, double tol = 0.0) {
+    rom::ParametricQueryRequest body;
+    body.family_id = family_id;
+    body.coords = coords;
+    body.grid = grid;
+    body.tol = tol;
+    rom::ServeRequest req;
+    req.body = std::move(body);
+    return engine.serve(req);
+}
 
 /// Print two transient traces plus the pointwise relative error, downsampled
 /// to roughly `max_rows` rows -- the series the paper's figures plot.

@@ -95,8 +95,8 @@ mor::AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const mor::Adapt
 
 /// Parametric family: greedy parameter-space sampling over a FamilyDesign
 /// (typed descriptors on circuits::*Options) with per-point reduce_adaptive
-/// members, producing a certified rom::Family ready for save_family /
-/// ServeEngine::serve_parametric. Declared here so the reduce/build
+/// members, producing a certified rom::Family ready for rom::compress_family
+/// and serving as a hosted family artifact. Declared here so the reduce/build
 /// front-ends live side by side; implemented in pmor/family_builder.cpp
 /// (include pmor/family_builder.hpp for the option/result types).
 pmor::FamilyBuildResult build_family(const pmor::FamilyDesign& design,

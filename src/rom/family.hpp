@@ -1,18 +1,18 @@
-// The parametric ROM family artifact: many member ROMs covering a sampled
-// parameter box, with the offline certification metadata that makes online
-// member selection a lookup instead of a full-order solve.
+// The parametric ROM family: many member ROMs covering a sampled parameter
+// box, with the offline certification metadata that makes online member
+// selection a lookup instead of a full-order solve.
 //
-// A Family is what pmor::FamilyBuilder produces and rom::ServeEngine::
-// serve_parametric consumes: the parameter space, the member ROMs with their
-// parameter coordinates, and a COVERAGE TABLE over the training grid -- for
-// every training point, which member approximates it best and at what
-// certified (a-posteriori, mor::ErrorEstimator) cross error, plus the
-// runner-up for two-member blending. Serving a query then reduces to
-// locating the nearest training cell and reading its certificate; a cell no
-// member certifies routes the query to the on-demand fallback build.
+// A Family is what pmor::FamilyBuilder produces and rom::compress_family
+// consumes: the parameter space, the member ROMs with their parameter
+// coordinates, and a COVERAGE TABLE over the training grid -- for every
+// training point, which member approximates it best and at what certified
+// (a-posteriori, mor::ErrorEstimator) cross error, plus the runner-up for
+// two-member blending. Serving a query then reduces to locating the nearest
+// training cell and reading its certificate; a cell no member certifies
+// routes the query to the on-demand fallback build.
 //
-// Serialized as io format v3 (rom/io.hpp: save_family/load_family); v1/v2
-// single-model artifacts remain loadable.
+// A family is stored and served only as a compressed family artifact
+// (rom/family_artifact.hpp), opened lazily and hosted by rom::ServeEngine.
 #pragma once
 
 #include <limits>
@@ -59,19 +59,6 @@ struct Family {
     bool converged = false;
     std::vector<FamilyMember> members;
     std::vector<CoverageCell> cells;
-
-    /// Index of the training cell nearest to `coords` (normalized metric);
-    /// -1 for an empty table.
-    [[nodiscard]] int locate(const pmor::Point& coords) const;
-
-    /// Index of the member nearest to `coords`; -1 for an empty family.
-    [[nodiscard]] int nearest_member(const pmor::Point& coords) const;
 };
-
-/// Approximate heap footprint of every materialized member (sum of
-/// rom::resident_bytes over the members). What an eager whole-artifact load
-/// keeps resident; the lazy mmap reader (rom/family_artifact.hpp) reports
-/// only its touched subset.
-std::size_t resident_bytes(const Family& f);
 
 }  // namespace atmor::rom

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -22,31 +21,12 @@ namespace atmor::rom {
 
 namespace {
 
-constexpr char kMagic[8] = {'A', 'T', 'M', 'O', 'R', 'R', 'O', 'M'};
-constexpr std::size_t kEnvelopeHeader = sizeof(kMagic) + sizeof(std::uint32_t) +
-                                        sizeof(std::uint64_t);
-constexpr std::size_t kEnvelopeChecksum = sizeof(std::uint64_t);
 /// Payload offset of the u64 header_bytes field (kind, layout, tier bytes
 /// precede it); patched after the directory length is known.
 constexpr std::size_t kHeaderBytesOffset = 3;
 
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::family_artifact: ") + what);
-}
-
-std::string hex16(std::uint64_t v) {
-    static const char* digits = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] = digits[v & 0xf];
-        v >>= 4;
-    }
-    return s;
-}
-
-bool eager_load_forced() {
-    const char* v = std::getenv("ATMOR_EAGER_LOAD");
-    return v != nullptr && v[0] == '1';
 }
 
 // -- Directory model (parsed form of the sectioned layout). -----------------
@@ -98,6 +78,9 @@ struct SectionedHeader {
 /// against block sizes, cell member indices), so later block fetches only
 /// have to verify content hashes.
 SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_len) {
+    if (payload_len < 2 || payload[0] != static_cast<char>(PayloadKind::family) ||
+        payload[1] != static_cast<char>(FamilyLayout::sectioned))
+        fail(IoErrorKind::corrupt, "payload is not a family artifact");
     if (payload_len < kHeaderBytesOffset + 2 * sizeof(std::uint64_t))
         fail(IoErrorKind::truncated, "payload too small for a sectioned directory");
     std::uint64_t header_bytes = 0;
@@ -116,11 +99,10 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     // The directory is small (no member payloads); copy it so Reader's
     // bounds checks apply and the mapping is never read past header_bytes.
     const std::string dir(payload, dir_len);
-    Reader r(dir, kFormatVersion);
+    Reader r(dir);
     SectionedHeader h;
     r.expect_kind(PayloadKind::family);
-    if (r.u8() != static_cast<std::uint8_t>(FamilyLayout::sectioned))
-        fail(IoErrorKind::corrupt, "payload is not a sectioned family");
+    (void)r.u8();  // layout, checked above
     const std::uint8_t tier = r.u8();
     if (tier > static_cast<std::uint8_t>(EncodingTier::q8))
         fail(IoErrorKind::corrupt, "unknown encoding tier tag " + std::to_string(tier));
@@ -209,20 +191,16 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
 }
 
 /// Fetch a block's bytes and verify its content hash. Inline blocks come
-/// straight out of the mapped payload; external ones resolve against
-/// `block_dir` (the registry's cross-artifact dedup store).
+/// straight out of the mapped payload; external ones from the shared block
+/// store beside the artifact (the registry's cross-artifact dedup store).
 std::string fetch_block(const char* payload, const SectionedHeader& h, std::uint32_t index,
-                        const std::string& block_dir) {
+                        const std::string& artifact_dir) {
     const BlockRef& b = h.blocks[index];
     std::string bytes;
     if (b.storage == 0) {
         bytes.assign(payload + h.header_bytes + b.offset, static_cast<std::size_t>(b.bytes));
     } else {
-        if (block_dir.empty())
-            fail(IoErrorKind::corrupt,
-                 "external block reference in a self-contained artifact");
-        const std::string path =
-            (std::filesystem::path(block_dir) / (hex16(b.hash) + ".blk")).string();
+        const std::string path = detail::shared_block_path(artifact_dir, b.hash);
         std::ifstream in(path, std::ios::binary);
         if (!in) fail(IoErrorKind::open_failed, "cannot open shared block " + path);
         bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
@@ -240,40 +218,25 @@ std::string fetch_block(const char* payload, const SectionedHeader& h, std::uint
 }
 
 la::Matrix fetch_basis(const char* payload, const SectionedHeader& h, std::uint32_t group,
-                       const std::string& block_dir) {
+                       const std::string& artifact_dir) {
     const GroupRef& g = h.groups[group];
-    const std::string bytes = fetch_block(payload, h, g.block, block_dir);
+    const std::string bytes = fetch_block(payload, h, g.block, artifact_dir);
     return decode_matrix_block(bytes.data(), bytes.size(), g.rows, g.cols, h.tier);
 }
 
 /// Decode one member against its (already decoded) union basis.
 FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
                                 std::size_t index, const la::Matrix& basis,
-                                const std::string& block_dir) {
+                                const std::string& artifact_dir) {
     const MemberRef& m = h.members[index];
-    const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block, block_dir);
+    const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block, artifact_dir);
     const la::Matrix coeff = decode_matrix_block(coeff_bytes.data(), coeff_bytes.size(),
                                                  m.coeff_rows, m.coeff_cols, h.tier);
     la::Matrix v = la::matmul_blocked(basis, coeff);
-    const std::string meta_bytes = fetch_block(payload, h, m.meta_block, block_dir);
+    const std::string meta_bytes = fetch_block(payload, h, m.meta_block, artifact_dir);
     ReducedModel model =
         decode_member_meta(meta_bytes.data(), meta_bytes.size(), h.tier, std::move(v));
     return FamilyMember{m.coords, m.certified_error, m.coverage_radius, std::move(model)};
-}
-
-template <class Range, class CoordsOf>
-int nearest(const pmor::ParamSpace& space, const pmor::Point& coords, const Range& items,
-            CoordsOf coords_of) {
-    int best = -1;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const double d = space.distance(coords, coords_of(items[i]));
-        if (d < best_dist) {
-            best_dist = d;
-            best = static_cast<int>(i);
-        }
-    }
-    return best;
 }
 
 }  // namespace
@@ -387,49 +350,22 @@ void save_family_artifact(const CompressedFamily& cf, const std::string& path) {
     write_file_atomically(serialize_family_artifact(cf), path);
 }
 
-namespace detail {
-
-Family family_from_sectioned_payload(const std::string& payload, const std::string& block_dir) {
-    const SectionedHeader h = parse_sectioned_header(payload.data(), payload.size());
-    Family f;
-    f.family_id = h.family_id;
-    f.space = h.space;
-    f.tol = h.tol;
-    f.training_grid_per_dim = h.training_grid_per_dim;
-    f.max_training_error = h.max_training_error;
-    f.converged = h.converged;
-    std::vector<la::Matrix> bases;
-    bases.reserve(h.groups.size());
-    for (std::uint32_t g = 0; g < h.groups.size(); ++g)
-        bases.push_back(fetch_basis(payload.data(), h, g, block_dir));
-    f.members.reserve(h.members.size());
-    for (std::size_t i = 0; i < h.members.size(); ++i)
-        f.members.push_back(materialize_member(payload.data(), h, i,
-                                               bases[h.members[i].basis_group], block_dir));
-    f.cells = h.cells;
-    return f;
+std::string detail::shared_block_path(const std::string& artifact_dir, std::uint64_t hash) {
+    return detail::hashed_path((std::filesystem::path(artifact_dir) / "blocks").string(), hash,
+                               ".blk");
 }
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // FamilyArtifact.
 // ---------------------------------------------------------------------------
 
 struct FamilyArtifact::Impl {
-    // -- Lazy (mmap) state. --------------------------------------------------
     void* map = nullptr;
     std::size_t map_len = 0;
     const char* payload = nullptr;  ///< into the mapping
     std::size_t payload_len = 0;
-    std::string block_dir;
+    std::string artifact_dir;       ///< where the shared block store lives
     SectionedHeader header;
-    bool is_lazy = false;
-
-    // -- Eager state (fallback and from_family). -----------------------------
-    Family eager;
-
-    std::size_t file_size = 0;
 
     /// Guards the caches; one thread materializes a given section, everyone
     /// else waits (sections decode in milliseconds, contention is cheap).
@@ -444,23 +380,7 @@ struct FamilyArtifact::Impl {
     }
 };
 
-FamilyArtifact FamilyArtifact::from_family(Family f) {
-    auto impl = std::make_shared<Impl>();
-    impl->eager = std::move(f);
-    impl->resident = atmor::rom::resident_bytes(impl->eager);
-    impl->materialized = static_cast<int>(impl->eager.members.size());
-    FamilyArtifact a;
-    a.impl_ = std::move(impl);
-    return a;
-}
-
 FamilyArtifact FamilyArtifact::open(const std::string& path) {
-    const auto eager_fallback = [&path](std::size_t file_size) {
-        FamilyArtifact a = from_family(load_family(path));
-        a.impl_->file_size = file_size;
-        return a;
-    };
-
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) fail(IoErrorKind::open_failed, "cannot open " + path);
     struct stat st{};
@@ -469,52 +389,23 @@ FamilyArtifact FamilyArtifact::open(const std::string& path) {
         fail(IoErrorKind::open_failed, "cannot stat " + path);
     }
     const std::size_t len = static_cast<std::size_t>(st.st_size);
-    if (eager_load_forced()) {
-        ::close(fd);
-        return eager_fallback(len);
-    }
-    if (len < kEnvelopeHeader + kEnvelopeChecksum) {
-        ::close(fd);
-        fail(IoErrorKind::truncated, path + " is smaller than the artifact header");
-    }
-    void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    // An empty file cannot be mapped; the envelope check below rejects it.
+    void* map = len == 0 ? nullptr : ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd);
     if (map == MAP_FAILED) fail(IoErrorKind::open_failed, "cannot mmap " + path);
 
     auto impl = std::make_shared<Impl>();
     impl->map = map;
     impl->map_len = len;
-    const char* base = static_cast<const char*>(map);
-
-    // Envelope checks mirror unframe(), except the whole-payload checksum:
-    // the sectioned layout carries its own directory checksum + per-block
-    // hashes, which is what keeps cold-start O(touched members).
-    if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0)
-        fail(IoErrorKind::bad_magic, path + " is not an atmor ROM artifact");
-    std::uint32_t version = 0;
-    std::memcpy(&version, base + sizeof(kMagic), sizeof(version));
-    if (version < kMinSupportedVersion || version > kFormatVersion)
-        fail(IoErrorKind::version_mismatch,
-             path + " is format v" + std::to_string(version) + ", supported: v" +
-                 std::to_string(kMinSupportedVersion) + "..v" + std::to_string(kFormatVersion));
-    std::uint64_t payload_size = 0;
-    std::memcpy(&payload_size, base + sizeof(kMagic) + sizeof(version), sizeof(payload_size));
-    if (payload_size != len - kEnvelopeHeader - kEnvelopeChecksum)
-        fail(IoErrorKind::truncated, path + " payload size disagrees with the file size");
-    impl->payload = base + kEnvelopeHeader;
-    impl->payload_len = static_cast<std::size_t>(payload_size);
-
-    const bool sectioned =
-        version_caps(version).sectioned_family && impl->payload_len >= 2 &&
-        impl->payload[0] == static_cast<char>(PayloadKind::family) &&
-        impl->payload[1] == static_cast<char>(FamilyLayout::sectioned);
-    if (!sectioned) return eager_fallback(len);  // impl (and the mapping) released
-
+    // The whole-payload checksum is skipped on purpose: the layout carries
+    // its own directory checksum + per-block hashes, which is what keeps
+    // cold-start O(touched members).
+    const std::string_view payload =
+        detail::envelope_payload(std::string_view(static_cast<const char*>(map), len));
+    impl->payload = payload.data();
+    impl->payload_len = payload.size();
     impl->header = parse_sectioned_header(impl->payload, impl->payload_len);
-    impl->is_lazy = true;
-    impl->file_size = len;
-    impl->block_dir =
-        (std::filesystem::path(path).parent_path() / "blocks").string();
+    impl->artifact_dir = std::filesystem::path(path).parent_path().string();
     impl->basis_cache.resize(impl->header.groups.size());
     impl->member_cache.resize(impl->header.members.size());
     impl->resident = static_cast<std::size_t>(impl->header.header_bytes);
@@ -524,55 +415,45 @@ FamilyArtifact FamilyArtifact::open(const std::string& path) {
 }
 
 const std::string& FamilyArtifact::family_id() const {
-    return impl_->is_lazy ? impl_->header.family_id : impl_->eager.family_id;
+    return impl_->header.family_id;
 }
 const pmor::ParamSpace& FamilyArtifact::space() const {
-    return impl_->is_lazy ? impl_->header.space : impl_->eager.space;
+    return impl_->header.space;
 }
 double FamilyArtifact::tol() const {
-    return impl_->is_lazy ? impl_->header.tol : impl_->eager.tol;
+    return impl_->header.tol;
 }
 int FamilyArtifact::training_grid_per_dim() const {
-    return impl_->is_lazy ? impl_->header.training_grid_per_dim
-                          : impl_->eager.training_grid_per_dim;
+    return impl_->header.training_grid_per_dim;
 }
 double FamilyArtifact::max_training_error() const {
-    return impl_->is_lazy ? impl_->header.max_training_error : impl_->eager.max_training_error;
+    return impl_->header.max_training_error;
 }
 bool FamilyArtifact::converged() const {
-    return impl_->is_lazy ? impl_->header.converged : impl_->eager.converged;
+    return impl_->header.converged;
 }
 const std::vector<CoverageCell>& FamilyArtifact::cells() const {
-    return impl_->is_lazy ? impl_->header.cells : impl_->eager.cells;
+    return impl_->header.cells;
 }
 int FamilyArtifact::member_count() const {
-    return impl_->is_lazy ? static_cast<int>(impl_->header.members.size())
-                          : static_cast<int>(impl_->eager.members.size());
-}
-const pmor::Point& FamilyArtifact::member_coords(int i) const {
-    ATMOR_REQUIRE(i >= 0 && i < member_count(), "member index out of range");
-    return impl_->is_lazy ? impl_->header.members[static_cast<std::size_t>(i)].coords
-                          : impl_->eager.members[static_cast<std::size_t>(i)].coords;
+    return static_cast<int>(impl_->header.members.size());
 }
 
 std::shared_ptr<const FamilyMember> FamilyArtifact::member(int i) const {
     ATMOR_REQUIRE(i >= 0 && i < member_count(), "member index out of range");
     const std::size_t idx = static_cast<std::size_t>(i);
-    if (!impl_->is_lazy)
-        return std::shared_ptr<const FamilyMember>(impl_, &impl_->eager.members[idx]);
-
     std::lock_guard<std::mutex> lock(impl_->mu);
     if (impl_->member_cache[idx]) return impl_->member_cache[idx];
     const MemberRef& m = impl_->header.members[idx];
     std::shared_ptr<const la::Matrix>& basis = impl_->basis_cache[m.basis_group];
     if (!basis) {
         basis = std::make_shared<const la::Matrix>(
-            fetch_basis(impl_->payload, impl_->header, m.basis_group, impl_->block_dir));
+            fetch_basis(impl_->payload, impl_->header, m.basis_group, impl_->artifact_dir));
         impl_->resident += static_cast<std::size_t>(basis->rows()) *
                            static_cast<std::size_t>(basis->cols()) * sizeof(double);
     }
     auto member = std::make_shared<const FamilyMember>(
-        materialize_member(impl_->payload, impl_->header, idx, *basis, impl_->block_dir));
+        materialize_member(impl_->payload, impl_->header, idx, *basis, impl_->artifact_dir));
     impl_->resident += atmor::rom::resident_bytes(member->model);
     ++impl_->materialized;
     impl_->member_cache[idx] = member;
@@ -580,19 +461,21 @@ std::shared_ptr<const FamilyMember> FamilyArtifact::member(int i) const {
 }
 
 int FamilyArtifact::locate(const pmor::Point& coords) const {
-    return nearest(space(), coords, cells(), [](const CoverageCell& c) { return c.coords; });
+    int best = -1;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < cells().size(); ++i) {
+        const double d = space().distance(coords, cells()[i].coords);
+        if (d < best_dist) {
+            best_dist = d;
+            best = static_cast<int>(i);
+        }
+    }
+    return best;
 }
 
-int FamilyArtifact::nearest_member(const pmor::Point& coords) const {
-    if (!impl_->is_lazy)
-        return nearest(space(), coords, impl_->eager.members,
-                       [](const FamilyMember& m) { return m.coords; });
-    return nearest(space(), coords, impl_->header.members,
-                   [](const MemberRef& m) { return m.coords; });
+std::size_t FamilyArtifact::file_bytes() const {
+    return impl_->map_len;
 }
-
-bool FamilyArtifact::lazy() const { return impl_->is_lazy; }
-std::size_t FamilyArtifact::file_bytes() const { return impl_->file_size; }
 
 std::size_t FamilyArtifact::resident_bytes() const {
     std::lock_guard<std::mutex> lock(impl_->mu);
@@ -602,25 +485,6 @@ std::size_t FamilyArtifact::resident_bytes() const {
 int FamilyArtifact::materialized_members() const {
     std::lock_guard<std::mutex> lock(impl_->mu);
     return impl_->materialized;
-}
-
-EncodingTier FamilyArtifact::tier() const {
-    return impl_->is_lazy ? impl_->header.tier : EncodingTier::f64;
-}
-
-Family FamilyArtifact::to_family() const {
-    if (!impl_->is_lazy) return impl_->eager;
-    Family f;
-    f.family_id = impl_->header.family_id;
-    f.space = impl_->header.space;
-    f.tol = impl_->header.tol;
-    f.training_grid_per_dim = impl_->header.training_grid_per_dim;
-    f.max_training_error = impl_->header.max_training_error;
-    f.converged = impl_->header.converged;
-    f.members.reserve(impl_->header.members.size());
-    for (int i = 0; i < member_count(); ++i) f.members.push_back(*member(i));
-    f.cells = impl_->header.cells;
-    return f;
 }
 
 }  // namespace atmor::rom

@@ -1,8 +1,9 @@
-// The v4 SECTIONED family artifact: compressed union-basis storage with
-// per-member section offsets, a content-addressed block table, and an
-// mmap-backed reader that materializes members lazily.
+// The family artifact -- the one on-disk form of a parametric family:
+// compressed union-basis storage with per-member section offsets, a
+// content-addressed block table, and an mmap-backed reader that
+// materializes members lazily.
 //
-// Layout of a sectioned family payload (inside the usual io envelope):
+// Layout of a family payload (inside the usual io envelope):
 //
 //   u8  PayloadKind::family | u8 FamilyLayout::sectioned | u8 EncodingTier
 //   u64 header_bytes              -- at fixed payload offset 3; where the
@@ -22,10 +23,10 @@
 // Integrity is LAYERED so the lazy reader never has to touch bytes it does
 // not serve: the directory carries its own checksum (verified at open), and
 // every block carries a content hash (verified when the block is first
-// materialized). The eager load path (rom::load_family on a sectioned file)
-// additionally enjoys the envelope's whole-payload checksum. Net effect: a
-// flipped bit anywhere in the file surfaces as a typed IoError on whichever
-// path observes it -- never a garbage member.
+// materialized). The envelope's whole-payload checksum is never read. Net
+// effect: a flipped bit anywhere before that trailing checksum surfaces as a
+// typed IoError at open or at the first materialization that touches it --
+// never a garbage member.
 //
 // Blocks are deduplicated by content hash within an artifact, and an
 // externalizer hook lets rom::Registry share identical blocks ACROSS
@@ -35,8 +36,8 @@
 // verifies only the directory, and decodes basis groups / members on first
 // touch -- cold-start cost is O(touched members), the working set is page
 // cache, and repeated member(i) calls share one immutable materialization.
-// `ATMOR_EAGER_LOAD=1` (or a non-sectioned artifact) falls back to the
-// classic eager whole-file load behind the same interface.
+// An in-memory rom::Family is served by compressing it (the f64 tier is
+// lossless), saving and opening it like any other artifact.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +51,14 @@
 namespace atmor::rom {
 
 /// Decides where a unique content block lives: return true to store the
-/// block externally (the callee must persist it so that the loader finds
-/// <block_dir>/<hex16(hash)>.blk next to the artifact), false to embed it
-/// inline. Called once per unique hash, in deterministic payload order.
+/// block externally (the callee must persist it at
+/// detail::shared_block_path(<artifact dir>, hash), where the loader looks),
+/// false to embed it inline. Called once per unique hash, in deterministic
+/// payload order.
 using BlockExternalizer = std::function<bool(std::uint64_t hash, const std::string& bytes)>;
 
-/// Frame a CompressedFamily as a sectioned v4 artifact. Without an
-/// externalizer every block is embedded inline (self-contained file).
+/// Frame a CompressedFamily as a family artifact. Without an externalizer
+/// every block is embedded inline (self-contained file).
 std::string serialize_family_artifact(const CompressedFamily& cf,
                                       const BlockExternalizer& externalize = nullptr);
 
@@ -64,12 +66,10 @@ std::string serialize_family_artifact(const CompressedFamily& cf,
 void save_family_artifact(const CompressedFamily& cf, const std::string& path);
 
 namespace detail {
-/// Materialize a full Family from an unframed sectioned payload (the eager
-/// path rom::deserialize_family dispatches to). External block references
-/// resolve against `block_dir`; "" means inline-only (any external reference
-/// then throws IoError{corrupt}). Verifies the directory checksum and every
-/// block hash.
-Family family_from_sectioned_payload(const std::string& payload, const std::string& block_dir);
+/// The shared block store convention's one owner:
+/// <artifact_dir>/blocks/<hex16(hash)>.blk, where the registry writes an
+/// externalized block and the reader of an artifact in artifact_dir finds it.
+std::string shared_block_path(const std::string& artifact_dir, std::uint64_t hash);
 }  // namespace detail
 
 /// Read-only view of a family artifact with lazy member materialization.
@@ -78,15 +78,10 @@ Family family_from_sectioned_payload(const std::string& payload, const std::stri
 /// given section.
 class FamilyArtifact {
 public:
-    /// Map `path` and verify its directory. Falls back to an eager whole-
-    /// file load (same interface, lazy() == false) when the artifact is not
-    /// sectioned or ATMOR_EAGER_LOAD=1 is set. External blocks resolve
+    /// Map `path` and verify its envelope and directory (typed IoError
+    /// otherwise; a model artifact is corrupt here). External blocks resolve
     /// against <dirname(path)>/blocks.
     static FamilyArtifact open(const std::string& path);
-
-    /// Wrap an already-materialized family (eager mode; used by the fallback
-    /// and by tests).
-    static FamilyArtifact from_family(Family f);
 
     [[nodiscard]] const std::string& family_id() const;
     [[nodiscard]] const pmor::ParamSpace& space() const;
@@ -96,29 +91,20 @@ public:
     [[nodiscard]] bool converged() const;
     [[nodiscard]] const std::vector<CoverageCell>& cells() const;
     [[nodiscard]] int member_count() const;
-    /// Parameter coordinates of member `i` (directory data; never triggers
-    /// materialization).
-    [[nodiscard]] const pmor::Point& member_coords(int i) const;
 
     /// Materialize (or fetch the cached) member `i`. Throws a typed IoError
     /// if the backing section fails its hash check.
     [[nodiscard]] std::shared_ptr<const FamilyMember> member(int i) const;
 
-    /// Nearest training cell / member, same metric as rom::Family.
+    /// Index of the training cell nearest to `coords` (the parameter
+    /// space's normalized metric); -1 for an empty table.
     [[nodiscard]] int locate(const pmor::Point& coords) const;
-    [[nodiscard]] int nearest_member(const pmor::Point& coords) const;
 
-    /// True when backed by a live mapping (members decode on demand).
-    [[nodiscard]] bool lazy() const;
-    /// Size of the artifact file (eager mode: serialized size estimate 0).
+    /// Size of the artifact file.
     [[nodiscard]] std::size_t file_bytes() const;
     /// Heap bytes currently materialized (directory + decoded sections).
     [[nodiscard]] std::size_t resident_bytes() const;
     [[nodiscard]] int materialized_members() const;
-    [[nodiscard]] EncodingTier tier() const;
-
-    /// Materialize everything into a standalone Family (eager snapshot).
-    [[nodiscard]] Family to_family() const;
 
 private:
     struct Impl;

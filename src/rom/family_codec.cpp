@@ -470,7 +470,7 @@ std::string encode_member_meta(const ReducedModel& m, EncodingTier tier) {
 ReducedModel decode_member_meta(const char* data, std::size_t len, EncodingTier tier,
                                 la::Matrix v) {
     const std::string buf(data, len);
-    Reader r(buf, kFormatVersion);
+    Reader r(buf);
     Provenance prov = r.provenance();
     const double build_seconds = r.f64();
     const std::int32_t raw_vectors = r.i32();
@@ -489,6 +489,12 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
     ATMOR_REQUIRE(opt.probe_grid >= 2, "compress_family: need probe_grid >= 2");
     ATMOR_REQUIRE(opt.basis_deflation_tol > 0.0,
                   "compress_family: need basis_deflation_tol > 0");
+    const int member_count = static_cast<int>(f.members.size());
+    for (const CoverageCell& cell : f.cells)
+        ATMOR_REQUIRE(cell.best >= -1 && cell.best < member_count && cell.second >= -1 &&
+                          cell.second < member_count,
+                      "compress_family: coverage cell [" << f.space.key(cell.coords)
+                                                         << "] references a missing member");
 
     CompressedFamily out;
     out.family_id = f.family_id;

@@ -24,8 +24,8 @@
 // an exactly-zero encoding error (the reduced system round-trips bit-exact).
 //
 // decode_family is deterministic: the same CompressedFamily always
-// materializes bit-identical members, which is what lets the mmap serving
-// path (rom/family_artifact.hpp) and the eager path answer identically.
+// materializes bit-identical members, which is what lets the mmap reader
+// (rom/family_artifact.hpp) answer exactly like decode_family.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <utility>
 
-#include "rom/family_artifact.hpp"
 #include "util/check.hpp"
 
 namespace atmor::rom {
@@ -197,24 +196,6 @@ void Writer::provenance(const Provenance& p) {
     f64(p.estimated_error);
 }
 
-void Writer::family(const Family& f) {
-    str(f.family_id);
-    param_space(f.space);
-    f64(f.tol);
-    i32(f.training_grid_per_dim);
-    f64(f.max_training_error);
-    u8(f.converged ? 1 : 0);
-    u64(f.members.size());
-    for (const FamilyMember& m : f.members) {
-        u64(m.coords.size());
-        for (double c : m.coords) f64(c);
-        f64(m.certified_error);
-        f64(m.coverage_radius);
-        model(m.model);
-    }
-    coverage_cells(f.cells);
-}
-
 void Writer::model(const ReducedModel& m) {
     provenance(m.provenance);
     f64(m.build_seconds);
@@ -233,6 +214,7 @@ void Reader::raw(void* out, std::size_t n) {
         fail(IoErrorKind::truncated, "payload ends mid-structure (need " + std::to_string(n) +
                                          " bytes, have " + std::to_string(buf_.size() - pos_) +
                                          ")");
+    if (n == 0) return;  // an empty Vec's null data() must not reach memcpy
     std::memcpy(out, buf_.data() + pos_, n);
     pos_ += n;
 }
@@ -415,21 +397,19 @@ Provenance Reader::provenance() {
     prov.k3 = i32();
     prov.full_order = i32();
     prov.basis_hash = u64();
-    if (version_caps(version_).accuracy_provenance) {
-        const std::size_t norders = count(u64(), 3 * sizeof(std::int32_t));
-        prov.point_orders.reserve(norders);
-        for (std::size_t p = 0; p < norders; ++p) {
-            PointOrder po;
-            po.k1 = i32();
-            po.k2 = i32();
-            po.k3 = i32();
-            prov.point_orders.push_back(po);
-        }
-        prov.tol = f64();
-        prov.band_min = f64();
-        prov.band_max = f64();
-        prov.estimated_error = f64();
+    const std::size_t norders = count(u64(), 3 * sizeof(std::int32_t));
+    prov.point_orders.reserve(norders);
+    for (std::size_t p = 0; p < norders; ++p) {
+        PointOrder po;
+        po.k1 = i32();
+        po.k2 = i32();
+        po.k3 = i32();
+        prov.point_orders.push_back(po);
     }
+    prov.tol = f64();
+    prov.band_min = f64();
+    prov.band_max = f64();
+    prov.estimated_error = f64();
     return prov;
 }
 
@@ -448,7 +428,6 @@ ReducedModel Reader::model() {
 }
 
 void Reader::expect_kind(PayloadKind k) {
-    if (!version_caps(version_).payload_kind_tag) return;  // pre-v3: no tag
     const std::uint8_t tag = u8();
     if (tag != static_cast<std::uint8_t>(k))
         fail(IoErrorKind::corrupt, "payload kind " + std::to_string(tag) + ", expected " +
@@ -495,48 +474,15 @@ std::vector<CoverageCell> Reader::coverage_cells(std::size_t ndims, int member_c
     return cells;
 }
 
-Family Reader::family() {
-    Family f;
-    f.family_id = str();
-    f.space = param_space();
-    const std::size_t ndims = static_cast<std::size_t>(f.space.dims());
-    f.tol = f64();
-    f.training_grid_per_dim = i32();
-    f.max_training_error = f64();
-    const std::uint8_t conv = u8();
-    if (conv > 1) fail(IoErrorKind::corrupt, "family converged flag not 0/1");
-    f.converged = conv == 1;
-
-    const std::size_t nmembers = count(u64(), 1);
-    f.members.reserve(nmembers);
-    for (std::size_t m = 0; m < nmembers; ++m) {
-        const std::size_t nc = count(u64(), sizeof(double));
-        if (nc != ndims)
-            fail(IoErrorKind::corrupt, "member coordinate count disagrees with the space");
-        pmor::Point coords;
-        coords.reserve(nc);
-        for (std::size_t c = 0; c < nc; ++c) coords.push_back(f64());
-        const double certified_error = f64();
-        const double coverage_radius = f64();
-        f.members.push_back(
-            FamilyMember{std::move(coords), certified_error, coverage_radius, model()});
-    }
-
-    f.cells = coverage_cells(ndims, static_cast<int>(nmembers));
-    return f;
-}
-
 // ---------------------------------------------------------------------------
 // Framing + top-level API.
 // ---------------------------------------------------------------------------
 
-std::string frame(const std::string& payload) { return frame(payload, kFormatVersion); }
-
-std::string frame(const std::string& payload, std::uint32_t version) {
+std::string frame(const std::string& payload) {
     std::string out;
     out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
     out.append(kMagic, sizeof(kMagic));
-    out.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.append(reinterpret_cast<const char*>(&kFormatVersion), sizeof(kFormatVersion));
     const std::uint64_t size = payload.size();
     out.append(reinterpret_cast<const char*>(&size), sizeof(size));
     out.append(payload);
@@ -545,28 +491,40 @@ std::string frame(const std::string& payload, std::uint32_t version) {
     return out;
 }
 
-std::string unframe(const std::string& bytes, std::uint32_t* version_out) {
+std::string_view detail::envelope_payload(std::string_view bytes) {
     if (bytes.size() < kHeaderBytes + kChecksumBytes)
         fail(IoErrorKind::truncated, "file smaller than the artifact header");
     if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
         fail(IoErrorKind::bad_magic, "not an atmor ROM artifact");
     std::uint32_t version;
     std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-    if (version < kMinSupportedVersion || version > kFormatVersion)
-        fail(IoErrorKind::version_mismatch,
-             "artifact format version " + std::to_string(version) + ", reader supports " +
-                 std::to_string(kMinSupportedVersion) + ".." + std::to_string(kFormatVersion));
-    if (version_out) *version_out = version;
+    if (version != kFormatVersion)
+        fail(IoErrorKind::version_mismatch, "artifact format version " +
+                                                std::to_string(version) + ", reader supports " +
+                                                std::to_string(kFormatVersion));
     std::uint64_t size;
     std::memcpy(&size, bytes.data() + sizeof(kMagic) + sizeof(version), sizeof(size));
     if (size != bytes.size() - kHeaderBytes - kChecksumBytes)
         fail(IoErrorKind::truncated, "payload size field disagrees with the file size");
-    std::string payload = bytes.substr(kHeaderBytes, static_cast<std::size_t>(size));
+    return bytes.substr(kHeaderBytes, static_cast<std::size_t>(size));
+}
+
+std::string unframe(const std::string& bytes) {
+    const std::string_view payload = detail::envelope_payload(bytes);
     std::uint64_t stored;
-    std::memcpy(&stored, bytes.data() + kHeaderBytes + payload.size(), sizeof(stored));
+    std::memcpy(&stored, payload.data() + payload.size(), sizeof(stored));
     if (stored != fnv1a(payload.data(), payload.size()))
         fail(IoErrorKind::checksum_mismatch, "payload checksum mismatch");
-    return payload;
+    return std::string(payload);
+}
+
+std::string detail::hashed_path(const std::string& dir, std::uint64_t hash, const char* ext) {
+    std::string name(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        name[static_cast<std::size_t>(i)] = "0123456789abcdef"[hash & 0xf];
+        hash >>= 4;
+    }
+    return (std::filesystem::path(dir) / (name + ext)).string();
 }
 
 std::string serialize_model(const ReducedModel& m) {
@@ -577,51 +535,12 @@ std::string serialize_model(const ReducedModel& m) {
 }
 
 ReducedModel deserialize_model(const std::string& bytes) {
-    std::uint32_t version = kFormatVersion;
-    const std::string payload = unframe(bytes, &version);
-    Reader r(payload, version);
+    const std::string payload = unframe(bytes);
+    Reader r(payload);
     r.expect_kind(PayloadKind::model);
     ReducedModel m = r.model();
     if (!r.at_end()) fail(IoErrorKind::corrupt, "trailing bytes after the model payload");
     return m;
-}
-
-std::string serialize_family(const Family& f) {
-    Writer w;
-    w.kind(PayloadKind::family);
-    w.u8(static_cast<std::uint8_t>(FamilyLayout::inline_members));
-    w.family(f);
-    return frame(w.bytes());
-}
-
-namespace {
-
-Family deserialize_family_impl(const std::string& bytes, const std::string& block_dir) {
-    std::uint32_t version = kFormatVersion;
-    const std::string payload = unframe(bytes, &version);
-    const VersionCaps caps = version_caps(version);
-    if (!caps.family_payload)
-        fail(IoErrorKind::corrupt,
-             "format v" + std::to_string(version) + " artifacts cannot hold families");
-    Reader r(payload, version);
-    r.expect_kind(PayloadKind::family);
-    if (caps.sectioned_family) {
-        const std::uint8_t layout = r.u8();
-        if (layout == static_cast<std::uint8_t>(FamilyLayout::sectioned))
-            return detail::family_from_sectioned_payload(payload, block_dir);
-        if (layout != static_cast<std::uint8_t>(FamilyLayout::inline_members))
-            fail(IoErrorKind::corrupt,
-                 "unknown family layout tag " + std::to_string(layout));
-    }
-    Family f = r.family();
-    if (!r.at_end()) fail(IoErrorKind::corrupt, "trailing bytes after the family payload");
-    return f;
-}
-
-}  // namespace
-
-Family deserialize_family(const std::string& bytes) {
-    return deserialize_family_impl(bytes, /*block_dir=*/"");
 }
 
 void write_file_atomically(const std::string& bytes, const std::string& path) {
@@ -651,21 +570,6 @@ ReducedModel load_model(const std::string& path) {
     std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     if (in.bad()) fail(IoErrorKind::open_failed, "read error on " + path);
     return deserialize_model(bytes);
-}
-
-void save_family(const Family& f, const std::string& path) {
-    write_file_atomically(serialize_family(f), path);
-}
-
-Family load_family(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) fail(IoErrorKind::open_failed, "cannot open " + path + " for reading");
-    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) fail(IoErrorKind::open_failed, "read error on " + path);
-    // A sectioned artifact may reference shared blocks in the conventional
-    // `blocks/` directory beside the file (the registry's dedup store).
-    return deserialize_family_impl(
-        bytes, (std::filesystem::path(path).parent_path() / "blocks").string());
 }
 
 }  // namespace atmor::rom

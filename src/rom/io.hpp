@@ -2,7 +2,9 @@
 // Qldae / Matrix / CSR / tensor blocks).
 //
 // File layout:  "ATMORROM" magic | u32 version | u64 payload size | payload |
-// u64 FNV-1a checksum of the payload. Doubles are stored as their raw 8-byte
+// u64 FNV-1a checksum of the payload. The payload leads with a PayloadKind
+// tag. Family artifacts use the same envelope around the sectioned layout
+// of rom/family_artifact.hpp. Doubles are stored as their raw 8-byte
 // representation, so a round-trip is BIT-EXACT: a loaded ROM simulates to
 // exactly the trace of the in-memory one (pinned by test_rom_io). Every
 // failure mode -- missing file, truncation, foreign magic, version skew,
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "rom/family.hpp"
 #include "rom/reduced_model.hpp"
@@ -27,61 +30,28 @@
 
 namespace atmor::rom {
 
-/// Bumped on any layout change. Writers always emit the current version;
-/// readers accept [kMinSupportedVersion, kFormatVersion] and default the
-/// fields a v1 artifact predates (no best-effort parsing of future or
-/// ancient artifacts).
-///   v1: base model layout.
-///   v2: + accuracy provenance (per-point orders, tol, band, estimated
-///       error) between basis_hash and build_seconds.
-///   v3: payloads lead with a one-byte PayloadKind tag, making single
-///       models, registry entries and the new Family containers
-///       self-describing. v1/v2 artifacts (no tag) still load.
-///   v4: family payloads follow the kind tag with a FamilyLayout byte:
-///       `inline_members` keeps the exact v3 member layout, `sectioned` is
-///       the compressed union-basis layout (rom/family_artifact.hpp) with
-///       encoding tiers, per-member section offsets and a content-addressed
-///       block table. Model/registry payloads are unchanged.
+/// The one format version read and written. Bumped on any layout change;
+/// an artifact of any other version is IoError{version_mismatch} (no
+/// best-effort parsing of older or future artifacts).
 inline constexpr std::uint32_t kFormatVersion = 4;
-inline constexpr std::uint32_t kMinSupportedVersion = 1;
-
-/// What a given artifact version's payloads can hold -- the single source of
-/// truth for version gating. Readers consult this table instead of spelling
-/// `version >= N` comparisons per call site, so adding v5 is one row here
-/// plus the new parsing branch, not an audit of scattered literals.
-struct VersionCaps {
-    bool accuracy_provenance = false;  ///< v2+: point orders / tol / band block
-    bool payload_kind_tag = false;     ///< v3+: payloads lead with PayloadKind
-    bool family_payload = false;       ///< v3+: Family containers exist
-    bool sectioned_family = false;     ///< v4+: union-basis sectioned families
-};
-
-[[nodiscard]] constexpr VersionCaps version_caps(std::uint32_t version) {
-    VersionCaps caps;
-    caps.accuracy_provenance = version >= 2;
-    caps.payload_kind_tag = version >= 3;
-    caps.family_payload = version >= 3;
-    caps.sectioned_family = version >= 4;
-    return caps;
-}
 
 /// Conventional artifact extension (the registry's disk tier uses it).
 inline constexpr const char* kArtifactExtension = ".atmor-rom";
 /// Conventional extension for family containers.
 inline constexpr const char* kFamilyExtension = ".atmor-fam";
 
-/// What a v3 payload holds (first payload byte). Readers of a specific kind
+/// What a payload holds (first payload byte). Readers of a specific kind
 /// reject the others as corrupt instead of mis-parsing them.
 enum class PayloadKind : std::uint8_t {
     model = 0,           ///< bare ReducedModel (save_model / load_model)
     registry_entry = 1,  ///< full registry key + model (the disk tier)
-    family = 2,          ///< parametric rom::Family container
+    family = 2,          ///< parametric family artifact
 };
 
-/// Second payload byte of a v4 family artifact: how the members are stored.
+/// Second payload byte of a family artifact: how the members are stored.
+/// The sectioned layout is the only one.
 enum class FamilyLayout : std::uint8_t {
-    inline_members = 0,  ///< raw-double member models, exact v3 body
-    sectioned = 1,       ///< union-basis blocks + member directory (v4)
+    sectioned = 1,  ///< union-basis blocks + member directory
 };
 
 enum class IoErrorKind {
@@ -139,14 +109,12 @@ public:
     void tensor4(const sparse::SparseTensor4& t);
     void qldae(const volterra::Qldae& sys);
     void model(const ReducedModel& m);
-    void family(const Family& f);
-    /// The shared sub-records family() / model() and the sectioned v4 layout
-    /// (rom/family_artifact.cpp) compose from; byte layouts are identical to
-    /// the inline spellings they replaced.
+    /// The shared sub-records model() and the sectioned family layout
+    /// (rom/family_artifact.cpp) compose from.
     void param_space(const pmor::ParamSpace& space);
     void coverage_cells(const std::vector<CoverageCell>& cells);
     void provenance(const Provenance& p);
-    /// Payload-kind tag; top-level serializers write it first (v3+ layout).
+    /// Payload-kind tag; top-level serializers write it first.
     void kind(PayloadKind k) { u8(static_cast<std::uint8_t>(k)); }
 
     [[nodiscard]] const std::string& bytes() const { return buf_; }
@@ -159,13 +127,10 @@ private:
 
 /// Payload parser over a byte buffer (not owned). Reading past the end
 /// throws IoError{truncated}; structurally invalid data (negative dims,
-/// inconsistent CSR arrays, ...) throws IoError{corrupt}. The version
-/// (from unframe) selects which layout model() parses; primitive readers
-/// are version-independent.
+/// inconsistent CSR arrays, ...) throws IoError{corrupt}.
 class Reader {
 public:
-    explicit Reader(const std::string& bytes, std::uint32_t version = kFormatVersion)
-        : buf_(bytes), version_(version) {}
+    explicit Reader(const std::string& bytes) : buf_(bytes) {}
 
     std::uint8_t u8();
     std::uint32_t u32();
@@ -182,19 +147,17 @@ public:
     sparse::SparseTensor4 tensor4();
     volterra::Qldae qldae();
     ReducedModel model();
-    Family family();
     /// Inverses of the Writer sub-records. coverage_cells validates the
     /// coordinate count against `ndims` and the member references against
-    /// `member_count` exactly like family() always did.
+    /// `member_count`.
     pmor::ParamSpace param_space();
     std::vector<CoverageCell> coverage_cells(std::size_t ndims, int member_count);
     Provenance provenance();
-    /// Consume and check the payload-kind tag. No-op for pre-v3 payloads
-    /// (which carry no tag); a tag mismatch throws IoError{corrupt} -- a v3
-    /// family fed to a model loader must not mis-parse as a model.
+    /// Consume and check the payload-kind tag; a mismatch throws
+    /// IoError{corrupt} -- a family fed to a model loader must not mis-parse
+    /// as a model.
     void expect_kind(PayloadKind k);
 
-    [[nodiscard]] std::uint32_t version() const { return version_; }
     [[nodiscard]] bool at_end() const { return pos_ == buf_.size(); }
 
 private:
@@ -205,32 +168,31 @@ private:
 
     const std::string& buf_;
     std::size_t pos_ = 0;
-    std::uint32_t version_ = kFormatVersion;
 };
 
 /// Frame a payload with magic/version/size/checksum (the inverse of
 /// unframe). Exposed so callers can persist other payload types with the
-/// same integrity envelope. The version overload exists for back-compat
-/// tests and tools that must forge older artifacts.
+/// same integrity envelope.
 std::string frame(const std::string& payload);
-std::string frame(const std::string& payload, std::uint32_t version);
-/// Verify magic/version/size/checksum and return the payload bytes. Accepts
-/// any version in [kMinSupportedVersion, kFormatVersion] and reports which
-/// one via `version_out` (pass it on to Reader); others throw
-/// IoError{version_mismatch}.
-std::string unframe(const std::string& bytes, std::uint32_t* version_out = nullptr);
+/// Verify magic/version/size/checksum and return the payload bytes; any
+/// version but kFormatVersion throws IoError{version_mismatch}.
+std::string unframe(const std::string& bytes);
+
+namespace detail {
+/// The envelope convention's one owner: check a framed artifact's length,
+/// magic, version and payload size field, and return its payload. The
+/// payload checksum is left to the caller: unframe verifies it, the lazy
+/// family reader relies on its directory checksum and block hashes instead.
+std::string_view envelope_payload(std::string_view bytes);
+
+/// `<dir>/<16 lowercase hex digits of hash><ext>`: how the registry names
+/// its artifacts and the shared block store its blocks.
+std::string hashed_path(const std::string& dir, std::uint64_t hash, const char* ext);
+}  // namespace detail
 
 /// Full artifact in memory: framed model payload.
 std::string serialize_model(const ReducedModel& m);
 ReducedModel deserialize_model(const std::string& bytes);
-
-/// Framed family container. serialize_family emits the inline_members
-/// layout (raw-double members, exact pre-v4 body); deserialize_family
-/// accepts both v4 layouts -- a sectioned payload is decoded through
-/// rom/family_artifact.cpp with every block materialized and hash-checked --
-/// and rejects pre-v3 artifacts, which cannot hold families.
-std::string serialize_family(const Family& f);
-Family deserialize_family(const std::string& bytes);
 
 /// Publish bytes at `path` via temp file + rename: a crashed writer or a
 /// concurrent reader never observes a torn file at the final name (the
@@ -240,9 +202,5 @@ void write_file_atomically(const std::string& bytes, const std::string& path);
 /// File round-trip (save_model publishes atomically; see above).
 void save_model(const ReducedModel& m, const std::string& path);
 ReducedModel load_model(const std::string& path);
-
-/// Family file round-trip (atomic publication like save_model).
-void save_family(const Family& f, const std::string& path);
-Family load_family(const std::string& path);
 
 }  // namespace atmor::rom

@@ -11,16 +11,6 @@ namespace atmor::rom {
 
 namespace {
 
-std::string hex16(std::uint64_t v) {
-    static const char* digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-        v >>= 4;
-    }
-    return out;
-}
-
 // The registry's artifact payload is the FULL key followed by the model, so
 // a load is accepted only when the stored key matches the requested one --
 // a filename-hash collision or a foreign/stale file at the hashed name is
@@ -39,15 +29,18 @@ ReducedModel load_entry(const std::string& key, const std::string& path) {
     if (!in) throw IoError(IoErrorKind::open_failed, "registry: cannot read " + path);
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
-    std::uint32_t version = kFormatVersion;
-    const std::string payload = unframe(bytes, &version);
-    Reader r(payload, version);
+    const std::string payload = unframe(bytes);
+    Reader r(payload);
     r.expect_kind(PayloadKind::registry_entry);
     const std::string stored_key = r.str();
     if (stored_key != key)
         throw IoError(IoErrorKind::corrupt, "registry: artifact at " + path + " stores key \"" +
                                                 stored_key + "\", not \"" + key + "\"");
-    return r.model();
+    ReducedModel model = r.model();
+    if (!r.at_end())
+        throw IoError(IoErrorKind::corrupt,
+                      "registry: trailing bytes after the entry payload at " + path);
+    return model;
 }
 
 }  // namespace
@@ -59,16 +52,14 @@ Registry::Registry(RegistryOptions opt) : opt_(std::move(opt)) {
 
 std::string Registry::artifact_path(const std::string& key) const {
     if (opt_.artifact_dir.empty()) return {};
-    return (std::filesystem::path(opt_.artifact_dir) /
-            (hex16(fnv1a(key.data(), key.size())) + kArtifactExtension))
-        .string();
+    return detail::hashed_path(opt_.artifact_dir, fnv1a(key.data(), key.size()),
+                               kArtifactExtension);
 }
 
 std::string Registry::family_artifact_path(const std::string& family_id) const {
     if (opt_.artifact_dir.empty()) return {};
-    return (std::filesystem::path(opt_.artifact_dir) /
-            (hex16(fnv1a(family_id.data(), family_id.size())) + kFamilyExtension))
-        .string();
+    return detail::hashed_path(opt_.artifact_dir, fnv1a(family_id.data(), family_id.size()),
+                               kFamilyExtension);
 }
 
 std::string Registry::put_family(const CompressedFamily& cf) {
@@ -76,18 +67,17 @@ std::string Registry::put_family(const CompressedFamily& cf) {
     if (path.empty())
         throw IoError(IoErrorKind::open_failed,
                       "registry: family artifacts require the disk tier (artifact_dir)");
-    const std::filesystem::path block_dir =
-        std::filesystem::path(opt_.artifact_dir) / "blocks";
-    std::filesystem::create_directories(block_dir);
     long written = 0;
     long shared = 0;
     const std::string bytes = serialize_family_artifact(
         cf, [&](std::uint64_t hash, const std::string& block) {
             if (block.size() < kExternalBlockBytes) return false;
-            const std::string block_path = (block_dir / (hex16(hash) + ".blk")).string();
+            const std::string block_path = detail::shared_block_path(opt_.artifact_dir, hash);
             if (std::filesystem::exists(block_path)) {
                 ++shared;  // identical content already stored by some artifact
             } else {
+                std::filesystem::create_directories(
+                    std::filesystem::path(block_path).parent_path());
                 write_file_atomically(block, block_path);
                 ++written;
             }

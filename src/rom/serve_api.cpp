@@ -52,14 +52,6 @@ ModelRef ModelRef::from_spec(BuildSpec spec) {
     return ref;
 }
 
-ModelRef ModelRef::in_process(std::string key, Registry::Builder build) {
-    ModelRef ref;
-    ref.kind = Kind::registry_key;
-    ref.key = std::move(key);
-    ref.builder = std::move(build);
-    return ref;
-}
-
 std::string ModelRef::cache_key() const {
     switch (kind) {
         case Kind::registry_key: return key;
@@ -227,21 +219,6 @@ ode::InputFn WaveformSpec::instantiate() const {
 // TransientSpec
 // ---------------------------------------------------------------------------
 
-TransientSpec TransientSpec::from_options(const ode::TransientOptions& opt) {
-    TransientSpec s;
-    s.t_end = opt.t_end;
-    s.dt = opt.dt;
-    s.method = opt.method;
-    s.record_stride = opt.record_stride;
-    s.newton_tol = opt.newton_tol;
-    s.newton_max_iter = opt.newton_max_iter;
-    s.rkf_tol = opt.rkf_tol;
-    s.dt_min = opt.dt_min;
-    s.dt_max = opt.dt_max;
-    s.refactor_every_step = opt.refactor_every_step;
-    return s;
-}
-
 ode::TransientOptions TransientSpec::to_options() const {
     ode::TransientOptions opt;
     opt.t_end = t_end;
@@ -275,9 +252,6 @@ const char* to_string(RequestKind kind) {
 namespace {
 
 void write_model_ref(Writer& w, const ModelRef& ref) {
-    ATMOR_REQUIRE(!ref.builder,
-                  "encode_request: ModelRef carries an in-process builder lambda "
-                  "(code cannot cross the wire); use by_key/from_artifact/from_spec");
     w.u8(static_cast<std::uint8_t>(ref.kind));
     w.str(ref.key);
     w.str(ref.path);
@@ -472,12 +446,6 @@ std::string encode_request(const ServeRequest& req) {
         }
         case RequestKind::parametric_query: {
             const auto& body = std::get<ParametricQueryRequest>(req.body);
-            ATMOR_REQUIRE(body.family == nullptr && body.artifact == nullptr,
-                          "encode_request: ParametricQueryRequest carries in-process "
-                          "family pointers; name the family by family_id");
-            ATMOR_REQUIRE(!body.options.fallback_build && !body.options.fallback_key,
-                          "encode_request: in-process fallback hooks cannot cross the "
-                          "wire; the host's registered fallback applies");
             w.str(body.family_id);
             w.vec(body.coords);
             write_zgrid(w, body.grid);
@@ -493,12 +461,6 @@ std::string encode_request(const ServeRequest& req) {
         }
         case RequestKind::parametric_batch: {
             const auto& body = std::get<ParametricBatchRequest>(req.body);
-            ATMOR_REQUIRE(body.family == nullptr && body.artifact == nullptr,
-                          "encode_request: ParametricBatchRequest carries in-process "
-                          "family pointers; name the family by family_id");
-            ATMOR_REQUIRE(!body.options.fallback_build && !body.options.fallback_key,
-                          "encode_request: in-process fallback hooks cannot cross the "
-                          "wire; the host's registered fallback applies");
             w.str(body.family_id);
             w.u64(body.coords.size());
             for (const pmor::Point& p : body.coords) w.vec(p);

@@ -1,13 +1,8 @@
-// The unified serving API: ONE typed request/response vocabulary shared by
-// in-process callers (rom::ServeEngine::serve and its legacy wrappers) and
-// the wire (net::Daemon / net::ServeClient). The redesign this file carries:
-// ServeEngine's four ad-hoc entrypoints each re-threaded a
-// (key, Registry::Builder) pair -- a shape that cannot cross a socket
-// because a builder lambda does not serialize. Here model resolution is a
-// ModelRef (registry key, artifact path, or inline build spec, all
-// daemon-resolvable; the in-process builder survives as a non-wire field so
-// the legacy wrappers stay bit-identical), waveforms are typed WaveformSpec
-// parameter records instead of closures, and every answer is a
+// The serving API: ONE typed request/response vocabulary shared by
+// in-process callers (rom::ServeEngine::serve) and the wire (net::Daemon /
+// net::ServeClient). Model resolution is a ModelRef (registry key, artifact
+// path, or build spec, all daemon-resolvable), waveforms are typed
+// WaveformSpec parameter records instead of closures, and every answer is a
 // ServeResponse carrying payload + ErrorCertificate + a typed error with a
 // stable numeric code (util/error_codes.hpp).
 //
@@ -19,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -26,9 +22,7 @@
 #include "la/matrix.hpp"
 #include "ode/transient.hpp"
 #include "pmor/param_space.hpp"
-#include "rom/family.hpp"
-#include "rom/family_artifact.hpp"
-#include "rom/registry.hpp"
+#include "rom/reduced_model.hpp"
 #include "util/error_codes.hpp"
 
 namespace atmor::rom {
@@ -49,15 +43,13 @@ struct ErrorCertificate {
     [[nodiscard]] bool certified() const { return estimated_error > 0.0; }
 };
 
-/// How a parametric query should be answered and what the rejection path is.
+/// The host-side serving defaults of a hosted family (ServeEngine::
+/// host_family): what a request, which cannot carry closures, is answered
+/// under, and what the rejection path is.
 struct ParametricOptions {
-    /// Certification tolerance; 0 uses the family's own tol.
+    /// Certification tolerance; 0 uses the family's own tol. A request's
+    /// own positive tol takes precedence.
     double tol = 0.0;
-    /// Blend the outputs of the cell's best AND runner-up member (inverse-
-    /// distance weights) when both certify; the certificate is then the max
-    /// of the two cross errors (a convex combination of two tol-accurate
-    /// responses stays tol-accurate).
-    bool blend = false;
     /// The rejection path: build a dedicated model for the query point when
     /// no member certifies it (resolved through the registry, so repeated
     /// uncovered queries at one point build once). Without it an uncovered
@@ -70,21 +62,6 @@ struct ParametricOptions {
     /// on-demand builds coalesce with family-member artifacts of the same
     /// accuracy.
     std::function<std::string(const pmor::Point&)> fallback_key;
-};
-
-struct ParametricAnswer {
-    /// Output-mapped H1 over the query grid (blended when `blended_with`
-    /// is set).
-    std::vector<la::ZMatrix> response;
-    /// The per-query accuracy contract: for member-served answers the
-    /// estimated_error is the OFFLINE-CERTIFIED cross error of the covering
-    /// training cell (>= the member's own build certificate); for fallback
-    /// answers it is the freshly built model's provenance certificate.
-    ErrorCertificate certificate;
-    int member = -1;        ///< serving member index (-1 on fallback)
-    int blended_with = -1;  ///< runner-up member blended in (-1: none)
-    double blend_weight = 1.0;  ///< weight of `member` in the blend
-    bool fallback = false;  ///< true when no member certified the query
 };
 
 /// Thrown (and reported as ErrorCode::serve_unresolved) when a ModelRef or
@@ -111,10 +88,8 @@ struct BuildSpec {
     [[nodiscard]] std::string key() const;
 };
 
-/// How a request names its model. Replaces the caller-supplied
-/// Registry::Builder threading of the legacy entrypoints: the three tagged
-/// alternatives all cross the wire; the optional in-process `builder` (set
-/// by ModelRef::in_process, used by the legacy wrappers) never does.
+/// How a request names its model; all three tagged alternatives cross the
+/// wire. In-process builds are BuildSpec recipes like remote ones.
 struct ModelRef {
     enum class Kind : std::uint8_t {
         registry_key = 0,   ///< must already be resolvable by the registry
@@ -126,16 +101,10 @@ struct ModelRef {
     std::string key;   ///< registry key (registry_key kind)
     std::string path;  ///< artifact path (artifact_path kind)
     BuildSpec spec;    ///< build recipe (build_spec kind)
-    /// In-process escape hatch carrying the legacy builder lambda. NEVER
-    /// serialized: encode_request rejects a ref that has one (a wire request
-    /// cannot ship code).
-    Registry::Builder builder;
 
     [[nodiscard]] static ModelRef by_key(std::string key);
     [[nodiscard]] static ModelRef from_artifact(std::string path);
     [[nodiscard]] static ModelRef from_spec(BuildSpec spec);
-    /// The legacy (key, Builder) pair as a ModelRef (in-process only).
-    [[nodiscard]] static ModelRef in_process(std::string key, Registry::Builder build);
 
     /// The registry/cache key this ref resolves under (kind-prefixed for the
     /// non-key kinds so distinct reference styles never alias).
@@ -194,7 +163,7 @@ struct WaveformSpec {
 
 /// The serializable subset of ode::TransientOptions (everything but the
 /// caller-supplied backend, which the engine overrides with its own warm
-/// backend anyway -- exactly what the legacy entrypoint always did).
+/// backend anyway).
 struct TransientSpec {
     double t_end = 1.0;
     double dt = 1e-3;
@@ -207,7 +176,6 @@ struct TransientSpec {
     double dt_max = 0.0;
     bool refactor_every_step = false;
 
-    [[nodiscard]] static TransientSpec from_options(const ode::TransientOptions& opt);
     [[nodiscard]] ode::TransientOptions to_options() const;
 };
 
@@ -228,8 +196,8 @@ struct FrequencySweepRequest {
 };
 
 /// Batched transient scenarios against the referenced model. `inputs` is the
-/// wire form; the non-serialized `raw_inputs` (legacy wrapper path) wins
-/// when non-empty, so arbitrary in-process closures keep working.
+/// wire form; the non-serialized `raw_inputs` wins when non-empty, so
+/// in-process callers can drive arbitrary closures.
 struct TransientBatchRequest {
     ModelRef model;
     std::vector<WaveformSpec> inputs;
@@ -237,12 +205,13 @@ struct TransientBatchRequest {
     std::vector<ode::InputFn> raw_inputs;  ///< in-process only, never serialized
 };
 
-/// Parametric query against a family. Over the wire the family is named by
-/// `family_id` and resolved server-side (hosted catalog, then the registry's
-/// mmap artifact tier); the non-serialized pointers are the legacy
-/// in-process overloads, and `options` carries the in-process fallback
-/// hooks. Wire requests use the HOST-registered fallback (host_family's
-/// defaults), gated by `allow_fallback`.
+/// Parametric query against a family, named by `family_id` and resolved
+/// server-side (hosted catalog, then the registry's mmap artifact tier).
+/// Requests use the HOST-registered fallback (host_family's defaults),
+/// gated by `allow_fallback`. `blend` mixes the outputs of the cell's best
+/// AND runner-up member (inverse-distance weights) when both certify; the
+/// certificate is then the max of the two cross errors (a convex
+/// combination of two tol-accurate responses stays tol-accurate).
 struct ParametricQueryRequest {
     std::string family_id;
     pmor::Point coords;
@@ -250,10 +219,6 @@ struct ParametricQueryRequest {
     double tol = 0.0;            ///< 0 = family tolerance
     bool blend = false;
     bool allow_fallback = true;  ///< false strips the server-side fallback build
-    // -- In-process only (never serialized). --------------------------------
-    const Family* family = nullptr;
-    const FamilyArtifact* artifact = nullptr;
-    ParametricOptions options;
 };
 
 /// The certified error bound of the referenced model.
@@ -264,12 +229,11 @@ struct CertificateRequest {
 /// Many parameter points against ONE family in one round trip -- the
 /// Monte-Carlo process-variation shape, where a yield sweep asks for
 /// hundreds of perturbed instances of the same design. The family resolves
-/// ONCE (hosted catalog / artifact mmap / in-process pointer) and every
-/// point routes through the shared coverage table, so per-point cost is the
-/// member sweep alone. The response concatenates per-point sweeps in
-/// request order (point p's grid occupies response[p*grid.size() ..]) and
-/// records per-point routing in the batch_* vectors; the top-level
-/// certificate is the WORST point's.
+/// ONCE (hosted catalog / artifact mmap) and every point routes through the
+/// shared coverage table, so per-point cost is the member sweep alone. The
+/// response concatenates per-point sweeps in request order (point p's grid
+/// occupies response[p*grid.size() ..]) and records per-point routing in the
+/// batch_* vectors; the top-level certificate is the WORST point's.
 struct ParametricBatchRequest {
     std::string family_id;
     std::vector<pmor::Point> coords;
@@ -277,10 +241,6 @@ struct ParametricBatchRequest {
     double tol = 0.0;            ///< 0 = family tolerance
     bool blend = false;
     bool allow_fallback = true;  ///< false strips the server-side fallback build
-    // -- In-process only (never serialized). --------------------------------
-    const Family* family = nullptr;
-    const FamilyArtifact* artifact = nullptr;
-    ParametricOptions options;
 };
 
 /// The tagged request variant: one vocabulary for every serving entrypoint,
@@ -309,9 +269,9 @@ struct ServeError {
 
 /// The uniform answer: payload fields for the request's kind, the model's
 /// ErrorCertificate, and a typed error (code != ok means the payload fields
-/// are empty/default). Transients keep the rich ode::TransientResult so the
-/// legacy wrapper returns it unchanged; encode_response serializes the
-/// deterministic fields and zeroes the wall-time ones.
+/// are empty/default). Transients keep the rich ode::TransientResult;
+/// encode_response serializes the deterministic fields and zeroes the
+/// wall-time ones.
 struct ServeResponse {
     RequestKind kind = RequestKind::frequency_sweep;
     ServeError error;
@@ -344,7 +304,7 @@ struct ServeResponse {
 /// Serialize a request. The tenant is encoded FIRST so peek_tenant can read
 /// it without decoding the body (admission control runs before any payload
 /// work). Throws PreconditionError when the request carries in-process-only
-/// state (a builder lambda, raw input closures, family pointers).
+/// state (raw input closures).
 std::string encode_request(const ServeRequest& req);
 ServeRequest decode_request(const std::string& payload);
 

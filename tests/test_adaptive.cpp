@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/thread_pool.hpp"
 
 namespace atmor {
@@ -211,13 +213,14 @@ TEST(Adaptive, ToleranceKeyedRegistryArtifactsCoexist) {
     EXPECT_TRUE(std::filesystem::exists(registry->artifact_path(key_tight)));
 
     // A fresh registry over the same directory serves both accuracies from
-    // disk, and the engine surfaces each one's certificate per query.
+    // disk (a by-key ref never builds), and the engine surfaces each one's
+    // certificate per query.
     auto registry2 = std::make_shared<rom::Registry>(ropt);
     rom::ServeEngine engine(registry2);
     const rom::ErrorCertificate cert_loose =
-        engine.certificate(key_loose, build_with(loose));
+        test::certificate(engine, rom::ModelRef::by_key(key_loose)).certificate;
     const rom::ErrorCertificate cert_tight =
-        engine.certificate(key_tight, build_with(tight));
+        test::certificate(engine, rom::ModelRef::by_key(key_tight)).certificate;
     EXPECT_EQ(registry2->stats().disk_hits, 2);
     EXPECT_EQ(registry2->stats().builds, 0);
     EXPECT_TRUE(cert_loose.certified());
@@ -248,48 +251,18 @@ TEST(Adaptive, AdaptiveProvenanceRoundTripsThroughIo) {
     EXPECT_TRUE(loaded.provenance.point_orders == model.provenance.point_orders);
 }
 
-TEST(Adaptive, OldVersionArtifactStillLoads) {
-    // Forge a v1 artifact (the pre-accuracy-provenance layout) byte for
-    // byte and check the v2 reader accepts it with defaulted new fields.
+TEST(Adaptive, OtherFormatVersionsAreVersionMismatch) {
+    // Only the current format is read: an artifact stamped with any older
+    // (pre-accuracy-provenance v1 included) or future version is rejected
+    // outright with a typed error, never parsed under a guessed layout.
     const volterra::Qldae sys = small_nltl();
     core::MorResult model = fixed_rom(sys, 3, 2, {Complex(1.0, 0.0)});
-    model.provenance.source = "test:v1-artifact";
-
-    rom::Writer w;
-    w.str(model.provenance.source);
-    w.str(model.provenance.method);
-    w.u64(model.provenance.expansion_points.size());
-    for (const Complex s0 : model.provenance.expansion_points) w.complex(s0);
-    w.i32(model.provenance.k1);
-    w.i32(model.provenance.k2);
-    w.i32(model.provenance.k3);
-    w.i32(model.provenance.full_order);
-    w.u64(model.provenance.basis_hash);
-    w.f64(model.build_seconds);
-    w.i32(model.raw_vectors);
-    w.i32(model.order);
-    w.qldae(model.rom);
-    w.matrix(model.v);
-    const std::string bytes = rom::frame(w.bytes(), 1);
-
-    const rom::ReducedModel loaded = rom::deserialize_model(bytes);
-    EXPECT_EQ(loaded.provenance.source, model.provenance.source);
-    EXPECT_EQ(loaded.provenance.method, model.provenance.method);
-    EXPECT_EQ(loaded.provenance.expansion_points, model.provenance.expansion_points);
-    EXPECT_EQ(loaded.provenance.k1, model.provenance.k1);
-    EXPECT_EQ(loaded.provenance.basis_hash, model.provenance.basis_hash);
-    EXPECT_EQ(loaded.order, model.order);
-    // New fields default to "no accuracy record".
-    EXPECT_TRUE(loaded.provenance.point_orders.empty());
-    EXPECT_EQ(loaded.provenance.tol, 0.0);
-    EXPECT_EQ(loaded.provenance.band_min, 0.0);
-    EXPECT_EQ(loaded.provenance.band_max, 0.0);
-    EXPECT_EQ(loaded.provenance.estimated_error, 0.0);
-
-    // Unsupported versions (0 and future) are still rejected outright.
-    for (const std::uint32_t bad : {0u, rom::kFormatVersion + 1}) {
+    const std::string bytes = rom::serialize_model(model);
+    for (const std::uint32_t bad : {0u, 1u, 2u, 3u, rom::kFormatVersion + 1}) {
+        std::string forged = bytes;
+        std::memcpy(&forged[8], &bad, sizeof(bad));  // u32 version after the magic
         try {
-            (void)rom::deserialize_model(rom::frame(w.bytes(), bad));
+            (void)rom::deserialize_model(forged);
             FAIL() << "expected version_mismatch for version " << bad;
         } catch (const rom::IoError& e) {
             EXPECT_EQ(e.kind(), rom::IoErrorKind::version_mismatch);

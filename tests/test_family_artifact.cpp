@@ -1,11 +1,9 @@
-// The v4 sectioned family artifact stack: tier block codec, union-basis
-// compression with measured-and-folded encoding certificates, sectioned
-// save/load, the mmap lazy reader (identical serving, O(touched members)
-// materialization, concurrent safety), the ATMOR_EAGER_LOAD escape hatch,
-// and the registry's cross-artifact block dedup.
+// The family artifact stack: tier block codec, union-basis compression with
+// measured-and-folded encoding certificates, save/open, the mmap lazy reader
+// (answers identical to decode_family, O(touched members) materialization,
+// concurrent safety), and the registry's cross-artifact block dedup.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -21,6 +19,7 @@
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "volterra/transfer.hpp"
@@ -220,28 +219,6 @@ TEST(FamilyCodec, DecodeIsDeterministicAndCertifiedAgainstTheDecodedModel) {
 // Sectioned save/load + mmap reader.
 // ---------------------------------------------------------------------------
 
-TEST(FamilyArtifact, SectionedArtifactRoundTripsThroughEagerLoad) {
-    const std::string dir = temp_dir("eager_roundtrip");
-    rom::CompressOptions copt;
-    copt.tier = rom::EncodingTier::q16;
-    const rom::CompressedFamily cf = rom::compress_family(test_family(), copt);
-    const std::string path = dir + "/fam" + rom::kFamilyExtension;
-    rom::save_family_artifact(cf, path);
-
-    const rom::Family direct = rom::decode_family(cf);
-    const rom::Family loaded = rom::load_family(path);  // eager sectioned path
-    ASSERT_EQ(loaded.members.size(), direct.members.size());
-    EXPECT_EQ(loaded.family_id, direct.family_id);
-    EXPECT_EQ(loaded.max_training_error, direct.max_training_error);
-    for (std::size_t i = 0; i < loaded.members.size(); ++i) {
-        EXPECT_EQ(loaded.members[i].model.provenance.basis_hash,
-                  direct.members[i].model.provenance.basis_hash);
-        EXPECT_EQ(loaded.members[i].certified_error, direct.members[i].certified_error);
-        EXPECT_EQ(la::max_abs(loaded.members[i].model.v - direct.members[i].model.v), 0.0);
-    }
-    std::filesystem::remove_all(dir);
-}
-
 TEST(FamilyArtifact, MmapReaderMaterializesOnlyTouchedMembers) {
     const std::string dir = temp_dir("lazy");
     rom::CompressOptions copt;
@@ -251,7 +228,6 @@ TEST(FamilyArtifact, MmapReaderMaterializesOnlyTouchedMembers) {
     rom::save_family_artifact(cf, path);
 
     const rom::FamilyArtifact art = rom::FamilyArtifact::open(path);
-    EXPECT_TRUE(art.lazy());
     EXPECT_EQ(art.member_count(), static_cast<int>(cf.members.size()));
     EXPECT_EQ(art.materialized_members(), 0);  // cold open decodes nothing
     const std::size_t cold = art.resident_bytes();
@@ -265,21 +241,26 @@ TEST(FamilyArtifact, MmapReaderMaterializesOnlyTouchedMembers) {
     EXPECT_EQ(art.member(0).get(), m0.get());
     EXPECT_EQ(art.materialized_members(), 1);
 
-    // The lazy view matches the eager decode exactly.
+    // The lazy view matches the in-memory decode exactly, member by member
+    // and header field by header field.
     const rom::Family direct = rom::decode_family(cf);
     EXPECT_EQ(m0->model.provenance.basis_hash, direct.members[0].model.provenance.basis_hash);
     EXPECT_EQ(la::max_abs(m0->model.v - direct.members[0].model.v), 0.0);
     EXPECT_EQ(m0->certified_error, direct.members[0].certified_error);
-
-    const rom::Family all = art.to_family();
+    EXPECT_EQ(art.family_id(), direct.family_id);
+    EXPECT_EQ(art.max_training_error(), direct.max_training_error);
+    for (int i = 0; i < art.member_count(); ++i) {
+        const auto& want = direct.members[static_cast<std::size_t>(i)];
+        EXPECT_EQ(art.member(i)->model.provenance.basis_hash,
+                  want.model.provenance.basis_hash);
+        EXPECT_EQ(art.member(i)->certified_error, want.certified_error);
+        EXPECT_EQ(la::max_abs(art.member(i)->model.v - want.model.v), 0.0);
+    }
     EXPECT_EQ(art.materialized_members(), art.member_count());
-    ASSERT_EQ(all.members.size(), direct.members.size());
-    for (std::size_t i = 0; i < all.members.size(); ++i)
-        EXPECT_EQ(la::max_abs(all.members[i].model.v - direct.members[i].model.v), 0.0);
     std::filesystem::remove_all(dir);
 }
 
-TEST(FamilyArtifact, MmapServingAnswersIdenticallyToEagerFamily) {
+TEST(FamilyArtifact, MmapServingAnswersIdenticallyToTheDecodedFamily) {
     const std::string dir = temp_dir("serve");
     rom::CompressOptions copt;
     copt.tier = rom::EncodingTier::q16;
@@ -288,21 +269,27 @@ TEST(FamilyArtifact, MmapServingAnswersIdenticallyToEagerFamily) {
     const std::string path = dir + "/fam" + rom::kFamilyExtension;
     rom::save_family_artifact(cf, path);
 
-    const rom::Family eager = rom::decode_family(cf);
+    // The served answer is the decoded member's own sweep, bit for bit,
+    // under the decoded coverage cell's certificate.
+    const rom::Family decoded = rom::decode_family(cf);
     const rom::FamilyArtifact lazy = rom::FamilyArtifact::open(path);
-    rom::ServeEngine eager_engine(std::make_shared<rom::Registry>());
-    rom::ServeEngine lazy_engine(std::make_shared<rom::Registry>());
+    rom::ServeEngine engine(std::make_shared<rom::Registry>());
+    engine.host_family(lazy);
     const std::vector<Complex> grid = probe_grid();
 
-    for (const Point& q : eager.space.offset_grid(3)) {
-        const rom::ParametricAnswer a = eager_engine.serve_parametric(eager, q, grid);
-        const rom::ParametricAnswer b = lazy_engine.serve_parametric(lazy, q, grid);
-        EXPECT_EQ(a.member, b.member);
-        EXPECT_EQ(a.fallback, b.fallback);
-        EXPECT_EQ(a.certificate.estimated_error, b.certificate.estimated_error);
-        ASSERT_EQ(a.response.size(), b.response.size());
-        for (std::size_t g = 0; g < a.response.size(); ++g)
-            EXPECT_EQ(la::max_abs(a.response[g] - b.response[g]), 0.0);
+    for (const Point& q : decoded.space.offset_grid(3)) {
+        const rom::ServeResponse b = test::parametric(engine, cf.family_id, q, grid);
+        ASSERT_TRUE(b.ok()) << b.error.message;
+        ASSERT_FALSE(b.fallback);
+        const std::size_t cell = static_cast<std::size_t>(lazy.locate(q));
+        EXPECT_EQ(b.member, decoded.cells[cell].best);
+        EXPECT_EQ(b.certificate.estimated_error, decoded.cells[cell].best_error);
+        const rom::FamilyMember& m = decoded.members[static_cast<std::size_t>(b.member)];
+        const std::vector<la::ZMatrix> a =
+            volterra::TransferEvaluator(m.model.rom).output_h1_sweep(grid);
+        ASSERT_EQ(a.size(), b.response.size());
+        for (std::size_t g = 0; g < a.size(); ++g)
+            EXPECT_EQ(la::max_abs(a[g] - b.response[g]), 0.0);
     }
     // Serving the sweep touched only the members the queries routed to.
     EXPECT_LE(lazy.materialized_members(), lazy.member_count());
@@ -332,36 +319,6 @@ TEST(FamilyArtifact, ConcurrentLazyMaterializationIsSafeAndShared) {
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(art.materialized_members(), art.member_count());
     for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[0].get(), seen[t].get());
-    std::filesystem::remove_all(dir);
-}
-
-TEST(FamilyArtifact, EagerLoadEscapeHatchAndInlineFallback) {
-    const std::string dir = temp_dir("fallback");
-    const rom::Family& fam = test_family();
-
-    // A classic inline-members artifact opens through the same interface,
-    // just eagerly.
-    const std::string inline_path = dir + "/inline" + rom::kFamilyExtension;
-    rom::save_family(fam, inline_path);
-    const rom::FamilyArtifact inline_art = rom::FamilyArtifact::open(inline_path);
-    EXPECT_FALSE(inline_art.lazy());
-    EXPECT_EQ(inline_art.member_count(), static_cast<int>(fam.members.size()));
-    EXPECT_EQ(inline_art.materialized_members(), inline_art.member_count());
-    EXPECT_EQ(la::max_abs(inline_art.member(0)->model.v - fam.members[0].model.v), 0.0);
-
-    // ATMOR_EAGER_LOAD=1 forces even a sectioned artifact down the eager
-    // whole-file path (same answers, lazy() false).
-    const rom::CompressedFamily cf = rom::compress_family(fam);
-    const std::string sectioned_path = dir + "/sectioned" + rom::kFamilyExtension;
-    rom::save_family_artifact(cf, sectioned_path);
-    ::setenv("ATMOR_EAGER_LOAD", "1", 1);
-    const rom::FamilyArtifact forced = rom::FamilyArtifact::open(sectioned_path);
-    ::unsetenv("ATMOR_EAGER_LOAD");
-    EXPECT_FALSE(forced.lazy());
-    EXPECT_EQ(forced.materialized_members(), forced.member_count());
-    const rom::FamilyArtifact mapped = rom::FamilyArtifact::open(sectioned_path);
-    EXPECT_TRUE(mapped.lazy());
-    EXPECT_EQ(la::max_abs(forced.member(0)->model.v - mapped.member(0)->model.v), 0.0);
     std::filesystem::remove_all(dir);
 }
 
@@ -441,7 +398,6 @@ TEST(FamilyArtifact, RegistryDedupsSharedBlocksAcrossArtifacts) {
 
     // Externalized artifacts load back through the shared block store, lazy.
     const rom::FamilyArtifact art = registry.open_family(clone.family_id);
-    EXPECT_TRUE(art.lazy());
     const rom::Family direct = rom::decode_family(cf);
     for (int i = 0; i < art.member_count(); ++i)
         EXPECT_EQ(la::max_abs(art.member(i)->model.v -
@@ -468,11 +424,12 @@ TEST(FamilyArtifact, BuilderCompressOptionProducesServableArtifact) {
     EXPECT_LE(result.compress_stats.basis_columns_union,
               result.compress_stats.basis_columns_in);
 
-    // The persisted artifact serves certified answers end to end.
-    const rom::FamilyArtifact art = opt.registry->open_family(result.family.family_id);
+    // The persisted artifact serves certified answers end to end, found by
+    // family id through the registry's artifact tier.
     rom::ServeEngine engine(opt.registry);
-    const rom::ParametricAnswer ans =
-        engine.serve_parametric(art, result.family.space.center(), probe_grid());
+    const rom::ServeResponse ans = test::parametric(engine, result.family.family_id,
+                                                    result.family.space.center(), probe_grid());
+    ASSERT_TRUE(ans.ok()) << ans.error.message;
     EXPECT_FALSE(ans.fallback);
     EXPECT_LE(ans.certificate.estimated_error, ans.certificate.tol);
     std::filesystem::remove_all(dir);

@@ -1,11 +1,13 @@
 // Parametric ROM families: ParamSpace geometry, typed Options binding, the
-// greedy FamilyBuilder, the v3 Family artifact round-trip, and certified
-// parametric serving (member path, blending, fallback rejection path).
+// greedy FamilyBuilder, the lossless (f64) family artifact round-trip, and
+// certified parametric serving (member path, blending, fallback rejection
+// path) of in-memory families hosted as f64 artifacts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +17,9 @@
 #include "pmor/param_space.hpp"
 #include "rom/io.hpp"
 #include "rom/registry.hpp"
+#include "rom/family_codec.hpp"
 #include "rom/serve_engine.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 
 namespace atmor {
@@ -104,7 +108,7 @@ TEST(ParamSpace, NormalizeIsFiniteOnLogAxesWithTinyMin) {
     // contains() admits points down to min - slack; with a tiny log-axis min
     // the slack (relative to max) reaches below zero, and to_unit must not
     // feed a value <= 0 into std::log. NaN unit coordinates would silently
-    // poison nearest-cell selection in serve_parametric.
+    // poison nearest-cell selection in parametric serving.
     const pmor::ParamSpace space({{"leak", 1e-300, 1.0, pmor::Scale::log}});
     for (const double v : {0.0, -5e-13, 1e-300, 1.0}) {
         const Point p{v};
@@ -269,7 +273,7 @@ TEST(FamilyBuilder, MemberKeyIsStableAndAccuracyTagged) {
 }
 
 // ---------------------------------------------------------------------------
-// Family artifact round-trip (io format v3).
+// Family artifact round-trip (lossless f64 tier).
 // ---------------------------------------------------------------------------
 
 rom::Family build_small_family(double tol = 1e-2) {
@@ -281,48 +285,64 @@ rom::Family build_small_family(double tol = 1e-2) {
     return core::build_family(nltl_design(), opt).family;
 }
 
-TEST(FamilyIo, SaveLoadRoundTripIsExact) {
+std::string save_f64(const rom::Family& fam, const std::string& name) {
+    const std::string path = (std::filesystem::temp_directory_path() / name).string();
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::f64;
+    rom::save_family_artifact(rom::compress_family(fam, copt), path);
+    return path;
+}
+
+TEST(FamilyIo, F64ArtifactRoundTripIsExact) {
     const rom::Family fam = build_small_family();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "atmor_family.atmor-fam").string();
-    rom::save_family(fam, path);
-    const rom::Family loaded = rom::load_family(path);
+    const std::string path = save_f64(fam, "atmor_family.atmor-fam");
+    const rom::FamilyArtifact loaded = rom::FamilyArtifact::open(path);
     std::remove(path.c_str());
 
-    EXPECT_EQ(loaded.family_id, fam.family_id);
-    EXPECT_EQ(loaded.tol, fam.tol);
-    EXPECT_EQ(loaded.training_grid_per_dim, fam.training_grid_per_dim);
-    EXPECT_EQ(loaded.max_training_error, fam.max_training_error);
-    EXPECT_EQ(loaded.converged, fam.converged);
-    ASSERT_EQ(loaded.space.dims(), fam.space.dims());
+    EXPECT_EQ(loaded.family_id(), fam.family_id);
+    EXPECT_EQ(loaded.tol(), fam.tol);
+    EXPECT_EQ(loaded.training_grid_per_dim(), fam.training_grid_per_dim);
+    EXPECT_EQ(loaded.max_training_error(), fam.max_training_error);
+    EXPECT_EQ(loaded.converged(), fam.converged);
+    ASSERT_EQ(loaded.space().dims(), fam.space.dims());
     for (int d = 0; d < fam.space.dims(); ++d) {
-        EXPECT_EQ(loaded.space.descriptor(d).name, fam.space.descriptor(d).name);
-        EXPECT_EQ(loaded.space.descriptor(d).min, fam.space.descriptor(d).min);
-        EXPECT_EQ(loaded.space.descriptor(d).max, fam.space.descriptor(d).max);
-        EXPECT_EQ(loaded.space.descriptor(d).scale, fam.space.descriptor(d).scale);
+        EXPECT_EQ(loaded.space().descriptor(d).name, fam.space.descriptor(d).name);
+        EXPECT_EQ(loaded.space().descriptor(d).min, fam.space.descriptor(d).min);
+        EXPECT_EQ(loaded.space().descriptor(d).max, fam.space.descriptor(d).max);
+        EXPECT_EQ(loaded.space().descriptor(d).scale, fam.space.descriptor(d).scale);
     }
-    ASSERT_EQ(loaded.members.size(), fam.members.size());
+    ASSERT_EQ(loaded.member_count(), static_cast<int>(fam.members.size()));
     for (std::size_t m = 0; m < fam.members.size(); ++m) {
-        EXPECT_EQ(loaded.members[m].coords, fam.members[m].coords);
-        EXPECT_EQ(loaded.members[m].certified_error, fam.members[m].certified_error);
-        EXPECT_EQ(loaded.members[m].coverage_radius, fam.members[m].coverage_radius);
-        EXPECT_EQ(loaded.members[m].model.provenance.basis_hash,
-                  fam.members[m].model.provenance.basis_hash);
-        EXPECT_EQ(loaded.members[m].model.order, fam.members[m].model.order);
+        const auto member = loaded.member(static_cast<int>(m));
+        EXPECT_EQ(member->coords, fam.members[m].coords);
+        EXPECT_EQ(member->certified_error, fam.members[m].certified_error);
+        EXPECT_EQ(member->coverage_radius, fam.members[m].coverage_radius);
+        EXPECT_EQ(member->model.order, fam.members[m].model.order);
+        // The reduced system round-trips bit-exact at the f64 tier.
+        EXPECT_EQ(la::max_abs(member->model.rom.g1() - fam.members[m].model.rom.g1()), 0.0);
+        EXPECT_EQ(la::max_abs(member->model.rom.b() - fam.members[m].model.rom.b()), 0.0);
+        EXPECT_EQ(la::max_abs(member->model.rom.c() - fam.members[m].model.rom.c()), 0.0);
     }
-    ASSERT_EQ(loaded.cells.size(), fam.cells.size());
+    ASSERT_EQ(loaded.cells().size(), fam.cells.size());
     for (std::size_t c = 0; c < fam.cells.size(); ++c) {
-        EXPECT_EQ(loaded.cells[c].coords, fam.cells[c].coords);
-        EXPECT_EQ(loaded.cells[c].best, fam.cells[c].best);
-        EXPECT_EQ(loaded.cells[c].best_error, fam.cells[c].best_error);
-        EXPECT_EQ(loaded.cells[c].second, fam.cells[c].second);
-        EXPECT_EQ(loaded.cells[c].second_error, fam.cells[c].second_error);
+        EXPECT_EQ(loaded.cells()[c].coords, fam.cells[c].coords);
+        EXPECT_EQ(loaded.cells()[c].best, fam.cells[c].best);
+        EXPECT_EQ(loaded.cells()[c].best_error, fam.cells[c].best_error);
+        EXPECT_EQ(loaded.cells()[c].second, fam.cells[c].second);
+        EXPECT_EQ(loaded.cells()[c].second_error, fam.cells[c].second_error);
     }
 }
 
 TEST(FamilyIo, KindTagsKeepModelAndFamilyArtifactsApart) {
     const rom::Family fam = build_small_family();
-    const std::string family_bytes = rom::serialize_family(fam);
+    const std::string family_path = save_f64(fam, "atmor_family_kind.atmor-fam");
+    std::string family_bytes;
+    {
+        std::ifstream in(family_path, std::ios::binary);
+        family_bytes.assign(std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>());
+    }
+    std::remove(family_path.c_str());
     // A family artifact fed to the model loader is a typed corrupt error,
     // not a misparse.
     try {
@@ -332,21 +352,16 @@ TEST(FamilyIo, KindTagsKeepModelAndFamilyArtifactsApart) {
         EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
     }
     // And vice versa.
-    const std::string model_bytes = rom::serialize_model(fam.members.front().model);
+    const std::string model_path =
+        (std::filesystem::temp_directory_path() / "atmor_family_kind.atmor-rom").string();
+    rom::save_model(fam.members.front().model, model_path);
     try {
-        (void)rom::deserialize_family(model_bytes);
+        (void)rom::FamilyArtifact::open(model_path);
         FAIL() << "expected IoError";
     } catch (const rom::IoError& e) {
         EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
     }
-    // Pre-v3 artifacts cannot hold families: forging the family payload
-    // into a v2 frame is rejected outright.
-    try {
-        (void)rom::deserialize_family(rom::frame(rom::unframe(family_bytes), 2));
-        FAIL() << "expected IoError";
-    } catch (const rom::IoError& e) {
-        EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
-    }
+    std::remove(model_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -357,11 +372,13 @@ TEST(ServeParametric, CertifiedMemberPathServesWithCellCertificate) {
     const rom::Family fam = build_small_family();
     ASSERT_TRUE(fam.converged);
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    (void)test::host(engine, fam);
     std::vector<Complex> grid;
     for (int g = 1; g <= 8; ++g) grid.emplace_back(0.0, 0.25 * g);
 
     const Point query{fam.cells[1].coords};  // exactly on a training cell
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid);
+    const rom::ServeResponse ans = test::parametric(engine, fam.family_id, query, grid);
+    ASSERT_TRUE(ans.ok()) << ans.error.message;
     EXPECT_FALSE(ans.fallback);
     EXPECT_EQ(ans.member, fam.cells[1].best);
     EXPECT_EQ(ans.blended_with, -1);
@@ -371,16 +388,42 @@ TEST(ServeParametric, CertifiedMemberPathServesWithCellCertificate) {
     EXPECT_EQ(ans.certificate.tol, fam.tol);
     EXPECT_EQ(ans.certificate.method, "adaptive");
 
-    // The served response IS the member ROM's output H1 sweep.
-    const rom::FamilyMember& m = fam.members[static_cast<std::size_t>(ans.member)];
-    const volterra::TransferEvaluator te(m.model.rom);
-    const std::vector<la::ZMatrix> expected = te.output_h1_sweep(grid);
-    for (std::size_t g = 0; g < grid.size(); ++g)
-        EXPECT_EQ(ans.response[g](0, 0), expected[g](0, 0));
-
     const rom::ServeStats stats = engine.stats();
     EXPECT_EQ(stats.parametric_queries, 1);
     EXPECT_EQ(stats.parametric_fallbacks, 0);
+}
+
+TEST(ServeParametric, F64ArtifactAnswersBitIdenticallyToTheInMemoryMembers) {
+    // What lets in-memory families be served as f64 artifacts: every served
+    // answer IS the original in-memory member ROM's output H1 sweep, to the
+    // bit, and its certificate is the in-memory coverage cell's.
+    const rom::Family fam = build_small_family();
+    rom::ServeEngine engine(std::make_shared<rom::Registry>());
+    const rom::FamilyArtifact art = test::host(engine, fam);
+    const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.0), Complex(0.0, 1.5)};
+    std::vector<Point> queries = fam.space.offset_grid(3);
+    queries.push_back(fam.space.center());
+    for (const Point& q : queries) {
+        const rom::ServeResponse ans = test::parametric(engine, fam.family_id, q, grid);
+        ASSERT_TRUE(ans.ok()) << ans.error.message;
+        ASSERT_FALSE(ans.fallback);
+        const rom::FamilyMember& m = fam.members[static_cast<std::size_t>(ans.member)];
+        const std::vector<la::ZMatrix> expected =
+            volterra::TransferEvaluator(m.model.rom).output_h1_sweep(grid);
+        ASSERT_EQ(ans.response.size(), expected.size());
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+            ASSERT_EQ(ans.response[g].rows(), expected[g].rows());
+            ASSERT_EQ(ans.response[g].cols(), expected[g].cols());
+            for (int r = 0; r < expected[g].rows(); ++r)
+                for (int c = 0; c < expected[g].cols(); ++c)
+                    EXPECT_EQ(ans.response[g](r, c), expected[g](r, c));
+        }
+        const int cell = art.locate(q);
+        ASSERT_GE(cell, 0);
+        EXPECT_EQ(ans.member, fam.cells[static_cast<std::size_t>(cell)].best);
+        EXPECT_EQ(ans.certificate.estimated_error,
+                  fam.cells[static_cast<std::size_t>(cell)].best_error);
+    }
 }
 
 TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
@@ -397,12 +440,13 @@ TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
     ASSERT_EQ(fam.members.size(), 2u);
 
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    const rom::FamilyArtifact art = test::host(engine, fam);
     const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.0)};
     const Point query{40.0};  // between the members
 
-    rom::ParametricOptions popt;
-    popt.blend = true;
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid, popt);
+    const rom::ServeResponse ans =
+        test::parametric(engine, fam.family_id, query, grid, /*tol=*/0.0, /*blend=*/true);
+    ASSERT_TRUE(ans.ok()) << ans.error.message;
     ASSERT_FALSE(ans.fallback);
     ASSERT_GE(ans.blended_with, 0);
     EXPECT_NE(ans.member, ans.blended_with);
@@ -423,7 +467,7 @@ TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
         EXPECT_NEAR(std::abs(ans.response[g](0, 0) - expected), 0.0, 1e-14);
     }
     // Certificate covers both blended members.
-    const int cell = fam.locate(query);
+    const int cell = art.locate(query);
     ASSERT_GE(cell, 0);
     EXPECT_EQ(ans.certificate.estimated_error,
               std::max(fam.cells[static_cast<std::size_t>(cell)].best_error,
@@ -444,11 +488,13 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
 
     auto registry = std::make_shared<rom::Registry>();
     rom::ServeEngine engine(registry);
+    const rom::FamilyArtifact art = test::host(engine, fam);
     const std::vector<Complex> grid{Complex(0.0, 1.0)};
     const Point query{33.0};
 
-    // Without a fallback builder the rejection is a typed error.
-    EXPECT_THROW((void)engine.serve_parametric(fam, query, grid), util::PreconditionError);
+    // Without a host fallback the rejection is a typed error.
+    EXPECT_EQ(test::parametric(engine, fam.family_id, query, grid).error.code,
+              util::ErrorCode::precondition);
 
     const pmor::FamilyDesign design = nltl_design();
     rom::ParametricOptions popt;
@@ -456,7 +502,9 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
         mor::AdaptiveResult r = mor::reduce_adaptive(design.build_system(p), fast_adaptive());
         return std::move(r.model);
     };
-    const rom::ParametricAnswer ans = engine.serve_parametric(fam, query, grid, popt);
+    engine.host_family(art, popt);
+    const rom::ServeResponse ans = test::parametric(engine, fam.family_id, query, grid);
+    ASSERT_TRUE(ans.ok()) << ans.error.message;
     EXPECT_TRUE(ans.fallback);
     EXPECT_EQ(ans.member, -1);
     // The fallback certificate is the freshly built model's own a-posteriori
@@ -466,7 +514,7 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
     EXPECT_EQ(registry->stats().builds, 1);
 
     // The same uncovered point served again resolves from the registry.
-    (void)engine.serve_parametric(fam, query, grid, popt);
+    (void)test::parametric(engine, fam.family_id, query, grid);
     EXPECT_EQ(registry->stats().builds, 1);
     rom::ServeStats stats = engine.stats();
     EXPECT_EQ(stats.parametric_queries, 2);
@@ -478,71 +526,47 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
     // fallback key: the looser cached model must not be silently reused
     // (both tolerances here sit below anything a member certifies, so both
     // queries take the rejection path).
-    rom::ParametricOptions tighter = popt;
-    tighter.tol = 1e-5;
-    (void)engine.serve_parametric(fam, query, grid, tighter);
+    (void)test::parametric(engine, fam.family_id, query, grid, /*tol=*/1e-5);
     EXPECT_EQ(registry->stats().builds, 2);
 
-    // With an explicit fallback_key the caller opts back into sharing
-    // (e.g. pmor::member_key when the builder's accuracy is fixed).
+    // With an explicit fallback_key the host opts back into sharing (e.g.
+    // pmor::member_key when the builder's accuracy is fixed).
     rom::ParametricOptions keyed = popt;
-    keyed.tol = 1e-5;
     keyed.fallback_key = [&](const Point& p) {
         return pmor::member_key(design, fast_adaptive(), p);
     };
-    (void)engine.serve_parametric(fam, query, grid, keyed);
+    engine.host_family(art, keyed);
+    (void)test::parametric(engine, fam.family_id, query, grid, /*tol=*/1e-5);
     const long builds_after_keyed = registry->stats().builds;
-    keyed.tol = 1e-6;  // different tol, same keyed builder accuracy: shared
-    (void)engine.serve_parametric(fam, query, grid, keyed);
+    // Different tol, same keyed builder accuracy: shared.
+    (void)test::parametric(engine, fam.family_id, query, grid, /*tol=*/1e-6);
     EXPECT_EQ(registry->stats().builds, builds_after_keyed);
 }
 
-TEST(ServeParametric, EmptyInputsAreTypedErrors) {
+TEST(ServeParametric, BadInputsAreTypedErrors) {
     const rom::Family fam = build_small_family();
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
+    (void)test::host(engine, fam);
+    const auto code = [&](const std::string& id, Point coords, std::vector<Complex> grid) {
+        return test::parametric(engine, id, std::move(coords), std::move(grid)).error.code;
+    };
     // Empty frequency grid.
-    EXPECT_THROW((void)engine.serve_parametric(fam, {40.0}, {}), util::PreconditionError);
+    EXPECT_EQ(code(fam.family_id, {40.0}, {}), util::ErrorCode::precondition);
     // Point outside the box / wrong arity.
     const std::vector<Complex> grid{Complex(0.0, 1.0)};
-    EXPECT_THROW((void)engine.serve_parametric(fam, {19.0}, grid), util::PreconditionError);
-    EXPECT_THROW((void)engine.serve_parametric(fam, {40.0, 1.0}, grid),
-                 util::PreconditionError);
-    // Empty family.
+    EXPECT_EQ(code(fam.family_id, {19.0}, grid), util::ErrorCode::precondition);
+    EXPECT_EQ(code(fam.family_id, {40.0, 1.0}, grid), util::ErrorCode::precondition);
+    // A family that is neither hosted nor in the registry.
+    EXPECT_EQ(code("no_such_family", {40.0}, grid), util::ErrorCode::serve_unresolved);
+    // Families with no members, or whose coverage table references a
+    // missing member, never become artifacts: compression rejects them
+    // (and the reader rejects such a table on disk).
     rom::Family empty;
     empty.family_id = "empty";
-    EXPECT_THROW((void)engine.serve_parametric(empty, {}, grid), util::PreconditionError);
-    // A hand-built family whose coverage table references a missing member
-    // is a typed error too, never an out-of-bounds read (load_family guards
-    // this invariant on disk; the serve path guards it for aggregates).
+    EXPECT_THROW((void)rom::compress_family(empty), util::PreconditionError);
     rom::Family bogus = fam;
     bogus.cells.front().best = static_cast<int>(bogus.members.size()) + 3;
-    EXPECT_THROW((void)engine.serve_parametric(bogus, bogus.cells.front().coords, grid),
-                 util::PreconditionError);
-}
-
-TEST(ServeParametric, ServingSurvivesTheArtifactRoundTrip) {
-    const rom::Family fam = build_small_family();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "atmor_family_serve.atmor-fam").string();
-    rom::save_family(fam, path);
-    const rom::Family loaded = rom::load_family(path);
-    std::remove(path.c_str());
-
-    // SEPARATE engines: the member-state cache keys on family id + basis
-    // hash, so serving both families through one engine would replay the
-    // original family's evaluators and never touch the deserialized models.
-    rom::ServeEngine original_engine(std::make_shared<rom::Registry>());
-    rom::ServeEngine loaded_engine(std::make_shared<rom::Registry>());
-    const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.5)};
-    const Point query = fam.space.center();
-    const rom::ParametricAnswer a = original_engine.serve_parametric(fam, query, grid);
-    const rom::ParametricAnswer b = loaded_engine.serve_parametric(loaded, query, grid);
-    EXPECT_EQ(a.member, b.member);
-    EXPECT_EQ(a.fallback, b.fallback);
-    EXPECT_EQ(a.certificate.estimated_error, b.certificate.estimated_error);
-    // Bit-exact artifact => bit-exact served response.
-    for (std::size_t g = 0; g < grid.size(); ++g)
-        EXPECT_EQ(a.response[g](0, 0), b.response[g](0, 0));
+    EXPECT_THROW((void)rom::compress_family(bogus), util::PreconditionError);
 }
 
 }  // namespace

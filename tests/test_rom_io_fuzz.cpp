@@ -1,26 +1,25 @@
 // Fuzz-style negative coverage for rom::io: EXHAUSTIVE truncation and
-// bit-flip sweeps over real artifacts.
+// bit-flip sweeps over real artifacts of the one format version, v4.
 //
 // test_rom_io pins a handful of hand-built corruption cases; this file pins
-// the whole space mechanically. For v2 (forged) and v3 model artifacts plus
-// a v3 family container:
+// the whole space mechanically, for model artifacts (deserialize_model) and
+// family artifacts (FamilyArtifact::open plus a drain of every member, the
+// one family reader):
 //  * truncate at EVERY byte boundary -- each prefix must raise a typed
-//    IoError (truncated / bad_magic; never a crash, never a model),
-//  * flip EVERY bit of the header and checksum regions, and every bit of a
-//    payload stride -- each mutation must either raise a typed IoError or
-//    (only where the flip cancels, e.g. flipping a version byte back into
-//    the supported range with a matching... it cannot: any payload flip
-//    breaks the checksum) be byte-identical to the original,
+//    IoError (truncated / bad_magic; never a crash, never an object),
+//  * flip EVERY bit of the envelope header, and every bit of a payload
+//    stride -- each mutation must raise a typed IoError, and the header
+//    regions must raise THEIR kind: magic flips bad_magic, version flips
+//    version_mismatch (every other version is unsupported), size flips
+//    truncated,
 // and in every failing case the loader must return NOTHING: the typed
-// exception is the only observable effect (no partial object escapes, since
-// deserialize_* returns by value only on success).
-// The v4 sectioned family artifact adds a second integrity regime: the
-// DIRECTORY carries its own checksum and every payload block its own hash,
-// so the sweeps here also cover the case the envelope checksum cannot --
-// a re-framed payload (envelope checksum regenerated over mutated bytes)
-// must STILL be rejected, and the lazy mmap reader (which skips the
-// envelope checksum by design) must catch every flip at open or at the
-// first member materialization that touches the damaged section.
+// exception is the only observable effect.
+// Family artifacts have a second integrity regime: the DIRECTORY carries its
+// own checksum and every payload block its own hash, which the family reader
+// checks instead of the envelope's whole-payload checksum (that is what
+// keeps its cold start O(directory)). So a re-framed payload (envelope
+// checksum regenerated over mutated bytes) must STILL be rejected, at open
+// or at the first member materialization that touches the damaged section.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -29,6 +28,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "circuits/nltl.hpp"
 #include "core/atmor.hpp"
@@ -87,31 +88,54 @@ rom::Family small_family() {
     return pmor::FamilyBuilder(design, opt).build().family;
 }
 
-/// A v2 model artifact forged byte for byte (the payload layout is the v3
-/// one minus the leading kind tag, which v2 predates).
-std::string forge_v2(const core::MorResult& model) {
-    rom::Writer w;
-    w.model(model);
-    return rom::frame(w.bytes(), 2);
+rom::CompressedFamily small_compressed() {
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::q16;  // the lossiest tier: most codec paths
+    return rom::compress_family(small_family(), copt);
 }
 
-enum class Kind { model, family };
+std::string write_temp(const std::string& name, const std::string& bytes) {
+    const auto path =
+        (std::filesystem::temp_directory_path() / ("atmor_fuzz_" + name)).string();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+}
 
-/// The loader under test; returns true when a (fully formed) object came
-/// back. Any exception OTHER than a typed IoError is a failure.
-bool try_load(Kind kind, const std::string& bytes, rom::IoErrorKind* error_out) {
+/// Open a (possibly damaged) artifact file lazily and drain every member, so
+/// each inline block's hash gate actually fires. True only when the whole
+/// artifact survives.
+bool try_open_and_drain(const std::string& path, rom::IoErrorKind* error_out) {
     try {
-        if (kind == Kind::model)
-            (void)rom::deserialize_model(bytes);
-        else
-            (void)rom::deserialize_family(bytes);
+        const rom::FamilyArtifact art = rom::FamilyArtifact::open(path);
+        for (int i = 0; i < art.member_count(); ++i) (void)art.member(i);
         return true;
     } catch (const rom::IoError& e) {
         *error_out = e.kind();
         return false;
     }
-    // Anything else (bad_alloc from an absurd count, a PreconditionError
-    // escaping the structural translation, a segfault) aborts the test.
+}
+
+enum class Kind { model, family };
+
+/// The reader under test; returns true when a (fully formed) object came
+/// back. Any exception OTHER than a typed IoError is a failure: bad_alloc
+/// from an absurd count, a PreconditionError escaping the structural
+/// translation, a segfault all abort the test.
+bool try_load(Kind kind, const std::string& bytes, rom::IoErrorKind* error_out) {
+    if (kind == Kind::family) {
+        const std::string path = write_temp(std::to_string(::getpid()) + ".atmor-fam", bytes);
+        const bool loaded = try_open_and_drain(path, error_out);
+        std::filesystem::remove(path);
+        return loaded;
+    }
+    try {
+        (void)rom::deserialize_model(bytes);
+        return true;
+    } catch (const rom::IoError& e) {
+        *error_out = e.kind();
+        return false;
+    }
 }
 
 void truncation_sweep(Kind kind, const std::string& bytes, const char* label) {
@@ -138,11 +162,13 @@ void bitflip_sweep(Kind kind, const std::string& bytes, const char* label,
     std::vector<std::size_t> offsets;
     // Exhaustive over header and checksum; strided over the payload (every
     // byte of a large payload would be slow without adding coverage: every
-    // payload flip funnels into the same checksum gate).
+    // payload flip funnels into the same checksum gates). The family reader
+    // never reads the envelope checksum, so family sweeps skip it.
     for (std::size_t i = 0; i < kHeaderBytes && i < bytes.size(); ++i) offsets.push_back(i);
     for (std::size_t i = kHeaderBytes; i < payload_end; i += payload_stride)
         offsets.push_back(i);
-    for (std::size_t i = payload_end; i < bytes.size(); ++i) offsets.push_back(i);
+    if (kind == Kind::model)
+        for (std::size_t i = payload_end; i < bytes.size(); ++i) offsets.push_back(i);
 
     for (const std::size_t at : offsets) {
         for (int bit = 0; bit < 8; ++bit) {
@@ -153,26 +179,21 @@ void bitflip_sweep(Kind kind, const std::string& bytes, const char* label,
             ASSERT_FALSE(loaded)
                 << label << ": flipping bit " << bit << " of byte " << at << " parsed";
             // Which typed error depends on the region: magic flips are
-            // bad_magic, version flips version_mismatch (or corrupt for a
-            // v3 kind-tag region read under a forged version), size flips
-            // truncated, payload flips checksum_mismatch, checksum flips
-            // checksum_mismatch.
+            // bad_magic, version flips version_mismatch (any flip of the
+            // version field names another, unsupported version), size flips
+            // truncated. Model payload and checksum flips are
+            // checksum_mismatch; a family payload flip is caught by the
+            // directory checksum or a block hash, or -- in the directory's
+            // fixed fields -- by a structural gate, typed either way.
             if (at < kMagicBytes) {
                 ASSERT_EQ(kind_out, rom::IoErrorKind::bad_magic) << label << " byte " << at;
             } else if (at < kMagicBytes + 4) {
-                // Out-of-range flips are version_mismatch; a flip landing on
-                // ANOTHER supported version (3 -> 2/1) makes the reader parse
-                // the payload under the wrong layout, which the bounds/
-                // structure gates then reject (the checksum does not cover
-                // the version field) -- typed either way.
-                ASSERT_TRUE(kind_out == rom::IoErrorKind::version_mismatch ||
-                            kind_out == rom::IoErrorKind::corrupt ||
-                            kind_out == rom::IoErrorKind::truncated)
+                ASSERT_EQ(kind_out, rom::IoErrorKind::version_mismatch)
                     << label << " version byte " << at << ": " << rom::to_string(kind_out);
             } else if (at < kHeaderBytes) {
                 ASSERT_EQ(kind_out, rom::IoErrorKind::truncated)
                     << label << " size byte " << at;
-            } else {
+            } else if (kind == Kind::model) {
                 ASSERT_EQ(kind_out, rom::IoErrorKind::checksum_mismatch)
                     << label << " byte " << at;
             }
@@ -180,42 +201,38 @@ void bitflip_sweep(Kind kind, const std::string& bytes, const char* label,
     }
 }
 
-TEST(RomIoFuzz, V3ModelTruncationAtEveryBoundary) {
-    truncation_sweep(Kind::model, rom::serialize_model(small_model()), "v3 model");
+TEST(RomIoFuzz, ModelTruncationAtEveryBoundary) {
+    truncation_sweep(Kind::model, rom::serialize_model(small_model()), "model");
 }
 
-TEST(RomIoFuzz, V2ModelTruncationAtEveryBoundary) {
-    truncation_sweep(Kind::model, forge_v2(small_model()), "v2 model");
+TEST(RomIoFuzz, ModelBitFlips) {
+    bitflip_sweep(Kind::model, rom::serialize_model(small_model()), "model", 7);
 }
 
 TEST(RomIoFuzz, FamilyTruncationAtEveryBoundary) {
-    truncation_sweep(Kind::family, rom::serialize_family(small_family()), "v3 family");
-}
-
-TEST(RomIoFuzz, V3ModelBitFlips) {
-    bitflip_sweep(Kind::model, rom::serialize_model(small_model()), "v3 model", 7);
-}
-
-TEST(RomIoFuzz, V2ModelBitFlips) {
-    bitflip_sweep(Kind::model, forge_v2(small_model()), "v2 model", 7);
+    truncation_sweep(Kind::family, rom::serialize_family_artifact(small_compressed()),
+                     "family");
 }
 
 TEST(RomIoFuzz, FamilyBitFlips) {
-    bitflip_sweep(Kind::family, rom::serialize_family(small_family()), "v3 family", 13);
+    bitflip_sweep(Kind::family, rom::serialize_family_artifact(small_compressed()), "family",
+                  7);
 }
 
-rom::CompressedFamily small_compressed() {
-    rom::CompressOptions copt;
-    copt.tier = rom::EncodingTier::q16;  // the lossiest tier: most codec paths
-    return rom::compress_family(small_family(), copt);
-}
-
-std::string write_temp(const std::string& name, const std::string& bytes) {
-    const auto path =
-        (std::filesystem::temp_directory_path() / ("atmor_fuzz_" + name)).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return path;
+TEST(RomIoFuzz, EveryOtherVersionIsVersionMismatch) {
+    // The readers accept v4 only: older layouts (v1-v3) and future ones are
+    // refused by their version field alone, for models and families alike.
+    const std::string model = rom::serialize_model(small_model());
+    const std::string family = rom::serialize_family_artifact(small_compressed());
+    for (const std::uint32_t version : {0u, 1u, 2u, 3u, rom::kFormatVersion + 1, ~0u}) {
+        for (const Kind kind : {Kind::model, Kind::family}) {
+            std::string forged = kind == Kind::model ? model : family;
+            std::memcpy(&forged[kMagicBytes], &version, sizeof(version));
+            rom::IoErrorKind kind_out{};
+            ASSERT_FALSE(try_load(kind, forged, &kind_out)) << "version " << version;
+            EXPECT_EQ(kind_out, rom::IoErrorKind::version_mismatch) << "version " << version;
+        }
+    }
 }
 
 std::uint64_t directory_bytes_of(const std::string& payload) {
@@ -224,20 +241,6 @@ std::uint64_t directory_bytes_of(const std::string& payload) {
     std::uint64_t header_bytes = 0;
     std::memcpy(&header_bytes, payload.data() + 3, sizeof(header_bytes));
     return header_bytes;
-}
-
-/// Open a (possibly damaged) artifact file lazily and drain every member, so
-/// each inline block's hash gate actually fires. True only when the whole
-/// artifact survives.
-bool try_open_and_drain(const std::string& path, rom::IoErrorKind* error_out) {
-    try {
-        const rom::FamilyArtifact art = rom::FamilyArtifact::open(path);
-        for (int i = 0; i < art.member_count(); ++i) (void)art.member(i);
-        return true;
-    } catch (const rom::IoError& e) {
-        *error_out = e.kind();
-        return false;
-    }
 }
 
 TEST(RomIoFuzz, TruncatedPayloadBehindAConsistentFrameIsTyped) {
@@ -280,23 +283,13 @@ TEST(RomIoFuzz, TrailingGarbageBehindAConsistentFrameIsTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// v4 sectioned family artifacts (eager deserialize_family path).
+// Family artifacts below the envelope.
 // ---------------------------------------------------------------------------
 
-TEST(RomIoFuzz, V4SectionedFamilyTruncationAtEveryBoundary) {
-    truncation_sweep(Kind::family, rom::serialize_family_artifact(small_compressed()),
-                     "v4 family");
-}
-
-TEST(RomIoFuzz, V4SectionedFamilyBitFlips) {
-    bitflip_sweep(Kind::family, rom::serialize_family_artifact(small_compressed()),
-                  "v4 family", 13);
-}
-
-TEST(RomIoFuzz, V4ReframedPayloadFlipsAreCaughtBelowTheEnvelope) {
+TEST(RomIoFuzz, ReframedFamilyPayloadFlipsAreCaughtBelowTheEnvelope) {
     // The adversarial case the envelope cannot see: mutate the PAYLOAD and
-    // regenerate a consistent envelope around it. v1-v3 artifacts would load
-    // such bytes; a sectioned artifact must not -- the directory checksum
+    // regenerate a consistent envelope around it. A model artifact would
+    // load such bytes; a family artifact must not -- the directory checksum
     // covers every directory byte (including the block table with its
     // hashes) and each block's own hash covers the block region, so EVERY
     // single-bit payload flip behind a freshly minted frame is still a typed
@@ -317,7 +310,7 @@ TEST(RomIoFuzz, V4ReframedPayloadFlipsAreCaughtBelowTheEnvelope) {
             mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
             rom::IoErrorKind kind_out{};
             const bool loaded = try_load(Kind::family, rom::frame(mutated), &kind_out);
-            ASSERT_FALSE(loaded) << "re-framed v4 payload: flipping bit " << bit
+            ASSERT_FALSE(loaded) << "re-framed family payload: flipping bit " << bit
                                  << " of byte " << at << " parsed";
         }
     }
@@ -326,7 +319,7 @@ TEST(RomIoFuzz, V4ReframedPayloadFlipsAreCaughtBelowTheEnvelope) {
     ASSERT_TRUE(try_load(Kind::family, rom::frame(payload), &kind_out));
 }
 
-TEST(RomIoFuzz, V4ForgedStructuralFieldsBehindValidChecksumsAreTyped) {
+TEST(RomIoFuzz, ForgedFamilyStructuralFieldsBehindValidChecksumsAreTyped) {
     // Deeper than the checksum gates: forge structural bytes and PATCH the
     // directory checksum (and re-frame), so the mutation reaches the
     // structural readers themselves. Tier, layout and kind tags plus the
@@ -351,7 +344,9 @@ TEST(RomIoFuzz, V4ForgedStructuralFieldsBehindValidChecksumsAreTyped) {
 
     forge(0, '\x00');  // kind: model tag on a family loader
     forge(0, '\x7f');  // kind: unknown tag
-    forge(1, '\x02');  // layout: unknown -> must not fall through to inline
+    forge(0, '\x01');  // kind: registry entry tag
+    forge(1, '\x00');  // layout: the retired inline layout
+    forge(1, '\x02');  // layout: unknown
     forge(1, '\x7f');
     forge(2, '\x04');  // tier: one past q8 (unknown tag)
     forge(2, '\x03');  // tier: VALID q8 tag over q16-sized blocks (size gate)
@@ -362,54 +357,8 @@ TEST(RomIoFuzz, V4ForgedStructuralFieldsBehindValidChecksumsAreTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// v4 lazy mmap reader (FamilyArtifact::open path).
+// External artifacts.
 // ---------------------------------------------------------------------------
-
-TEST(RomIoFuzz, V4LazyOpenOfEveryTruncationIsTyped) {
-    const std::string bytes = rom::serialize_family_artifact(small_compressed());
-    const std::string path = write_temp("trunc.atmor-fam", bytes);
-    for (std::size_t keep = 0; keep < bytes.size(); keep += 3) {
-        (void)write_temp("trunc.atmor-fam", bytes.substr(0, keep));
-        rom::IoErrorKind kind_out{};
-        const bool loaded = try_open_and_drain(path, &kind_out);
-        ASSERT_FALSE(loaded) << "lazy open of " << keep << "-byte prefix parsed";
-        ASSERT_TRUE(kind_out == rom::IoErrorKind::truncated ||
-                    kind_out == rom::IoErrorKind::bad_magic ||
-                    kind_out == rom::IoErrorKind::corrupt)
-            << "prefix " << keep << ": " << rom::to_string(kind_out);
-    }
-    (void)write_temp("trunc.atmor-fam", bytes);
-    rom::IoErrorKind kind_out{};
-    ASSERT_TRUE(try_open_and_drain(path, &kind_out));
-    std::filesystem::remove(path);
-}
-
-TEST(RomIoFuzz, V4LazyFlipsAreCaughtAtOpenOrFirstTouch) {
-    // The lazy reader never checksums the whole payload (that is the point:
-    // O(directory) cold start), so its integrity story is layered -- header
-    // flips die at open's bounds/magic gates, directory flips at the
-    // directory checksum, block flips at the per-block hash when a member
-    // materializes. Sweep everything but the trailing envelope checksum
-    // (which only the eager path consumes, and which the eager sweeps above
-    // already pin).
-    const std::string bytes = rom::serialize_family_artifact(small_compressed());
-    const std::string path = write_temp("flip.atmor-fam", bytes);
-    for (std::size_t at = 0; at + kChecksumBytes < bytes.size(); at += 7) {
-        for (int bit = 0; bit < 8; ++bit) {
-            std::string mutated = bytes;
-            mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
-            (void)write_temp("flip.atmor-fam", mutated);
-            rom::IoErrorKind kind_out{};
-            const bool loaded = try_open_and_drain(path, &kind_out);
-            ASSERT_FALSE(loaded) << "lazy artifact: flipping bit " << bit << " of byte "
-                                 << at << " went unnoticed by open + full drain";
-        }
-    }
-    (void)write_temp("flip.atmor-fam", bytes);
-    rom::IoErrorKind kind_out{};
-    ASSERT_TRUE(try_open_and_drain(path, &kind_out));
-    std::filesystem::remove(path);
-}
 
 TEST(RomIoFuzz, ExternalArtifactUnderEnvVar) {
     // CI hook: point ATMOR_FUZZ_ARTIFACT at any .atmor-fam file (e.g. the

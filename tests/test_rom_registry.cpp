@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/atmor.hpp"
+#include "rom/io.hpp"
 #include "rom/registry.hpp"
 #include "test_qldae_helpers.hpp"
 #include "util/rng.hpp"
@@ -185,6 +186,50 @@ TEST(RomRegistry, WrongKeyArtifactIsRebuiltNotServed) {
     EXPECT_EQ(stats.disk_hits, 0);
     EXPECT_EQ(stats.disk_errors, 1);
     EXPECT_EQ(stats.builds, 1);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RomRegistry, TrailingBytesBehindAValidChecksumAreRebuiltNotServed) {
+    // An entry whose payload carries extra bytes behind a complete model,
+    // re-framed so the envelope checksum is valid: the disk tier must treat
+    // it exactly like deserialize_model does (corrupt), rebuild and
+    // overwrite, never serve it.
+    const std::string dir = temp_dir("trailing");
+    rom::RegistryOptions opt;
+    opt.artifact_dir = dir;
+    int builder_runs = 0;
+    const auto builder = [&] {
+        ++builder_runs;
+        return build_model(8);
+    };
+    const std::string path = rom::Registry(opt).artifact_path("model-t");
+    {
+        rom::Registry first(opt);
+        (void)first.get_or_build("model-t", builder);
+    }
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    const std::string padded = rom::frame(rom::unframe(bytes) + std::string(16, '\x5a'));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(padded.data(), static_cast<std::streamsize>(padded.size()));
+    }
+
+    rom::Registry second(opt);
+    (void)second.get_or_build("model-t", builder);
+    EXPECT_EQ(builder_runs, 2);
+    const rom::RegistryStats stats = second.stats();
+    EXPECT_EQ(stats.disk_hits, 0);
+    EXPECT_EQ(stats.disk_errors, 1);
+    EXPECT_EQ(stats.builds, 1);
+    // The rebuilt entry overwrote the padded one and loads cleanly.
+    rom::Registry third(opt);
+    (void)third.get_or_build("model-t", builder);
+    EXPECT_EQ(builder_runs, 2);
+    EXPECT_EQ(third.stats().disk_hits, 1);
     std::filesystem::remove_all(dir);
 }
 

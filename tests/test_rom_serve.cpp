@@ -14,6 +14,7 @@
 #include "ode/transient.hpp"
 #include "rom/serve_engine.hpp"
 #include "test_qldae_helpers.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/rng.hpp"
 #include "volterra/transfer.hpp"
 
@@ -30,14 +31,17 @@ volterra::Qldae full_system() {
     return test::random_qldae(qopt, rng);
 }
 
+/// One in-process build recipe ("m"), resolved through the registry once
+/// per request like any spec.
 struct Fixture {
     volterra::Qldae sys = full_system();
     std::shared_ptr<rom::Registry> registry = std::make_shared<rom::Registry>();
     rom::ServeEngine engine{registry};
     std::atomic<int> builds{0};
+    const rom::ModelRef m = test::spec_ref("m");
 
-    rom::Registry::Builder builder() {
-        return [this] {
+    Fixture() {
+        engine.set_spec_resolver([this](const rom::BuildSpec&) {
             ++builds;
             core::AtMorOptions mor;
             mor.k1 = 4;
@@ -46,17 +50,29 @@ struct Fixture {
             core::MorResult r = core::reduce_associated(sys, mor);
             r.provenance.source = "test:serve";
             return r;
-        };
+        });
+    }
+
+    /// The served model (resident in the registry once a query built it).
+    [[nodiscard]] std::shared_ptr<const rom::ReducedModel> model() const {
+        return registry->cached(m.cache_key());
     }
 };
+
+rom::TransientSpec transient_spec() {
+    rom::TransientSpec topt;
+    topt.t_end = 0.4;
+    topt.dt = 1e-2;
+    topt.method = ode::Method::trapezoidal;
+    return topt;
+}
 
 TEST(RomServe, FrequencyResponseMatchesDirectEvaluation) {
     Fixture f;
     std::vector<la::Complex> grid;
     for (int g = 0; g < 6; ++g) grid.emplace_back(0.0, 0.3 * (g + 1));
-    const auto swept = f.engine.frequency_response("m", f.builder(), grid);
-    const auto model = f.engine.model("m", f.builder());
-    const volterra::TransferEvaluator te(model->rom);
+    const auto swept = test::sweep(f.engine, f.m, grid).response;
+    const volterra::TransferEvaluator te(f.model()->rom);
     ASSERT_EQ(swept.size(), grid.size());
     for (std::size_t g = 0; g < grid.size(); ++g) {
         const la::ZMatrix direct = te.output_h1(grid[g]);
@@ -69,22 +85,19 @@ TEST(RomServe, FrequencyResponseMatchesDirectEvaluation) {
 
 TEST(RomServe, TransientBatchTracksTheRom) {
     Fixture f;
-    ode::TransientOptions topt;
+    rom::TransientSpec topt = transient_spec();
     topt.t_end = 0.5;
-    topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
     std::vector<ode::InputFn> inputs = {circuits::sine_input(0.05, 1.0),
                                         circuits::step_input(0.05, 0.1)};
-    const auto served = f.engine.transient_batch("m", f.builder(), inputs, topt);
+    const auto served = test::transients(f.engine, f.m, inputs, topt).transients;
     ASSERT_EQ(served.size(), inputs.size());
 
     // Reference: the same waveforms simulated directly on the ROM (fresh
     // Jacobian). The engine's zero-state warm start is a different but
     // equally converged Newton path, so compare within the Newton tolerance
     // headroom rather than bitwise.
-    const auto model = f.engine.model("m", f.builder());
     for (std::size_t w = 0; w < inputs.size(); ++w) {
-        const auto direct = ode::simulate(model->rom, inputs[w], topt);
+        const auto direct = ode::simulate(f.model()->rom, inputs[w], topt.to_options());
         ASSERT_EQ(served[w].t.size(), direct.t.size());
         EXPECT_LT(ode::peak_relative_error(direct, served[w]), 1e-7);
     }
@@ -95,17 +108,13 @@ TEST(RomServe, WarmEngineServesConcurrentlyWithZeroFullOrderWork) {
     Fixture f;
     std::vector<la::Complex> grid;
     for (int g = 0; g < 8; ++g) grid.emplace_back(0.0, 0.25 * (g + 1));
-    ode::TransientOptions topt;
-    topt.t_end = 0.4;
-    topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
+    const rom::TransientSpec topt = transient_spec();
 
     // Warm up: one build, one warm Jacobian stamp, factor caches filled.
-    (void)f.engine.frequency_response("m", f.builder(), grid);
-    (void)f.engine.transient_batch("m", f.builder(),
-                                   {circuits::sine_input(0.05, 1.0)}, topt);
+    (void)test::sweep(f.engine, f.m, grid);
+    (void)test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
     const rom::ServeStats warm = f.engine.stats();
-    const int rom_order = f.engine.model("m", f.builder())->order;
+    const int rom_order = f.model()->order;
     ASSERT_LT(rom_order, kFullOrder);
 
     // Concurrent mixed queries against the warm engine.
@@ -115,10 +124,10 @@ TEST(RomServe, WarmEngineServesConcurrentlyWithZeroFullOrderWork) {
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             if (t % 2 == 0) {
-                (void)f.engine.frequency_response("m", f.builder(), grid);
+                (void)test::sweep(f.engine, f.m, grid);
             } else {
-                (void)f.engine.transient_batch(
-                    "m", f.builder(), {circuits::sine_input(0.04 + 0.01 * t, 1.0)}, topt);
+                (void)test::transients(f.engine, f.m,
+                                       {circuits::sine_input(0.04 + 0.01 * t, 1.0)}, topt);
             }
         });
     for (auto& t : threads) t.join();
@@ -143,45 +152,37 @@ TEST(RomServe, WarmEngineServesConcurrentlyWithZeroFullOrderWork) {
 
 TEST(RomServe, WarmJacobianIsReplayedAcrossBatches) {
     Fixture f;
-    ode::TransientOptions topt;
-    topt.t_end = 0.4;
-    topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
-    (void)f.engine.transient_batch("m", f.builder(), {circuits::sine_input(0.05, 1.0)}, topt);
+    rom::TransientSpec topt = transient_spec();
+    (void)test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
     const long after_first = f.engine.stats().solver.factorizations;
     for (int rep = 0; rep < 3; ++rep)
-        (void)f.engine.transient_batch("m", f.builder(),
-                                       {circuits::sine_input(0.05 + 0.01 * rep, 1.0)}, topt);
+        (void)test::transients(f.engine, f.m, {circuits::sine_input(0.05 + 0.01 * rep, 1.0)},
+                               topt);
     // The mild waveforms converge on the frozen warm Jacobian, so replayed
     // batches add ZERO factorisations.
     EXPECT_EQ(f.engine.stats().solver.factorizations, after_first);
 
     // A different step size gets its own warm start: exactly one restamp...
     topt.dt = 5e-3;
-    (void)f.engine.transient_batch("m", f.builder(), {circuits::sine_input(0.05, 1.0)}, topt);
+    (void)test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
     EXPECT_EQ(f.engine.stats().solver.factorizations, after_first + 1);
     // ...and alternating between the two configurations replays BOTH (the
     // per-configuration warm map; a single slot would restamp every switch).
     for (int rep = 0; rep < 3; ++rep) {
         topt.dt = (rep % 2 == 0) ? 1e-2 : 5e-3;
-        (void)f.engine.transient_batch("m", f.builder(), {circuits::sine_input(0.05, 1.0)},
-                                       topt);
+        (void)test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
     }
     EXPECT_EQ(f.engine.stats().solver.factorizations, after_first + 1);
 }
 
 TEST(RomServe, EmptyQueriesAreTypedErrors) {
     // An empty waveform batch or frequency grid is a caller bug surfaced as
-    // a typed PreconditionError, never a silent empty answer (and never a
+    // a typed precondition error, never a silent empty answer (and never a
     // registry resolution / model build).
     Fixture f;
-    ode::TransientOptions topt;
-    topt.t_end = 0.4;
-    topt.dt = 1e-2;
-    EXPECT_THROW((void)f.engine.transient_batch("m", f.builder(), {}, topt),
-                 util::PreconditionError);
-    EXPECT_THROW((void)f.engine.frequency_response("m", f.builder(), {}),
-                 util::PreconditionError);
+    EXPECT_EQ(test::transients(f.engine, f.m, {}, transient_spec()).error.code,
+              util::ErrorCode::precondition);
+    EXPECT_EQ(test::sweep(f.engine, f.m, {}).error.code, util::ErrorCode::precondition);
     EXPECT_EQ(f.builds.load(), 0);
     EXPECT_EQ(f.engine.stats().transient_queries, 0);
     EXPECT_EQ(f.engine.stats().frequency_queries, 0);

@@ -28,6 +28,7 @@
 #include "rom/registry.hpp"
 #include "rom/serve_engine.hpp"
 #include "test_helpers.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 #include "volterra/transfer.hpp"
@@ -511,21 +512,23 @@ TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {
     const std::vector<Point> queries = fam.space.monte_carlo(9, 123);
 
     rom::ServeEngine engine(std::make_shared<rom::Registry>());
-    const rom::ServeResponse batch = engine.serve_parametric_batch(fam, queries, grid);
-    ASSERT_TRUE(batch.ok());
+    (void)test::host(engine, fam);
+    const rom::ServeResponse batch = test::parametric_batch(engine, fam.family_id, queries, grid);
+    ASSERT_TRUE(batch.ok()) << batch.error.message;
     ASSERT_EQ(batch.response.size(), queries.size() * grid.size());
     ASSERT_EQ(batch.batch_member.size(), queries.size());
     ASSERT_EQ(batch.batch_error.size(), queries.size());
     ASSERT_EQ(batch.batch_fallback.size(), queries.size());
     EXPECT_EQ(engine.stats().parametric_queries, static_cast<long>(queries.size()));
 
-    // Per-point routing and answers are identical to looping the singleton
-    // entrypoint, and the batch certificate is the worst point's.
+    // Per-point routing and answers are identical to looping single-point
+    // queries, and the batch certificate is the worst point's.
     rom::ServeEngine loop_engine(std::make_shared<rom::Registry>());
+    (void)test::host(loop_engine, fam);
     double worst = -1.0;
     for (std::size_t p = 0; p < queries.size(); ++p) {
-        const rom::ParametricAnswer one =
-            loop_engine.serve_parametric(fam, queries[p], grid);
+        const rom::ServeResponse one =
+            test::parametric(loop_engine, fam.family_id, queries[p], grid);
         EXPECT_EQ(batch.batch_member[static_cast<std::size_t>(p)], one.member);
         EXPECT_EQ(batch.batch_error[p], one.certificate.estimated_error);
         EXPECT_EQ(batch.batch_fallback[p] != 0, one.fallback);
@@ -543,12 +546,12 @@ TEST(Scenarios, BatchWireFormServesHostedFamilyAndRejectsEmptyBatch) {
     opt.tol = 1e-2;
     opt.training_grid_per_dim = 3;
     opt.max_members = 3;
-    rom::Family fam = core::build_family(mixer_design(), opt).family;
+    const rom::Family fam = core::build_family(mixer_design(), opt).family;
     ASSERT_TRUE(fam.converged);
     const std::vector<Point> queries = fam.space.monte_carlo(4, 9);
 
     rom::ServeEngine engine(std::make_shared<rom::Registry>());
-    engine.host_family(fam);
+    (void)test::host(engine, fam);
 
     rom::ServeRequest req;
     rom::ParametricBatchRequest body;

@@ -19,6 +19,7 @@
 #include "ode/transient.hpp"
 #include "rom/serve_engine.hpp"
 #include "test_qldae_helpers.hpp"
+#include "test_serve_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace atmor {
@@ -35,25 +36,36 @@ volterra::Qldae full_system() {
     return test::random_qldae(qopt, rng);
 }
 
+/// The in-process build recipe: spec params[0] seeds the expansion point,
+/// so distinct seeds are distinct models.
 struct Fixture {
     volterra::Qldae sys = full_system();
     std::shared_ptr<rom::Registry> registry = std::make_shared<rom::Registry>();
     std::atomic<int> builds{0};
 
-    rom::Registry::Builder builder(int seed_point = 0) {
-        return [this, seed_point] {
-            ++builds;
-            core::AtMorOptions mor;
-            mor.k1 = 4;
-            mor.k2 = 2;
-            mor.k3 = 0;
-            mor.expansion_points = {la::Complex(1.0 + 0.2 * seed_point, 0.0)};
-            core::MorResult r = core::reduce_associated(sys, mor);
-            r.provenance.source = "test:concurrent";
-            return r;
-        };
+    rom::ReducedModel build(const rom::BuildSpec& spec) {
+        ++builds;
+        core::AtMorOptions mor;
+        mor.k1 = 4;
+        mor.k2 = 2;
+        mor.k3 = 0;
+        mor.expansion_points = {la::Complex(1.0 + 0.2 * spec.params.at(0), 0.0)};
+        core::MorResult r = core::reduce_associated(sys, mor);
+        r.provenance.source = "test:concurrent";
+        return r;
+    }
+
+    /// An engine over the shared registry that resolves this recipe.
+    std::unique_ptr<rom::ServeEngine> engine(rom::ServeOptions opt = {}) {
+        auto e = std::make_unique<rom::ServeEngine>(registry, opt);
+        e->set_spec_resolver([this](const rom::BuildSpec& spec) { return build(spec); });
+        return e;
     }
 };
+
+rom::ModelRef model(const std::string& name, int seed_point = 0) {
+    return test::spec_ref(name, {static_cast<double>(seed_point)});
+}
 
 /// Four 8-point grids with pairwise overlap, so coalesced batches have
 /// shared shifts to dedup AND private shifts to scatter.
@@ -96,9 +108,9 @@ struct StartGate {
 
 TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     Fixture f;
-    rom::ServeEngine engine{f.registry};
+    const auto engine = f.engine();
     const auto grids = overlapping_grids();
-    ode::TransientOptions topt;
+    rom::TransientSpec topt;
     topt.t_end = 0.4;
     topt.dt = 1e-2;
     topt.method = ode::Method::trapezoidal;
@@ -108,8 +120,8 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     // independence). Odd threads add transient batches on the same keys, so
     // the warm-start map and the sweep path race on the same ModelState.
     constexpr int kReps = 4;
-    const auto key_of = [](int t) {
-        return t < 4 ? std::string("hot") : "m" + std::to_string(t);
+    const auto ref_of = [](int t) {
+        return t < 4 ? model("hot") : model("m" + std::to_string(t), t);
     };
     std::vector<std::vector<std::vector<la::ZMatrix>>> answers(
         kThreads, std::vector<std::vector<la::ZMatrix>>(kReps));
@@ -121,12 +133,12 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
             gate.wait();
             for (int rep = 0; rep < kReps; ++rep) {
                 answers[static_cast<std::size_t>(t)][static_cast<std::size_t>(rep)] =
-                    engine.frequency_response(key_of(t), f.builder(t < 4 ? 0 : t),
-                                              grids[static_cast<std::size_t>((t + rep) % 4)]);
+                    test::sweep(*engine, ref_of(t),
+                                grids[static_cast<std::size_t>((t + rep) % 4)])
+                        .response;
                 if (t % 2 == 1)
-                    (void)engine.transient_batch(
-                        key_of(t), f.builder(t < 4 ? 0 : t),
-                        {circuits::sine_input(0.03 + 0.01 * t, 1.0)}, topt);
+                    (void)test::transients(*engine, ref_of(t),
+                                           {circuits::sine_input(0.03 + 0.01 * t, 1.0)}, topt);
             }
         });
     gate.release(kThreads);
@@ -135,19 +147,19 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     // Bit-identity: a fresh engine over the SAME registry (same model
     // instances) replays every request serially; coalescing and shard
     // scheduling must not have changed a single bit.
-    rom::ServeEngine serial{f.registry};
+    const auto serial = f.engine();
     for (int t = 0; t < kThreads; ++t)
         for (int rep = 0; rep < kReps; ++rep)
             EXPECT_TRUE(identical(
                 answers[static_cast<std::size_t>(t)][static_cast<std::size_t>(rep)],
-                serial.frequency_response(key_of(t), f.builder(t < 4 ? 0 : t),
-                                          grids[static_cast<std::size_t>((t + rep) % 4)])))
+                test::sweep(*serial, ref_of(t), grids[static_cast<std::size_t>((t + rep) % 4)])
+                    .response))
                 << "thread " << t << " rep " << rep;
 
     // Exact accounting: coalescing must neither lose nor double-count a
     // request. Every sweep grid has 8 points; 4 odd threads ran kReps
     // transient batches of one waveform each.
-    const rom::ServeStats stats = engine.stats();
+    const rom::ServeStats stats = engine->stats();
     EXPECT_EQ(stats.frequency_queries, kThreads * kReps);
     EXPECT_EQ(stats.frequency_points, kThreads * kReps * 8);
     EXPECT_EQ(stats.transient_queries, 4 * kReps);
@@ -159,7 +171,8 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     EXPECT_EQ(f.builds.load(), 5);
     EXPECT_EQ(stats.registry.builds, 5);
     // Serving never factored above reduced order.
-    const int rom_order = serial.model("hot", f.builder(0))->order;
+    const int rom_order = test::certificate(*serial, model("hot")).certificate.order;
+    ASSERT_GT(rom_order, 0);
     EXPECT_LE(stats.solver.max_factor_dim, rom_order);
 }
 
@@ -169,9 +182,9 @@ TEST(ServeConcurrent, CoalescedBatchesAreEquivalentAndAccounted) {
     // so the whole gated storm provably lands in its batch.
     rom::ServeOptions opt;
     opt.coalesce_window_seconds = 0.25;
-    rom::ServeEngine engine{f.registry, opt};
+    const auto engine = f.engine(opt);
     const auto grids = overlapping_grids();
-    (void)engine.model("hot", f.builder());  // build outside the timed storm
+    (void)test::certificate(*engine, model("hot"));  // build outside the timed storm
 
     std::vector<std::vector<la::ZMatrix>> answers(kThreads);
     StartGate gate;
@@ -183,21 +196,20 @@ TEST(ServeConcurrent, CoalescedBatchesAreEquivalentAndAccounted) {
             // Threads 0-5 request grid 0, threads 6-7 grid 1 (7 of its 8
             // points shared with grid 0): the union has 9 unique shifts
             // for 64 requested points when one batch captures the storm.
-            answers[static_cast<std::size_t>(t)] = engine.frequency_response(
-                "hot", f.builder(), grids[t < 6 ? 0 : 1]);
+            answers[static_cast<std::size_t>(t)] =
+                test::sweep(*engine, model("hot"), grids[t < 6 ? 0 : 1]).response;
         });
     gate.release(kThreads);
     for (std::thread& th : threads) th.join();
 
     // Equivalence: every thread got exactly the serial answer for ITS grid.
-    rom::ServeEngine serial{f.registry};
+    const auto serial = f.engine();
     for (int t = 0; t < kThreads; ++t)
         EXPECT_TRUE(identical(answers[static_cast<std::size_t>(t)],
-                              serial.frequency_response("hot", f.builder(),
-                                                        grids[t < 6 ? 0 : 1])))
+                              test::sweep(*serial, model("hot"), grids[t < 6 ? 0 : 1]).response))
             << "thread " << t;
 
-    const rom::ServeStats stats = engine.stats();
+    const rom::ServeStats stats = engine->stats();
     // All 8 requests accounted at their REQUESTED size...
     EXPECT_EQ(stats.frequency_queries, kThreads);
     EXPECT_EQ(stats.frequency_points, kThreads * 8);
@@ -213,18 +225,15 @@ TEST(ServeConcurrent, CoalescedBatchesAreEquivalentAndAccounted) {
 
 TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     Fixture f;
-    rom::ServeEngine engine{f.registry};
-    std::vector<la::Complex> grid;
-    for (int j = 0; j < 6; ++j) grid.emplace_back(0.0, 0.3 * (j + 1));
-    (void)engine.frequency_response("warm", f.builder(), grid);  // make resident
-
-    // A builder that parks mid-build until RELEASED: the latch (not a
+    // The "cold" recipe parks mid-build until RELEASED: the latch (not a
     // timing heuristic) proves any lock it held would stall the warm serves
     // issued while it is parked.
     std::promise<void> entered;
     std::promise<void> release;
     std::shared_future<void> release_f = release.get_future().share();
-    const rom::Registry::Builder slow = [&] {
+    rom::ServeEngine engine{f.registry};
+    engine.set_spec_resolver([&](const rom::BuildSpec& spec) {
+        if (spec.recipe != "cold") return f.build(spec);
         entered.set_value();
         release_f.wait();
         core::AtMorOptions mor;
@@ -233,9 +242,13 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
         mor.k3 = 0;
         core::MorResult r = core::reduce_associated(f.sys, mor);
         r.provenance.source = "test:slow";
-        return r;
-    };
-    std::thread cold([&] { (void)engine.frequency_response("cold", slow, grid); });
+        return rom::ReducedModel(r);
+    });
+    std::vector<la::Complex> grid;
+    for (int j = 0; j < 6; ++j) grid.emplace_back(0.0, 0.3 * (j + 1));
+    (void)test::sweep(engine, model("warm"), grid);  // make resident
+
+    std::thread cold([&] { (void)test::sweep(engine, test::spec_ref("cold"), grid); });
     entered.get_future().wait();  // the build is now in flight and parked
 
     // Warm serves of the RESIDENT model must complete while the build is
@@ -243,7 +256,7 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     for (int q = 0; q < 3; ++q) {
         std::future<std::vector<la::ZMatrix>> warm_answer =
             std::async(std::launch::async,
-                       [&] { return engine.frequency_response("warm", f.builder(), grid); });
+                       [&] { return test::sweep(engine, model("warm"), grid).response; });
         ASSERT_EQ(warm_answer.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready)
             << "warm serve " << q << " stalled behind the in-flight build";
@@ -251,11 +264,11 @@ TEST(ServeConcurrent, SlowSingleFlightBuildDoesNotBlockWarmServes) {
     }
     // A second tenant joining the in-flight build must also not disturb the
     // warm path: it blocks on the build's future, holding no registry lock.
-    std::thread joiner([&] { (void)engine.frequency_response("cold", slow, grid); });
+    std::thread joiner([&] { (void)test::sweep(engine, test::spec_ref("cold"), grid); });
     {
         std::future<std::vector<la::ZMatrix>> warm_answer =
             std::async(std::launch::async,
-                       [&] { return engine.frequency_response("warm", f.builder(), grid); });
+                       [&] { return test::sweep(engine, model("warm"), grid).response; });
         ASSERT_EQ(warm_answer.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready)
             << "warm serve stalled behind a coalesced waiter";

@@ -1,9 +1,8 @@
 // The serving wire contract, pinned from both ends:
 //   * every ServeRequest alternative and a fully-populated ServeResponse
 //     survive encode -> decode -> re-encode byte-identically;
-//   * in-process-only fields (builder lambdas, raw input closures, family
-//     pointers) are REJECTED at encode time with a typed precondition, not
-//     silently dropped;
+//   * the in-process-only field (raw input closures) is REJECTED at encode
+//     time with a typed precondition, not silently dropped;
 //   * the frame envelope classifies every way a socket can damage a frame
 //     -- truncation at EVERY byte boundary, a bit flip at EVERY byte
 //     position behind a valid length prefix, oversized announcements,
@@ -201,8 +200,6 @@ TEST(ServeProtocol, BatchRequestFieldsSurviveTheWire) {
     EXPECT_EQ(body.tol, 5e-4);
     EXPECT_FALSE(body.blend);
     EXPECT_TRUE(body.allow_fallback);
-    EXPECT_EQ(body.family, nullptr);
-    EXPECT_EQ(body.artifact, nullptr);
 }
 
 TEST(ServeProtocol, BatchResponseRecordsSurviveTheWire) {
@@ -221,20 +218,6 @@ TEST(ServeProtocol, BatchResponseRecordsSurviveTheWire) {
     EXPECT_EQ(back.batch_error, resp.batch_error);
     EXPECT_EQ(back.batch_fallback, resp.batch_fallback);
     EXPECT_EQ(rom::encode_response(back), bytes);
-}
-
-TEST(ServeProtocol, BatchEncodeRejectsInProcessOnlyState) {
-    rom::ServeRequest req = batch_request();
-    const rom::Family family;
-    std::get<rom::ParametricBatchRequest>(req.body).family = &family;
-    EXPECT_THROW((void)rom::encode_request(req), util::PreconditionError);
-
-    req = batch_request();
-    std::get<rom::ParametricBatchRequest>(req.body).options.fallback_build =
-        [](const pmor::Point&) -> rom::ReducedModel {
-        throw std::logic_error("never built");
-    };
-    EXPECT_THROW((void)rom::encode_request(req), util::PreconditionError);
 }
 
 TEST(ServeProtocol, ResponseEncodingZeroesWallClock) {
@@ -256,30 +239,15 @@ TEST(ServeProtocol, ResponseEncodingZeroesWallClock) {
 }
 
 TEST(ServeProtocol, EncodeRejectsInProcessOnlyState) {
+    // Raw input closures are the one in-process-only request field: code
+    // cannot cross the wire.
     rom::ServeRequest req;
     req.tenant = "t";
-    rom::FrequencySweepRequest freq;
-    freq.model = rom::ModelRef::in_process(
-        "k", []() -> rom::ReducedModel { throw std::logic_error("never built"); });
-    freq.grid.emplace_back(0.0, 1.0);
-    req.body = freq;
-    EXPECT_THROW((void)rom::encode_request(req), util::PreconditionError);
-
     rom::TransientBatchRequest tb;
     tb.model = rom::ModelRef::by_key("k");
     tb.raw_inputs.push_back([](double) { return std::vector<double>{0.0}; });
     tb.options.t_end = 1.0;
     req.body = tb;
-    EXPECT_THROW((void)rom::encode_request(req), util::PreconditionError);
-
-    rom::ParametricQueryRequest pq;
-    pq.family_id = "f";
-    pq.coords = {1.0};
-    pq.grid.emplace_back(0.0, 1.0);
-    pq.options.fallback_build = [](const pmor::Point&) -> rom::ReducedModel {
-        throw std::logic_error("never built");
-    };
-    req.body = pq;
     EXPECT_THROW((void)rom::encode_request(req), util::PreconditionError);
 }
 

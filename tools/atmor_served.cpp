@@ -26,9 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "circuits/nltl.hpp"
 #include "core/atmor.hpp"
@@ -36,6 +39,8 @@
 #include "net/client.hpp"
 #include "net/daemon.hpp"
 #include "pmor/family_builder.hpp"
+#include "rom/family_codec.hpp"
+#include "rom/io.hpp"
 #include "rom/serve_engine.hpp"
 
 namespace {
@@ -77,7 +82,8 @@ rom::BuildSpec demo_spec(double s0_re) {
 
 /// The built-in demo family (small, seconds to build): a certified nltl
 /// family over (diode_alpha, resistance), hosted with an adaptive fallback
-/// so wire queries at uncovered points are served, not rejected.
+/// so wire queries at uncovered points are served, not rejected. Hosted like
+/// any family: compressed at the lossless f64 tier, saved, opened.
 void host_demo_family(rom::ServeEngine& engine) {
     circuits::NltlOptions base;
     base.stages = 5;
@@ -104,9 +110,18 @@ void host_demo_family(rom::ServeEngine& engine) {
         r.model.provenance.source = pmor::member_key(design, fopt.adaptive, p);
         return std::move(r.model);
     };
-    std::printf("hosting demo family '%s' (%zu members)\n", family.family_id.c_str(),
-                family.members.size());
-    engine.host_family(std::move(family), std::move(defaults));
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::f64;
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              ("atmor-served-demo-" + std::to_string(::getpid()) +
+                               rom::kFamilyExtension))
+                                 .string();
+    rom::save_family_artifact(rom::compress_family(family, copt), path);
+    rom::FamilyArtifact artifact = rom::FamilyArtifact::open(path);
+    std::filesystem::remove(path);  // the mapping outlives the file name
+    std::printf("hosting demo family '%s' (%d members)\n", artifact.family_id().c_str(),
+                artifact.member_count());
+    engine.host_family(std::move(artifact), std::move(defaults));
 }
 
 std::string flag_value(const std::string& arg, const char* name) {
