@@ -170,7 +170,7 @@ CompareRow compare_at(int n) {
 // samples are interleaved so clock drift on a busy runner cancels instead
 // of landing on whichever tier was timed second. SpMV (synthetic 32-nnz/row operator;
 // NLTL-lifted rows carry only ~3 entries), dot/axpy microkernels and the
-// Householder-vs-MGS orthogonalization timings are informative columns:
+// orthogonalizer (BasisBuilder's CGS2 over dot/axpy) are informative columns:
 // random-gather SpMV is load-bound, so the portable tier wins little until
 // the AVX2 gather kernel is enabled.
 // ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ struct KernelTiers {
     double spmv_scalar_s = 0, spmv_simd_s = 0, spmv_speedup = 0;
     double dot_scalar_s = 0, dot_simd_s = 0, dot_speedup = 0;
     double axpy_scalar_s = 0, axpy_simd_s = 0, axpy_speedup = 0;
-    double ortho_mgs_s = 0, ortho_hh_s = 0, ortho_speedup = 0;
+    double ortho_scalar_s = 0, ortho_simd_s = 0, ortho_speedup = 0;
     bool chain_ok = false;
 };
 
@@ -282,10 +282,8 @@ KernelTiers run_kernel_tiers() {
             benchmark::DoNotOptimize(w.data());
         },
         kt.axpy_scalar_s, kt.axpy_simd_s);
-    // Orthogonalization: the escape hatch degrades the panel path to eager
-    // MGS, so the same entry point times blocked Householder vs MGS.
     time_both([&] { benchmark::DoNotOptimize(la::orthonormalize_columns(ortho_input)); },
-              kt.ortho_mgs_s, kt.ortho_hh_s);
+              kt.ortho_scalar_s, kt.ortho_simd_s);
     la::simd::force_scalar(forced_before);
 
     auto ratio = [](double denom, double num) { return num > 0.0 ? denom / num : 0.0; };
@@ -293,7 +291,7 @@ KernelTiers run_kernel_tiers() {
     kt.spmv_speedup = ratio(kt.spmv_scalar_s, kt.spmv_simd_s);
     kt.dot_speedup = ratio(kt.dot_scalar_s, kt.dot_simd_s);
     kt.axpy_speedup = ratio(kt.axpy_scalar_s, kt.axpy_simd_s);
-    kt.ortho_speedup = ratio(kt.ortho_mgs_s, kt.ortho_hh_s);
+    kt.ortho_speedup = ratio(kt.ortho_scalar_s, kt.ortho_simd_s);
     kt.chain_ok = !kernel_gate_enforced() || kt.chain_speedup >= kKernelSpeedupFloor;
 
     std::printf("\n=== kernel tiers: scalar vs %s (single thread) ===\n",
@@ -310,8 +308,8 @@ KernelTiers run_kernel_tiers() {
                 kVecReps, kt.dot_scalar_s, kt.dot_simd_s, kt.dot_speedup);
     std::printf("axpy  (n=%d x%d)            : %.3e s -> %.3e s  (%.2fx)\n", kVecLen,
                 kVecReps, kt.axpy_scalar_s, kt.axpy_simd_s, kt.axpy_speedup);
-    std::printf("ortho (2000x64, MGS -> blocked Householder) : %.3e s -> %.3e s  (%.2fx)\n",
-                kt.ortho_mgs_s, kt.ortho_hh_s, kt.ortho_speedup);
+    std::printf("ortho (2000x64, CGS2)       : %.3e s -> %.3e s  (%.2fx)\n",
+                kt.ortho_scalar_s, kt.ortho_simd_s, kt.ortho_speedup);
     return kt;
 }
 
@@ -371,9 +369,9 @@ int run_sparse_vs_dense(const std::string& json_path) {
     json.num("kernel_axpy_scalar_s", kt.axpy_scalar_s);
     json.num("kernel_axpy_simd_s", kt.axpy_simd_s);
     json.num("kernel_axpy_simd_speedup", kt.axpy_speedup);
-    json.num("ortho_mgs_s", kt.ortho_mgs_s);
-    json.num("ortho_householder_s", kt.ortho_hh_s);
-    json.num("ortho_householder_speedup", kt.ortho_speedup);
+    json.num("ortho_scalar_s", kt.ortho_scalar_s);
+    json.num("ortho_simd_s", kt.ortho_simd_s);
+    json.num("ortho_simd_speedup", kt.ortho_speedup);
     json.raw("results", results.str());
     if (!bench::write_json(json, json_path)) return 1;
 

@@ -15,17 +15,16 @@ namespace atmor::la {
 /// Grows an orthonormal set of columns with deflation of near-dependent
 /// directions.
 ///
-/// Two ingestion paths share one deflation rule (reject when the orthogonal
-/// residual falls below deflation_tol * ||candidate||):
-///   * add()/add_columns()/add_complex() -- eager, one vector at a time, by
-///     modified Gram-Schmidt with a single reorthogonalisation pass.
-///   * stage()/stage_complex() + flush() -- panel mode. A flushed panel is
-///     projected against the existing basis by two blocked classical
-///     Gram-Schmidt sweeps (GEMM-shaped on the la/simd kernels), then
-///     orthonormalised within itself by blocked Householder QR, dropping
-///     columns whose R diagonal falls under the deflation threshold. Under
-///     the ATMOR_SCALAR_KERNELS escape hatch flush() degrades to the eager
-///     MGS path.
+/// Vectors are staged with stage()/stage_complex() and orthonormalised by
+/// flush(), one candidate at a time in staging order: zero and non-finite
+/// candidates are skipped, every other one is projected twice against the
+/// whole current basis by classical Gram-Schmidt (CGS2; "twice is enough"
+/// keeps orthogonality at machine precision for numerically full-rank
+/// input), and it is kept when its residual exceeds
+/// deflation_tol * ||candidate||. Because each candidate sees exactly the
+/// basis its predecessors left, how the candidates are split across flushes
+/// does not change the basis. The ATMOR_SCALAR_KERNELS escape hatch swaps the
+/// dot/axpy kernels underneath, never the algorithm.
 class BasisBuilder {
 public:
     /// @param dim ambient dimension
@@ -33,25 +32,16 @@ public:
     ///        residual falls below deflation_tol * ||candidate||.
     explicit BasisBuilder(int dim, double deflation_tol = 1e-10);
 
-    /// Try to add one vector; returns true if it extended the basis.
-    bool add(const Vec& v);
-
-    /// Add every column of m; returns how many survived deflation.
-    int add_columns(const Matrix& m);
-
-    /// Add the real and imaginary parts of a complex vector (used for
-    /// non-real expansion points; the projector must stay real).
-    int add_complex(const ZVec& v);
-
     /// Queue one vector for the next flush().
     void stage(const Vec& v);
 
-    /// Queue the real part and (when not numerically zero, same rule as
-    /// add_complex) the imaginary part for the next flush().
+    /// Queue the real part and, when it is not numerically zero, the
+    /// imaginary part of a complex vector for the next flush() (used for
+    /// non-real expansion points; the projector must stay real).
     void stage_complex(const ZVec& v);
 
-    /// Orthonormalise every staged vector against the basis and within the
-    /// panel; append the survivors. Returns how many columns were added.
+    /// Orthonormalise every staged vector against the basis, in staging
+    /// order; append the survivors. Returns how many columns were added.
     int flush();
 
     [[nodiscard]] int dim() const { return dim_; }
@@ -63,8 +53,6 @@ public:
     [[nodiscard]] Matrix matrix() const;
 
 private:
-    int flush_chunk(std::vector<Vec> panel, std::vector<double> orig);
-
     int dim_;
     double tol_;
     std::vector<Vec> basis_;

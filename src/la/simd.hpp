@@ -5,7 +5,10 @@
 //   * scalar   -- reference loops, compiled with auto-vectorization disabled.
 //                 These are the numerical anchors the tolerance-tagged kernel
 //                 tests compare against, and the ATMOR_SCALAR_KERNELS runtime
-//                 escape hatch routes every kernel here for debugging.
+//                 escape hatch routes every kernel here for debugging. The
+//                 hatch changes kernels only: the algorithms above them
+//                 (e.g. la::BasisBuilder's orthogonalizer) run the same steps
+//                 on either tier.
 //   * omp-simd -- `#pragma omp simd` / restrict-annotated loops (built with
 //                 -fopenmp-simd; no OpenMP runtime involved). The default.
 //   * avx2     -- explicit AVX2/FMA intrinsics, compiled in when the build

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "la/operator.hpp"
@@ -18,6 +19,21 @@ using la::Vec;
 using volterra::Qldae;
 
 namespace {
+
+/// Fixed steps covering [0, t_end] at step size at most dt. Every entry
+/// point calls it before any work: a non-finite or non-positive t_end or dt,
+/// or a count past the range of long, is the caller's error (rkf45 does not
+/// use the count, but would never finish an infinite horizon).
+long step_count(const TransientOptions& opt) {
+    ATMOR_REQUIRE(std::isfinite(opt.t_end) && opt.t_end > 0.0 && std::isfinite(opt.dt) &&
+                      opt.dt > 0.0,
+                  "transient: need finite positive t_end and dt (t_end = "
+                      << opt.t_end << ", dt = " << opt.dt << ")");
+    const double steps = std::ceil(opt.t_end / opt.dt);
+    ATMOR_REQUIRE(steps >= 1.0 && steps < static_cast<double>(std::numeric_limits<long>::max()),
+                  "transient: t_end / dt = " << steps << " steps does not fit in a long");
+    return std::lround(steps);
+}
 
 void record(TransientResult& res, const Qldae& sys, double t, const Vec& x) {
     res.t.push_back(t);
@@ -44,7 +60,7 @@ Vec rk4_step(const Qldae& sys, const InputFn& u, double t, double h, const Vec& 
 TransientResult run_rk4(const Qldae& sys, const InputFn& u, const TransientOptions& opt,
                         Vec x) {
     TransientResult res;
-    const long nsteps = std::lround(std::ceil(opt.t_end / opt.dt));
+    const long nsteps = step_count(opt);
     const double h = opt.t_end / static_cast<double>(nsteps);
     record(res, sys, 0.0, x);
     for (long s = 0; s < nsteps; ++s) {
@@ -166,7 +182,7 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
                              std::shared_ptr<la::SolverBackend> backend = nullptr,
                              std::shared_ptr<const la::Factorization> warm = nullptr) {
     TransientResult res;
-    const long nsteps = std::lround(std::ceil(opt.t_end / opt.dt));
+    const long nsteps = step_count(opt);
     const double h = opt.t_end / static_cast<double>(nsteps);
     record(res, sys, 0.0, x);
 
@@ -230,7 +246,7 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
 
 TransientResult simulate(const Qldae& sys, const InputFn& input, const TransientOptions& opt,
                          const Vec& x0) {
-    ATMOR_REQUIRE(opt.t_end > 0.0 && opt.dt > 0.0, "simulate: need positive t_end and dt");
+    (void)step_count(opt);
     ATMOR_REQUIRE(opt.record_stride >= 1, "simulate: record_stride >= 1");
     Vec x = x0.empty() ? Vec(static_cast<std::size_t>(sys.order()), 0.0) : x0;
     ATMOR_REQUIRE(static_cast<int>(x.size()) == sys.order(), "simulate: x0 size mismatch");
@@ -259,7 +275,7 @@ TransientResult simulate(const Qldae& sys, const InputFn& input, const Transient
 
 WarmStart make_warm_start(const Qldae& sys, const TransientOptions& opt, const la::Vec& u0,
                           const la::Vec& x0) {
-    ATMOR_REQUIRE(opt.t_end > 0.0 && opt.dt > 0.0, "make_warm_start: need positive t_end and dt");
+    const long nsteps = step_count(opt);
     const Vec x = x0.empty() ? Vec(static_cast<std::size_t>(sys.order()), 0.0) : x0;
     ATMOR_REQUIRE(static_cast<int>(x.size()) == sys.order(), "make_warm_start: x0 size mismatch");
     const Vec u = u0.empty() ? Vec(static_cast<std::size_t>(sys.inputs()), 0.0) : u0;
@@ -272,7 +288,6 @@ WarmStart make_warm_start(const Qldae& sys, const TransientOptions& opt, const l
         opt.method == Method::trapezoidal || opt.method == Method::backward_euler;
     if (!implicit) return warm;  // explicit methods have nothing to warm
     const double theta = opt.method == Method::backward_euler ? 1.0 : 0.5;
-    const long nsteps = std::lround(std::ceil(opt.t_end / opt.dt));
     const double h = opt.t_end / static_cast<double>(nsteps);
     const auto a_op = stamp_newton_operator(sys, x, u, theta * h);
     warm.factorization = warm.backend->factorize(*a_op, la::Complex(1.0, 0.0));
@@ -291,7 +306,7 @@ std::vector<TransientResult> simulate_batch(const Qldae& sys, const std::vector<
                                             const TransientOptions& opt, const WarmStart& warm,
                                             const la::Vec& x0) {
     ATMOR_REQUIRE(!inputs.empty(), "simulate_batch: empty waveform batch");
-    ATMOR_REQUIRE(opt.t_end > 0.0 && opt.dt > 0.0, "simulate_batch: need positive t_end and dt");
+    (void)step_count(opt);
     ATMOR_REQUIRE(opt.record_stride >= 1, "simulate_batch: record_stride >= 1");
     const Vec x = x0.empty() ? Vec(static_cast<std::size_t>(sys.order()), 0.0) : x0;
     ATMOR_REQUIRE(static_cast<int>(x.size()) == sys.order(), "simulate_batch: x0 size mismatch");

@@ -1,9 +1,13 @@
 // Shared fixtures and oracles for the atmor test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <complex>
 
+#include "la/lu.hpp"
 #include "la/matrix.hpp"
+#include "la/orth.hpp"
 #include "la/schur.hpp"
 #include "la/vector_ops.hpp"
 #include "util/rng.hpp"
@@ -58,6 +62,15 @@ inline la::Matrix dense_kron_sum(const la::Matrix& a, const la::Matrix& b) {
     la::Matrix k = dense_kron(a, la::Matrix::identity(b.rows()));
     k += dense_kron(la::Matrix::identity(a.rows()), b);
     return k;
+}
+
+/// Least-squares solution of min ||A x - b||_2 for full-column-rank A: Q
+/// from la::orthonormalize_columns, R = Q^T A, then R x = Q^T b by la::Lu.
+/// A deflated column (A numerically rank-deficient) fails the test.
+inline la::Vec least_squares(const la::Matrix& a, const la::Vec& b) {
+    const la::Matrix q = la::orthonormalize_columns(a);
+    EXPECT_EQ(q.cols(), a.cols()) << "least_squares: a column of A deflated";
+    return la::Lu(la::matmul(la::transpose(q), a)).solve(la::matvec_transposed(q, b));
 }
 
 /// Classic fixed-step RK4 for dx/dt = f(t, x) (test oracle integrator).

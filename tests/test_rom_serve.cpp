@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/waveforms.hpp"
@@ -186,6 +188,23 @@ TEST(RomServe, EmptyQueriesAreTypedErrors) {
     EXPECT_EQ(f.builds.load(), 0);
     EXPECT_EQ(f.engine.stats().transient_queries, 0);
     EXPECT_EQ(f.engine.stats().frequency_queries, 0);
+}
+
+TEST(RomServe, NonFiniteHorizonIsAPreconditionError) {
+    // An infinite horizon or step is the caller's fault: a typed
+    // precondition answer, never an internal error.
+    Fixture f;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const auto& [t_end, dt] : {std::pair<double, double>{inf, 1e-2}, {0.4, inf}}) {
+        rom::TransientSpec topt = transient_spec();
+        topt.t_end = t_end;
+        topt.dt = dt;
+        const rom::ServeResponse resp =
+            test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
+        EXPECT_EQ(resp.error.code, util::ErrorCode::precondition)
+            << "t_end = " << t_end << ", dt = " << dt << ": " << resp.error.message;
+        EXPECT_TRUE(resp.transients.empty());
+    }
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 //     scalar reference in every build configuration;
 //   * reduction kernels (dot, nrm2sq, spmv_row, zspmv_row) match the scalar
 //     reference to tolerance only (the fold is reassociated);
-//   * the blocked Householder orthogonalisation (panel BasisBuilder, blocked
-//     QR) agrees with the sequential MGS path on span, rank and
-//     orthogonality, including ill-conditioned and rank-deficient input.
+//   * the one orthogonalizer (BasisBuilder's CGS2) stays orthogonal on wide,
+//     ill-conditioned and rank-deficient input, gives the same basis however
+//     its candidates are split across flushes, and keeps its column count and
+//     span on the scalar kernel tier.
 // Inputs cover random data plus the adversarial shapes that break unrolled
 // kernels: empty rows, single elements, lengths straddling the unroll width,
 // and denormal-adjacent magnitudes.
@@ -17,7 +18,6 @@
 
 #include "la/matrix.hpp"
 #include "la/orth.hpp"
-#include "la/qr.hpp"
 #include "la/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "util/rng.hpp"
@@ -228,9 +228,9 @@ TEST(SimdKernels, EscapeHatchDispatchesScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked Householder QR: multi-panel shapes, ill-conditioning, rank
-// deficiency -- judged by orthogonality and reconstruction, and against the
-// sequential MGS path on span.
+// The orthogonalizer: wide and ill-conditioned input, rank deficiency, panel
+// boundaries and the scalar kernel tier -- judged by orthogonality,
+// reconstruction and span.
 // ---------------------------------------------------------------------------
 
 double orthogonality_error(const Matrix& q) {
@@ -242,44 +242,70 @@ double orthogonality_error(const Matrix& q) {
     return err;
 }
 
-TEST(BlockedQr, MultiPanelOrthogonalityAndReconstruction) {
-    // 70 columns = two full panels + a partial one (kPanel = 32).
+/// Largest 1 - ||Q^T y||^2 over the columns y of an orthonormal Y: zero
+/// when span(Y) lies inside span(Q).
+double span_loss(const Matrix& q, const Matrix& y) {
+    const Matrix c = la::matmul(la::transpose(q), y);
+    double loss = 0.0;
+    for (int j = 0; j < c.cols(); ++j) {
+        double s = 0.0;
+        for (int i = 0; i < c.rows(); ++i) s += c(i, j) * c(i, j);
+        loss = std::max(loss, std::abs(1.0 - s));
+    }
+    return loss;
+}
+
+TEST(Orthogonalizer, WideInputOrthogonalityAndReconstruction) {
     const Matrix a = random_matrix(200, 70, 61);
-    const la::QrFactorization qr(a);
-    const Matrix q = qr.thin_q();
-    const Matrix r = qr.r();
+    const Matrix q = la::orthonormalize_columns(a);
+    ASSERT_EQ(q.cols(), 70);
     EXPECT_LT(orthogonality_error(q), 1e-13);
+    // Gram-Schmidt in column order: R = Q^T A is upper triangular with a
+    // positive diagonal (each column's residual norm), and Q R rebuilds A.
+    const Matrix r = la::matmul(la::transpose(q), a);
+    for (int i = 0; i < r.rows(); ++i) {
+        EXPECT_GT(r(i, i), 0.0);
+        for (int j = 0; j < i; ++j) EXPECT_NEAR(r(i, j), 0.0, 1e-12);
+    }
     const Matrix a_rec = la::matmul(q, r);
     for (int i = 0; i < a.rows(); ++i)
         for (int j = 0; j < a.cols(); ++j) EXPECT_NEAR(a_rec(i, j), a(i, j), 1e-12);
-    // R strictly upper triangular with positive diagonal (the make_householder
-    // sign convention).
-    for (int i = 0; i < r.rows(); ++i) {
-        EXPECT_GT(r(i, i), 0.0);
-        for (int j = 0; j < i; ++j) EXPECT_DOUBLE_EQ(r(i, j), 0.0);
-    }
 }
 
-TEST(BlockedQr, IllConditionedStaysOrthogonal) {
-    // Columns graded over 12 orders of magnitude: cond(A) ~ 1e12. Householder
-    // orthogonality is condition-independent -- this is exactly where plain
-    // Gram-Schmidt loses orthogonality.
+TEST(Orthogonalizer, IllConditionedStaysOrthogonal) {
+    // Columns graded over 12 orders of magnitude: cond(A) ~ 1e12. Deflation
+    // judges each residual against its own candidate's norm, so no column
+    // is dropped and the basis stays orthogonal to machine precision.
     Matrix a = random_matrix(150, 40, 67);
     for (int j = 0; j < a.cols(); ++j) {
         const double s = std::pow(10.0, -12.0 * j / (a.cols() - 1));
         for (int i = 0; i < a.rows(); ++i) a(i, j) *= s;
     }
-    const la::QrFactorization qr(a);
-    EXPECT_LT(orthogonality_error(qr.thin_q()), 1e-13);
+    const Matrix q = la::orthonormalize_columns(a);
+    ASSERT_EQ(q.cols(), 40);
+    EXPECT_LT(orthogonality_error(q), 1e-13);
 }
 
-TEST(BlockedQr, LeastSquaresOnMultiPanelShape) {
-    const Matrix a = random_matrix(120, 50, 71);
-    const Vec x_true = random_vec(50, 73);
-    const Vec b = la::matvec(a, x_true);
-    const la::QrFactorization qr(a);
-    const Vec x = qr.solve_least_squares(b);
-    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+TEST(Orthogonalizer, NumericallyRankDeficientKeepsOrthogonality) {
+    // A = U diag(sigma) W^T with sigma graded from 1 down to 1e-14: every
+    // column mixes all directions, so one pass of classical Gram-Schmidt
+    // would lose orthogonality. The second pass keeps what survives
+    // deflation orthogonal to machine precision, and the kept columns still
+    // reproduce every column of A to the deflation level.
+    const int m = 100, n = 30;
+    const Matrix u = la::orthonormalize_columns(random_matrix(m, n, 71));
+    const Matrix w = la::orthonormalize_columns(random_matrix(n, n, 73));
+    Matrix us = u;
+    for (int k = 0; k < n; ++k) {
+        const double sigma = std::pow(10.0, -14.0 * k / (n - 1));
+        for (int i = 0; i < m; ++i) us(i, k) *= sigma;
+    }
+    const Matrix a = la::matmul(us, la::transpose(w));
+    const Matrix q = la::orthonormalize_columns(a);
+    EXPECT_LT(q.cols(), n);
+    EXPECT_LT(orthogonality_error(q), 1e-13);
+    const Matrix rebuilt = la::matmul(q, la::matmul(la::transpose(q), a));
+    EXPECT_LT(la::max_abs(rebuilt - a), 1e-9);
 }
 
 TEST(PanelBasisBuilder, RankDeficientPanelDeflates) {
@@ -301,27 +327,27 @@ TEST(PanelBasisBuilder, RankDeficientPanelDeflates) {
     EXPECT_LT(orthogonality_error(q), 1e-12);
 }
 
-TEST(PanelBasisBuilder, FlushedSpanMatchesEagerMgs) {
+TEST(PanelBasisBuilder, PanelBoundariesDoNotChangeTheBasis) {
+    // Each candidate is orthogonalised against the basis its predecessors
+    // left, so one flush of 12 candidates and 12 one-candidate flushes must
+    // build the same basis, bit for bit.
     const Matrix cand = random_matrix(80, 12, 89);
 
     la::BasisBuilder panel(80);
     for (int j = 0; j < cand.cols(); ++j) panel.stage(cand.col(j));
-    panel.flush();
-    const Matrix qp = panel.matrix();
+    EXPECT_EQ(panel.flush(), 12);
 
-    la::BasisBuilder eager(80);
-    for (int j = 0; j < cand.cols(); ++j) eager.add(cand.col(j));
-    const Matrix qe = eager.matrix();
-
-    ASSERT_EQ(qp.cols(), qe.cols());
-    EXPECT_LT(orthogonality_error(qp), 1e-12);
-    // Same subspace: projecting either basis onto the other loses nothing.
-    const Matrix c = la::matmul(la::transpose(qe), qp);
-    for (int j = 0; j < qp.cols(); ++j) {
-        double s = 0.0;
-        for (int i = 0; i < c.rows(); ++i) s += c(i, j) * c(i, j);
-        EXPECT_NEAR(s, 1.0, 1e-10) << "panel column " << j << " leaves the MGS span";
+    la::BasisBuilder single(80);
+    for (int j = 0; j < cand.cols(); ++j) {
+        single.stage(cand.col(j));
+        EXPECT_EQ(single.flush(), 1);
     }
+
+    const Matrix qp = panel.matrix();
+    const Matrix qs = single.matrix();
+    ASSERT_EQ(qp.cols(), qs.cols());
+    for (int i = 0; i < qp.rows(); ++i)
+        for (int j = 0; j < qp.cols(); ++j) EXPECT_EQ(qp(i, j), qs(i, j));
 }
 
 TEST(PanelBasisBuilder, StageComplexAppliesImaginaryZeroRule) {
@@ -338,22 +364,21 @@ TEST(PanelBasisBuilder, StageComplexAppliesImaginaryZeroRule) {
     EXPECT_EQ(b.staged(), 0);
 }
 
-TEST(PanelBasisBuilder, EscapeHatchFallsBackToMgs) {
+TEST(PanelBasisBuilder, ScalarKernelsKeepTheBasis) {
+    // The escape hatch swaps the dot/axpy kernels, never the algorithm: the
+    // scalar tier keeps the same columns and span (dot is only
+    // tolerance-equal across tiers, so the bits may differ).
     ScalarGuard guard;
     const Matrix cand = random_matrix(40, 8, 101);
 
     simd::force_scalar(true);
-    la::BasisBuilder scalar_b(40);
-    for (int j = 0; j < cand.cols(); ++j) scalar_b.stage(cand.col(j));
-    scalar_b.flush();
-
+    const Matrix qs = la::orthonormalize_columns(cand);
     simd::force_scalar(false);
-    la::BasisBuilder vec_b(40);
-    for (int j = 0; j < cand.cols(); ++j) vec_b.stage(cand.col(j));
-    vec_b.flush();
+    const Matrix qv = la::orthonormalize_columns(cand);
 
-    ASSERT_EQ(scalar_b.size(), vec_b.size());
-    EXPECT_LT(orthogonality_error(scalar_b.matrix()), 1e-12);
+    ASSERT_EQ(qs.cols(), qv.cols());
+    EXPECT_LT(orthogonality_error(qs), 1e-12);
+    EXPECT_LT(span_loss(qv, qs), 1e-10);
 }
 
 }  // namespace

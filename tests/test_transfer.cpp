@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "la/lu.hpp"
-#include "la/qr.hpp"
 #include "la/vector_ops.hpp"
 #include "test_qldae_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -91,7 +90,7 @@ HarmonicFit fit_harmonics(const std::vector<double>& t, const std::vector<double
             a(r, 2 * k) = std::sin(k * omega * t[static_cast<std::size_t>(r)]);
         }
     }
-    const Vec coef = la::QrFactorization(a).solve_least_squares(x);
+    const Vec coef = test::least_squares(a, x);
     HarmonicFit f;
     f.dc = Complex(coef[0], 0.0);
     f.h1 = 0.5 * Complex(coef[1], -coef[2]);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "la/vector_ops.hpp"
 #include "ode/transient.hpp"
@@ -37,6 +39,31 @@ TEST_P(IntegratorKinds, LinearDecayMatchesClosedForm) {
     const double tol = (GetParam() == Method::backward_euler) ? 2e-4 : 1e-6;
     EXPECT_NEAR(res.y.back()[0], exact, tol);
     EXPECT_GT(res.steps, 0);
+}
+
+TEST_P(IntegratorKinds, NonFiniteOrUnrepresentableHorizonIsRejected) {
+    // A horizon the fixed-step count cannot represent is the caller's fault:
+    // every entry point rejects it with a typed error before any step.
+    const Qldae sys = scalar_decay(1.0);
+    const ode::InputFn u = [](double) { return Vec{1.0}; };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<double, double> bad[] = {
+        {inf, 1e-2}, {1.0, inf}, {nan, 1e-2}, {1.0, nan},
+        {1e20, 1e-3},  // 1e23 steps: past the range of long
+    };
+    for (const auto& [t_end, dt] : bad) {
+        TransientOptions opt;
+        opt.t_end = t_end;
+        opt.dt = dt;
+        opt.method = GetParam();
+        EXPECT_THROW(ode::simulate(sys, u, opt), util::PreconditionError)
+            << "t_end = " << t_end << ", dt = " << dt;
+        EXPECT_THROW(ode::simulate_batch(sys, {u}, opt), util::PreconditionError)
+            << "t_end = " << t_end << ", dt = " << dt;
+        EXPECT_THROW(ode::make_warm_start(sys, opt), util::PreconditionError)
+            << "t_end = " << t_end << ", dt = " << dt;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, IntegratorKinds,
