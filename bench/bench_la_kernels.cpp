@@ -170,7 +170,7 @@ CompareRow compare_at(int n) {
 // samples are interleaved so clock drift on a busy runner cancels instead
 // of landing on whichever tier was timed second. SpMV (synthetic 32-nnz/row operator;
 // NLTL-lifted rows carry only ~3 entries), dot/axpy microkernels and the
-// orthogonalizer (BasisBuilder's CGS2 over dot/axpy) are informative columns:
+// orthogonalizer (BasisBuilder::flush) are informative columns:
 // random-gather SpMV is load-bound, so the portable tier wins little until
 // the AVX2 gather kernel is enabled.
 // ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ KernelTiers run_kernel_tiers() {
                 kVecReps, kt.dot_scalar_s, kt.dot_simd_s, kt.dot_speedup);
     std::printf("axpy  (n=%d x%d)            : %.3e s -> %.3e s  (%.2fx)\n", kVecLen,
                 kVecReps, kt.axpy_scalar_s, kt.axpy_simd_s, kt.axpy_speedup);
-    std::printf("ortho (2000x64, CGS2)       : %.3e s -> %.3e s  (%.2fx)\n",
+    std::printf("ortho (2000x64, BasisBuilder) : %.3e s -> %.3e s  (%.2fx)\n",
                 kt.ortho_scalar_s, kt.ortho_simd_s, kt.ortho_speedup);
     return kt;
 }

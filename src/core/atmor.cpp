@@ -97,7 +97,7 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
     int raw = 0;
     // Markov parameters (s = infinity expansion): plain powers G1^j b. The
     // iterates don't depend on the basis, so each input's chain is staged as
-    // one panel and flushed through the orthogonalizer.
+    // one panel and flushed through the blocked orthogonalisation.
     if (opt.markov_moments > 0) {
         for (int input = 0; input < sys.inputs(); ++input) {
             la::Vec v = sys.b_col(input);
@@ -130,9 +130,9 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
         });
 
     // Each moment matrix is one panel: its columns are staged together and
-    // flushed through the CGS2 orthogonalizer, which takes them in staging
-    // order, so deflation acts in the same enumeration order a serial run
-    // would use (the reduced model stays thread-count independent).
+    // flushed through the blocked CGS2 + Householder orthogonalisation in
+    // enumeration order, whatever order the parallel moment solves finished
+    // in (the reduced model stays thread-count independent).
     for (const PointMoments& mm : moments) {
         for (const auto& mom : mm.h1) {
             for (int col = 0; col < mom.cols(); ++col) {

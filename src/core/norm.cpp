@@ -320,7 +320,7 @@ MorResult reduce_norm(const Qldae& sys, const NormOptions& opt) {
     eng.ensure_m1(std::max({opt.q1, h2_active ? opt.q2 : 0, h3_active ? opt.q3 : 0}));
 
     // H1 moments (read from the blocked-chain prefill), staged as one panel
-    // per moment block and flushed through the orthogonalizer.
+    // per moment block and flushed through the blocked orthogonalisation.
     for (int a = 0; a < opt.q1; ++a)
         for (int i = 0; i < m; ++i) {
             basis.stage_complex(eng.m1_at(i, a));

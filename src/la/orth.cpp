@@ -1,8 +1,11 @@
 #include "la/orth.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <utility>
 
+#include "la/qr.hpp"
+#include "la/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "util/check.hpp"
 
@@ -31,26 +34,92 @@ void BasisBuilder::stage_complex(const ZVec& v) {
 }
 
 int BasisBuilder::flush() {
-    std::vector<Vec> candidates = std::move(staged_);
+    std::vector<Vec> panel = std::move(staged_);
     staged_.clear();
-    const int before = size();
-    std::vector<double> h;
-    for (Vec& w : candidates) {
-        const double original = norm2(w);
-        if (original == 0.0 || !std::isfinite(original)) continue;
-        // Two classical Gram-Schmidt passes: each takes every coefficient
-        // against the same w, then removes them all.
-        for (int pass = 0; pass < 2; ++pass) {
-            h.resize(basis_.size());
-            for (std::size_t i = 0; i < basis_.size(); ++i) h[i] = dot(basis_[i], w);
-            for (std::size_t i = 0; i < basis_.size(); ++i) axpy(-h[i], basis_[i], w);
-        }
-        const double residual = norm2(w);
-        if (residual <= tol_ * original) continue;  // deflated
-        scale(1.0 / residual, w);
-        basis_.push_back(std::move(w));
+    if (panel.empty()) return 0;
+
+    // Drop zero / non-finite candidates up front, keeping the original norms
+    // the deflation rule compares residuals against.
+    std::vector<Vec> cand;
+    std::vector<double> orig;
+    cand.reserve(panel.size());
+    orig.reserve(panel.size());
+    for (Vec& v : panel) {
+        const double n = norm2(v);
+        if (n == 0.0 || !std::isfinite(n)) continue;
+        cand.push_back(std::move(v));
+        orig.push_back(n);
     }
-    return size() - before;
+
+    // QrFactorization needs rows >= cols; wider panels (only possible when a
+    // flush stages more than dim_ vectors) go through in dim_-sized chunks,
+    // each orthogonalised against the basis grown by its predecessors.
+    int added = 0;
+    const std::size_t chunk = static_cast<std::size_t>(dim_);
+    for (std::size_t c0 = 0; c0 < cand.size(); c0 += chunk) {
+        const std::size_t c1 = std::min(cand.size(), c0 + chunk);
+        added += flush_chunk(
+            std::vector<Vec>(std::make_move_iterator(cand.begin() + static_cast<std::ptrdiff_t>(c0)),
+                             std::make_move_iterator(cand.begin() + static_cast<std::ptrdiff_t>(c1))),
+            std::vector<double>(orig.begin() + static_cast<std::ptrdiff_t>(c0),
+                                orig.begin() + static_cast<std::ptrdiff_t>(c1)));
+    }
+    return added;
+}
+
+int BasisBuilder::flush_chunk(std::vector<Vec> panel, std::vector<double> orig) {
+    const int p = static_cast<int>(panel.size());
+    const int q = size();
+    // Project the whole panel against the existing basis: two blocked
+    // classical Gram-Schmidt sweeps, H = Q^T W then W -= Q H, each a
+    // GEMM-shaped pass over the kernels ("twice is enough").
+    for (int pass = 0; pass < 2 && q > 0; ++pass) {
+        Matrix h(q, p);
+        for (int i = 0; i < q; ++i) {
+            const Vec& qi = basis_[static_cast<std::size_t>(i)];
+            for (int j = 0; j < p; ++j)
+                h(i, j) = simd::dot(qi.data(), panel[static_cast<std::size_t>(j)].data(),
+                                    qi.size());
+        }
+        for (int i = 0; i < q; ++i) {
+            const Vec& qi = basis_[static_cast<std::size_t>(i)];
+            for (int j = 0; j < p; ++j)
+                if (h(i, j) != 0.0)
+                    simd::axpy(-h(i, j), qi.data(), panel[static_cast<std::size_t>(j)].data(),
+                               qi.size());
+        }
+    }
+
+    // Within-panel orthonormalisation by blocked Householder QR. A column
+    // whose R diagonal falls below the deflation threshold is dependent on
+    // its predecessors (|R_jj| is exactly its orthogonal residual); drop it
+    // and refactor the survivors so later diagonals are not polluted by the
+    // discarded direction.
+    std::vector<int> keep(static_cast<std::size_t>(p));
+    for (int j = 0; j < p; ++j) keep[static_cast<std::size_t>(j)] = j;
+    while (!keep.empty()) {
+        Matrix w(dim_, static_cast<int>(keep.size()));
+        for (int j = 0; j < static_cast<int>(keep.size()); ++j)
+            w.set_col(j, panel[static_cast<std::size_t>(keep[static_cast<std::size_t>(j)])]);
+        const QrFactorization qr(std::move(w));
+        const Matrix r = qr.r();
+        int drop = -1;
+        for (int j = 0; j < r.cols(); ++j) {
+            const double thresh =
+                tol_ * orig[static_cast<std::size_t>(keep[static_cast<std::size_t>(j)])];
+            if (std::abs(r(j, j)) <= thresh) {
+                drop = j;
+                break;
+            }
+        }
+        if (drop < 0) {
+            const Matrix qthin = qr.thin_q();
+            for (int j = 0; j < qthin.cols(); ++j) basis_.push_back(qthin.col(j));
+            return qthin.cols();
+        }
+        keep.erase(keep.begin() + drop);
+    }
+    return 0;
 }
 
 Matrix BasisBuilder::matrix() const {

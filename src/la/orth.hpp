@@ -16,15 +16,13 @@ namespace atmor::la {
 /// directions.
 ///
 /// Vectors are staged with stage()/stage_complex() and orthonormalised by
-/// flush(), one candidate at a time in staging order: zero and non-finite
-/// candidates are skipped, every other one is projected twice against the
-/// whole current basis by classical Gram-Schmidt (CGS2; "twice is enough"
-/// keeps orthogonality at machine precision for numerically full-rank
-/// input), and it is kept when its residual exceeds
-/// deflation_tol * ||candidate||. Because each candidate sees exactly the
-/// basis its predecessors left, how the candidates are split across flushes
-/// does not change the basis. The ATMOR_SCALAR_KERNELS escape hatch swaps the
-/// dot/axpy kernels underneath, never the algorithm.
+/// flush(), the one orthogonalizer. A flushed panel drops its zero and
+/// non-finite candidates, is projected against the existing basis by two
+/// blocked classical Gram-Schmidt sweeps (GEMM-shaped on the la/simd
+/// kernels), then orthonormalised within itself by blocked Householder QR;
+/// a column is deflated when its R diagonal (its orthogonal residual) falls
+/// under deflation_tol * ||candidate||. The ATMOR_SCALAR_KERNELS escape
+/// hatch swaps the kernels underneath, never the algorithm.
 class BasisBuilder {
 public:
     /// @param dim ambient dimension
@@ -40,8 +38,8 @@ public:
     /// non-real expansion points; the projector must stay real).
     void stage_complex(const ZVec& v);
 
-    /// Orthonormalise every staged vector against the basis, in staging
-    /// order; append the survivors. Returns how many columns were added.
+    /// Orthonormalise every staged vector against the basis and within the
+    /// panel; append the survivors. Returns how many columns were added.
     int flush();
 
     [[nodiscard]] int dim() const { return dim_; }
@@ -53,6 +51,8 @@ public:
     [[nodiscard]] Matrix matrix() const;
 
 private:
+    int flush_chunk(std::vector<Vec> panel, std::vector<double> orig);
+
     int dim_;
     double tol_;
     std::vector<Vec> basis_;

@@ -178,76 +178,4 @@ Matrix QrFactorization::r() const {
     return r;
 }
 
-void QrFactorization::apply_qt(Vec& v) const {
-    const int m = qr_.rows(), n = qr_.cols();
-    ATMOR_REQUIRE(static_cast<int>(v.size()) == m, "apply_qt: size mismatch");
-    for (int k = 0; k < n; ++k) {
-        const double beta = beta_[static_cast<std::size_t>(k)];
-        if (beta == 0.0) continue;
-        double w = v[static_cast<std::size_t>(k)];
-        for (int i = k + 1; i < m; ++i) w += qr_(i, k) * v[static_cast<std::size_t>(i)];
-        w *= beta;
-        v[static_cast<std::size_t>(k)] -= w;
-        for (int i = k + 1; i < m; ++i) v[static_cast<std::size_t>(i)] -= w * qr_(i, k);
-    }
-}
-
-Vec QrFactorization::solve_least_squares(Vec b) const {
-    const int n = qr_.cols();
-    apply_qt(b);
-    Vec x(static_cast<std::size_t>(n));
-    for (int i = n - 1; i >= 0; --i) {
-        double acc = b[static_cast<std::size_t>(i)];
-        for (int j = i + 1; j < n; ++j) acc -= qr_(i, j) * x[static_cast<std::size_t>(j)];
-        const double d = qr_(i, i);
-        ATMOR_CHECK(d != 0.0, "rank-deficient least squares");
-        x[static_cast<std::size_t>(i)] = acc / d;
-    }
-    return x;
-}
-
-int numerical_rank(Matrix a, double rel_tol) {
-    const int m = a.rows(), n = a.cols();
-    const int kmax = std::min(m, n);
-    std::vector<double> colnorm(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-        double s = 0.0;
-        for (int i = 0; i < m; ++i) s += a(i, j) * a(i, j);
-        colnorm[static_cast<std::size_t>(j)] = s;
-    }
-    double r00 = 0.0;
-    int rank = 0;
-    Vec col(static_cast<std::size_t>(m));
-    for (int k = 0; k < kmax; ++k) {
-        // Pivot: column with largest remaining norm.
-        int piv = k;
-        for (int j = k + 1; j < n; ++j)
-            if (colnorm[static_cast<std::size_t>(j)] > colnorm[static_cast<std::size_t>(piv)])
-                piv = j;
-        if (piv != k) {
-            for (int i = 0; i < m; ++i) std::swap(a(i, k), a(i, piv));
-            std::swap(colnorm[static_cast<std::size_t>(k)], colnorm[static_cast<std::size_t>(piv)]);
-        }
-        const int len = m - k;
-        for (int i = 0; i < len; ++i) col[static_cast<std::size_t>(i)] = a(k + i, k);
-        const double beta = make_householder(col.data(), len);
-        const double rkk = std::abs(col[0]);
-        if (k == 0) r00 = rkk;
-        if (rkk <= rel_tol * (r00 > 0.0 ? r00 : 1.0)) break;
-        ++rank;
-        a(k, k) = col[0];
-        for (int i = 1; i < len; ++i) a(k + i, k) = col[static_cast<std::size_t>(i)];
-        for (int j = k + 1; j < n; ++j) {
-            double w = a(k, j);
-            for (int i = 1; i < len; ++i) w += a(k + i, k) * a(k + i, j);
-            w *= beta;
-            a(k, j) -= w;
-            for (int i = 1; i < len; ++i) a(k + i, j) -= w * a(k + i, k);
-            colnorm[static_cast<std::size_t>(j)] -= a(k, j) * a(k, j);
-            if (colnorm[static_cast<std::size_t>(j)] < 0.0) colnorm[static_cast<std::size_t>(j)] = 0.0;
-        }
-    }
-    return rank;
-}
-
 }  // namespace atmor::la

@@ -1,6 +1,5 @@
-// Blocked Householder QR factorisation (real, compact-WY form), thin-Q
-// extraction, least squares and a rank-revealing column-pivoted variant used
-// for basis deflation diagnostics.
+// Blocked Householder QR factorisation (real, compact-WY form) and thin-Q
+// extraction: the within-panel step of la::BasisBuilder::flush().
 #pragma once
 
 #include <vector>
@@ -16,8 +15,7 @@ namespace atmor::la {
 /// compact-WY form (unit-lower V below the diagonal, small upper-triangular
 /// T). Trailing updates and thin-Q assembly apply whole panels as two
 /// GEMM-shaped sweeps on the la/simd kernels instead of one reflector at a
-/// time. The stored reflectors are the classical ones, so the per-vector
-/// paths (apply_qt, solve_least_squares) read the same representation.
+/// time.
 class QrFactorization {
 public:
     explicit QrFactorization(Matrix a);
@@ -28,18 +26,10 @@ public:
     /// Upper-triangular R (n x n).
     [[nodiscard]] Matrix r() const;
 
-    /// Least-squares solution of min ||A x - b||_2.
-    [[nodiscard]] Vec solve_least_squares(Vec b) const;
-
-    [[nodiscard]] int rows() const { return qr_.rows(); }
-    [[nodiscard]] int cols() const { return qr_.cols(); }
-
     /// Compact-WY panel width.
     static constexpr int kPanel = 32;
 
 private:
-    void apply_qt(Vec& v) const;  // v <- Q^T v
-
     /// T factor of the panel starting at column k0 (LAPACK larft recurrence).
     [[nodiscard]] Matrix build_t(int k0, int nb) const;
 
@@ -47,8 +37,5 @@ private:
     Vec beta_;               // Householder scalars
     std::vector<Matrix> t_;  // per-panel compact-WY T factors
 };
-
-/// Column-pivoted QR rank estimate: number of diagonal |R_ii| > tol * |R_00|.
-int numerical_rank(Matrix a, double rel_tol);
 
 }  // namespace atmor::la

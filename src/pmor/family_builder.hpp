@@ -98,7 +98,7 @@ struct FamilyBuildOptions {
     std::shared_ptr<rom::Registry> registry;
     /// Compress the finished family into the sectioned v4 artifact form
     /// (rom::compress_family): shared union basis per full-order group via
-    /// la::BasisBuilder, members as coefficient blocks, payloads
+    /// the blocked Householder QR, members as coefficient blocks, payloads
     /// at compress_options.tier with the measured rounding error folded
     /// into every stored certificate. The result lands in
     /// FamilyBuildResult::compressed and -- when the registry's disk tier is

@@ -516,7 +516,7 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
         for (const std::size_t i : idxs) {
             const la::Matrix& v = f.members[i].model.v;
             for (int j = 0; j < v.cols(); ++j) builder.stage(v.col(j));
-            builder.flush();  // one panel per member
+            builder.flush();  // one blocked-QR panel per member
             if (stats) stats->basis_columns_in += static_cast<std::size_t>(v.cols());
         }
         const la::Matrix u = builder.matrix();

@@ -5,8 +5,8 @@
 // inserts them into ONE parameter box over one frequency band), so their
 // projection bases share most directions. compress_family exploits that:
 // per full-order size group it builds a shared union basis U (staged through
-// la::BasisBuilder, i.e. two-pass classical Gram-Schmidt with deflation),
-// re-expresses every member basis as a small coefficient block
+// la::BasisBuilder, i.e. the blocked Householder QR panel path, with
+// deflation), re-expresses every member basis as a small coefficient block
 // C_i = U^T v_i, and encodes every numeric payload at an EncodingTier
 // (raw f64, f32, or 16-bit per-column quantization). Reduced tensors are
 // stored densely when that is smaller than the sparse triplet form -- for a

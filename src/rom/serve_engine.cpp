@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -390,6 +391,11 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
     // zero state/input (the rest state every deviation model starts from),
     // so it is batch-content independent; a waveform that drives Newton off
     // the linearisation refactors privately inside run_implicit.
+    // A NaN horizon would break the ordering of the cache's keys, so it is
+    // rejected before the lookup; make_warm_start rejects every other bad
+    // horizon before an entry is evicted.
+    ATMOR_REQUIRE(!std::isnan(o.t_end) && !std::isnan(o.dt),
+                  "transient: NaN t_end or dt (t_end = " << o.t_end << ", dt = " << o.dt << ")");
     ode::WarmStart warm;
     {
         const auto config =
@@ -397,15 +403,14 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
         std::lock_guard<std::mutex> lock(st->warm_mutex);
         auto it = st->warm.find(config);
         if (it == st->warm.end()) {
+            ode::WarmStart stamped = ode::make_warm_start(st->model->rom, o);
             if (st->warm.size() >= kMaxWarmStarts) {
                 auto victim = st->warm.begin();
                 for (auto cand = st->warm.begin(); cand != st->warm.end(); ++cand)
                     if (cand->second.second < victim->second.second) victim = cand;
                 st->warm.erase(victim);
             }
-            it = st->warm
-                     .emplace(config, std::make_pair(ode::make_warm_start(st->model->rom, o),
-                                                     std::uint64_t{0}))
+            it = st->warm.emplace(config, std::make_pair(std::move(stamped), std::uint64_t{0}))
                      .first;
         }
         it->second.second = ++st->warm_tick;

@@ -8,7 +8,6 @@ namespace atmor {
 namespace {
 
 using la::Matrix;
-using la::Vec;
 
 class QrShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -32,50 +31,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, QrShapes,
                                            std::pair{20, 7}, std::pair{60, 60},
                                            std::pair{100, 30}));
 
-TEST(Qr, LeastSquaresMatchesNormalEquations) {
-    util::Rng rng(11);
-    const Matrix a = test::random_matrix(30, 5, rng);
-    const Vec b = test::random_vector(30, rng);
-    const Vec x = la::QrFactorization(a).solve_least_squares(b);
-    // Residual must be orthogonal to range(A).
-    Vec r = b;
-    la::axpy(-1.0, la::matvec(a, x), r);
-    const Vec atr = la::matvec_transposed(a, r);
-    EXPECT_LT(la::norm2(atr), 1e-10);
-}
-
-TEST(Qr, ExactSystemSolvedExactly) {
-    util::Rng rng(12);
-    const Matrix a = test::random_matrix(6, 6, rng);
-    const Vec x_true = test::random_vector(6, rng);
-    const Vec b = la::matvec(a, x_true);
-    const Vec x = la::QrFactorization(a).solve_least_squares(b);
-    EXPECT_LT(la::dist2(x, x_true), 1e-10);
-}
-
 TEST(Qr, RequiresTall) {
     Matrix a(2, 3);
     EXPECT_THROW(la::QrFactorization qr(a), util::PreconditionError);
-}
-
-TEST(NumericalRank, DetectsExactRank) {
-    util::Rng rng(13);
-    // Build a 20x10 matrix of rank 4.
-    const Matrix u = test::random_matrix(20, 4, rng);
-    const Matrix v = test::random_matrix(4, 10, rng);
-    const Matrix a = la::matmul(u, v);
-    EXPECT_EQ(la::numerical_rank(a, 1e-10), 4);
-}
-
-TEST(NumericalRank, FullRankRandom) {
-    util::Rng rng(14);
-    const Matrix a = test::random_matrix(12, 8, rng);
-    EXPECT_EQ(la::numerical_rank(a, 1e-10), 8);
-}
-
-TEST(NumericalRank, ZeroMatrix) {
-    Matrix a(5, 5);
-    EXPECT_EQ(la::numerical_rank(a, 1e-10), 0);
 }
 
 }  // namespace

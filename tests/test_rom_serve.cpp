@@ -191,20 +191,34 @@ TEST(RomServe, EmptyQueriesAreTypedErrors) {
 }
 
 TEST(RomServe, NonFiniteHorizonIsAPreconditionError) {
-    // An infinite horizon or step is the caller's fault: a typed
-    // precondition answer, never an internal error.
+    // An infinite or NaN horizon or step, or one whose step count does not
+    // fit in a long, is the caller's fault: a typed precondition answer,
+    // never an internal error. Rejected horizons leave the warm cache alone,
+    // so a valid request served before and after answers bit-identically.
     Fixture f;
+    const std::vector<ode::InputFn> drive = {circuits::sine_input(0.05, 1.0)};
+    const rom::ServeResponse before = test::transients(f.engine, f.m, drive, transient_spec());
+    ASSERT_EQ(before.error.code, util::ErrorCode::ok) << before.error.message;
     const double inf = std::numeric_limits<double>::infinity();
-    for (const auto& [t_end, dt] : {std::pair<double, double>{inf, 1e-2}, {0.4, inf}}) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<double, double> bad[] = {
+        {inf, 1e-2}, {0.4, inf}, {nan, 1e-2}, {0.4, nan},
+        {1e20, 1e-3},  // 1e23 steps: past the range of long
+    };
+    for (const auto& [t_end, dt] : bad) {
         rom::TransientSpec topt = transient_spec();
         topt.t_end = t_end;
         topt.dt = dt;
-        const rom::ServeResponse resp =
-            test::transients(f.engine, f.m, {circuits::sine_input(0.05, 1.0)}, topt);
+        const rom::ServeResponse resp = test::transients(f.engine, f.m, drive, topt);
         EXPECT_EQ(resp.error.code, util::ErrorCode::precondition)
             << "t_end = " << t_end << ", dt = " << dt << ": " << resp.error.message;
         EXPECT_TRUE(resp.transients.empty());
     }
+    const rom::ServeResponse after = test::transients(f.engine, f.m, drive, transient_spec());
+    ASSERT_EQ(after.error.code, util::ErrorCode::ok) << after.error.message;
+    ASSERT_EQ(after.transients.size(), 1u);
+    EXPECT_EQ(after.transients[0].t, before.transients[0].t);
+    EXPECT_EQ(after.transients[0].y, before.transients[0].y);
 }
 
 }  // namespace
