@@ -70,10 +70,16 @@ inline double norm2(const std::vector<std::complex<double>>& a) {
     return std::sqrt(simd::nrm2sq(reinterpret_cast<const double*>(a.data()), 2 * a.size()));
 }
 
+/// max_i |a_i|, or NaN when any entry is NaN (std::max alone would drop
+/// it), so a convergence test on the norm never passes on a NaN vector.
 template <class T>
 double norm_inf(const std::vector<T>& a) {
     double m = 0.0;
-    for (const auto& v : a) m = std::max(m, std::abs(v));
+    for (const auto& v : a) {
+        const double av = std::abs(v);
+        if (std::isnan(av)) return av;
+        m = std::max(m, av);
+    }
     return m;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "la/operator.hpp"
 #include "la/solver_backend.hpp"
@@ -35,9 +36,14 @@ long step_count(const TransientOptions& opt) {
     return std::lround(steps);
 }
 
+/// Appends the output at t. A non-finite output means the integration broke
+/// down (a diverging drive): an InternalError, never a NaN trace.
 void record(TransientResult& res, const Qldae& sys, double t, const Vec& x) {
+    Vec y = sys.output(x);
+    for (const double v : y)
+        ATMOR_CHECK(std::isfinite(v), "transient: non-finite output at t = " << t);
     res.t.push_back(t);
-    res.y.push_back(sys.output(x));
+    res.y.push_back(std::move(y));
 }
 
 Vec rk4_step(const Qldae& sys, const InputFn& u, double t, double h, const Vec& x) {
@@ -200,28 +206,37 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
         ++res.factorizations;
     };
 
+    // Iterate, rhs values, residual and rhs scratch live across steps and
+    // Newton iterations: a step allocates only what u(t) and the solve return.
+    const std::size_t n = x.size();
+    Vec xn(n), f0(n), f1(n), r(n), work;
     for (long s = 0; s < nsteps; ++s) {
         const double t = h * static_cast<double>(s);
         const Vec u0 = u(t);
         const Vec u1 = u(t + h);
-        const Vec f0 = sys.rhs(x, u0);
+        sys.rhs_into(x, u0, f0, work);
 
         // Predictor: forward Euler.
-        Vec xn = x;
+        xn = x;
         la::axpy(h, f0, xn);
 
         if (!jac_fact || opt.refactor_every_step) refactor(x, u1);
         bool converged = false;
-        for (int attempt = 0; attempt < 2 && !converged; ++attempt) {
+        bool finite = true;
+        for (int attempt = 0; attempt < 2 && !converged && finite; ++attempt) {
             for (int it = 0; it < opt.newton_max_iter; ++it) {
                 // r = xn - x - h*[(1-theta) f0 + theta f(xn, u1)].
-                Vec r = xn;
+                sys.rhs_into(xn, u1, f1, work);
+                r = xn;
                 la::axpy(-1.0, x, r);
                 la::axpy(-h * (1.0 - theta), f0, r);
-                la::axpy(-h * theta, sys.rhs(xn, u1), r);
+                la::axpy(-h * theta, f1, r);
                 ++res.newton_iterations;
                 const double rnorm = la::norm_inf(r);
                 const double xnorm = la::norm_inf(xn);
+                // inf <= tol * (1 + inf) holds: only a finite iterate converges.
+                finite = std::isfinite(rnorm) && std::isfinite(xnorm);
+                if (!finite) break;
                 if (rnorm <= opt.newton_tol * (1.0 + xnorm)) {
                     converged = true;
                     break;
@@ -231,10 +246,12 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
             }
             // Modified-Newton recovery: refresh the Jacobian at the current
             // iterate and retry once before giving up.
-            if (!converged) refactor(xn, u1);
+            if (!converged && finite) refactor(xn, u1);
         }
-        ATMOR_CHECK(converged, "implicit integrator: Newton failed at t = " << t + h);
-        x = std::move(xn);
+        ATMOR_CHECK(converged, "implicit integrator: Newton "
+                                   << (finite ? "failed" : "diverged to a non-finite iterate")
+                                   << " at t = " << t + h);
+        std::swap(x, xn);
         ++res.steps;
         if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps) record(res, sys, t + h, x);
     }

@@ -29,6 +29,7 @@ std::size_t resident_bytes(const ReducedModel& m) {
     }
     bytes += sys.g2().entry_count() * sizeof(sparse::SparseTensor3::Entry);
     bytes += sys.g3().entry_count() * sizeof(sparse::SparseTensor4::Entry);
+    bytes += sys.packed_coefficients() * sizeof(double);
     return bytes;
 }
 

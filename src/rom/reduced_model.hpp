@@ -72,8 +72,9 @@ struct ReducedModel {
 };
 
 /// Approximate heap footprint of a materialized model (basis + reduced
-/// system payload arrays; bookkeeping overhead excluded). The serving
-/// benches report it as resident_bytes_after_load.
+/// system payload arrays, including the packed tensor copies at 8 B per
+/// coefficient; bookkeeping overhead excluded). The serving benches report
+/// it as resident_bytes_after_load.
 std::size_t resident_bytes(const ReducedModel& m);
 
 /// FNV-1a 64-bit over a byte range; the shared hash for basis provenance,

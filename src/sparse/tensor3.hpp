@@ -41,11 +41,6 @@ public:
     [[nodiscard]] la::Vec apply(const la::Vec& x, const la::Vec& y) const;
     [[nodiscard]] la::ZVec apply(const la::ZVec& x, const la::ZVec& y) const;
 
-    /// Quadratic apply T(x, x).
-    [[nodiscard]] la::Vec apply_quadratic(const la::Vec& x) const {
-        return apply(x, x);
-    }
-
     /// Matrix view times a lifted vector w (length n1*n2, w[i*n2+j] ~ x_i y_j).
     [[nodiscard]] la::Vec apply_lifted(const la::Vec& w) const;
     [[nodiscard]] la::ZVec apply_lifted(const la::ZVec& w) const;

@@ -36,9 +36,6 @@ public:
     [[nodiscard]] la::Vec apply(const la::Vec& x, const la::Vec& y, const la::Vec& z) const;
     [[nodiscard]] la::ZVec apply(const la::ZVec& x, const la::ZVec& y, const la::ZVec& z) const;
 
-    /// Cubic apply T(x, x, x).
-    [[nodiscard]] la::Vec apply_cubic(const la::Vec& x) const { return apply(x, x, x); }
-
     /// Matrix view times a lifted vector w (length n^3, w[(i*n+j)*n+k]).
     [[nodiscard]] la::ZVec apply_lifted(const la::ZVec& w) const;
     [[nodiscard]] la::Vec apply_lifted(const la::Vec& w) const;

@@ -1,9 +1,60 @@
 #include "volterra/qldae.hpp"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
+#include "la/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "util/check.hpp"
 
 namespace atmor::volterra {
+
+namespace {
+
+/// Columns of the packed matrix of a degree-`degree` form in q variables,
+/// C(q + degree - 1, degree), or 0 when the q x columns matrix would hold
+/// more than `budget` coefficients (or more columns than an int indexes).
+/// q * C(q + k - 1, k) grows one degree at a time, and each step is checked
+/// against the budget by division before the product is formed, so nothing
+/// overflows whatever q and budget a loaded artifact declares.
+std::size_t packed_width(std::size_t q, std::size_t degree, std::size_t budget) {
+    std::size_t size = q;
+    for (std::size_t k = 1; k <= degree; ++k) {
+        const std::size_t grow = q + k - 1;
+        if (size > budget * k / grow) return 0;
+        size = size * grow / k;  // exact: q * C(q + k - 1, k)
+    }
+    const std::size_t cols = size / q;
+    return cols <= static_cast<std::size_t>(std::numeric_limits<int>::max()) ? cols : 0;
+}
+
+/// Column of the monomial x_a x_b (a <= b) in the packed G2: the pairs of
+/// {0, ..., q-1} in lexicographic order.
+std::size_t pair_index(std::size_t q, std::size_t a, std::size_t b) {
+    return a * q - a * (a + 1) / 2 + b;
+}
+
+/// Column of x_a x_b x_c (a <= b <= c) in the packed G3: the triples that
+/// start below a (all triples less those over {a, ..., q-1}), then the pair
+/// (b, c) over {a, ..., q-1}.
+std::size_t triple_index(std::size_t q, std::size_t a, std::size_t b, std::size_t c) {
+    const auto triples_over = [](std::size_t m) { return m * (m + 1) * (m + 2) / 6; };
+    return triples_over(q) - triples_over(q - a) + pair_index(q - a, b - a, c - a);
+}
+
+/// Row r of m times x, on the same kernels as CsrMatrix::matvec / la::matvec.
+double row_dot(const sparse::CsrMatrix& m, int r, const double* x) {
+    const auto k0 = static_cast<std::size_t>(m.row_ptr()[static_cast<std::size_t>(r)]);
+    const auto k1 = static_cast<std::size_t>(m.row_ptr()[static_cast<std::size_t>(r) + 1]);
+    return la::simd::spmv_row(m.values().data() + k0, m.col_idx().data() + k0, k1 - k0, x);
+}
+
+double row_dot(const la::Matrix& m, int r, const double* x) {
+    return la::simd::dot(m.row_ptr(r), x, static_cast<std::size_t>(m.cols()));
+}
+
+}  // namespace
 
 Qldae::Qldae(la::Matrix g1, sparse::SparseTensor3 g2, la::Matrix b, la::Matrix c)
     : Qldae(std::move(g1), std::move(g2), sparse::SparseTensor4(), std::vector<la::Matrix>{},
@@ -22,6 +73,7 @@ Qldae::Qldae(la::Matrix g1, sparse::SparseTensor3 g2, sparse::SparseTensor4 g3,
     inputs_ = b_dense_->cols();
     outputs_ = c_dense_->rows();
     validate();
+    pack_tensors();
 }
 
 Qldae::Qldae(sparse::CsrMatrix g1, sparse::SparseTensor3 g2, sparse::SparseTensor4 g3,
@@ -37,6 +89,7 @@ Qldae::Qldae(sparse::CsrMatrix g1, sparse::SparseTensor3 g2, sparse::SparseTenso
     inputs_ = b_csr_->cols();
     outputs_ = c_csr_->rows();
     validate();
+    pack_tensors();
 }
 
 void Qldae::validate() const {
@@ -69,6 +122,37 @@ void Qldae::validate() const {
                 ATMOR_REQUIRE(d.rows() == n && d.cols() == n, "Qldae: D1 must be n x n");
         }
     }
+}
+
+void Qldae::pack_tensors() {
+    // Duplicate entries and every slot order of one monomial sum into its
+    // one packed coefficient.
+    const auto q = static_cast<std::size_t>(order());
+    if (const std::size_t cols = packed_width(q, 2, 2 * g2_.entry_count()); cols > 0) {
+        g2_packed_ = la::Matrix(order(), static_cast<int>(cols));
+        for (const auto& e : g2_.entries()) {
+            const auto [a, b] = std::minmax(e.i, e.j);
+            g2_packed_.row_ptr(e.row)[pair_index(q, static_cast<std::size_t>(a),
+                                                 static_cast<std::size_t>(b))] += e.value;
+        }
+    }
+    if (const std::size_t cols = packed_width(q, 3, 2 * g3_.entry_count()); cols > 0) {
+        g3_packed_ = la::Matrix(order(), static_cast<int>(cols));
+        for (const auto& e : g3_.entries()) {
+            std::array<int, 3> s{e.i, e.j, e.k};
+            std::sort(s.begin(), s.end());
+            g3_packed_.row_ptr(e.row)[triple_index(q, static_cast<std::size_t>(s[0]),
+                                                   static_cast<std::size_t>(s[1]),
+                                                   static_cast<std::size_t>(s[2]))] += e.value;
+        }
+    }
+}
+
+std::size_t Qldae::packed_coefficients() const {
+    const auto size = [](const la::Matrix& m) {
+        return static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols());
+    };
+    return size(g2_packed_) + size(g3_packed_);
 }
 
 // ---------------------------------------------------------------------------
@@ -145,24 +229,75 @@ la::Vec Qldae::b_col(int input) const {
 // ---------------------------------------------------------------------------
 
 la::Vec Qldae::rhs(const la::Vec& x, const la::Vec& u) const {
+    la::Vec f;
+    la::Vec work;
+    rhs_into(x, u, f, work);
+    return f;
+}
+
+void Qldae::rhs_into(const la::Vec& x, const la::Vec& u, la::Vec& f, la::Vec& work) const {
     ATMOR_REQUIRE(static_cast<int>(x.size()) == order(), "Qldae::rhs: state size mismatch");
     ATMOR_REQUIRE(static_cast<int>(u.size()) == inputs(), "Qldae::rhs: input size mismatch");
-    la::Vec f = apply_g1(x);
-    if (has_quadratic()) la::axpy(1.0, g2_.apply_quadratic(x), f);
-    if (has_cubic()) la::axpy(1.0, g3_.apply_cubic(x), f);
+    ATMOR_REQUIRE(&f != &x && &work != &x && &work != &f,
+                  "Qldae::rhs_into: f, work and x must be distinct vectors");
+    const int n = order();
+    const auto un = static_cast<std::size_t>(n);
+    const double* xd = x.data();
+    f.resize(un);
+    for (int r = 0; r < n; ++r)
+        f[static_cast<std::size_t>(r)] =
+            is_sparse() ? row_dot(*g1_csr_, r, xd) : row_dot(*g1_dense_, r, xd);
+
+    // G2, then G3: packed monomials times the packed matrix, or the triplets
+    // summed apart and then added (the order the triplet path has always
+    // used, so unpacked systems keep their exact rounding).
+    if (!g2_packed_.empty()) {
+        work.resize(static_cast<std::size_t>(g2_packed_.cols()));
+        double* m = work.data();
+        for (std::size_t a = 0; a < un; ++a)
+            for (std::size_t b = a; b < un; ++b) *m++ = xd[a] * xd[b];
+        for (int r = 0; r < n; ++r)
+            f[static_cast<std::size_t>(r)] += row_dot(g2_packed_, r, work.data());
+    } else if (has_quadratic()) {
+        work.assign(un, 0.0);
+        for (const auto& e : g2_.entries())
+            work[static_cast<std::size_t>(e.row)] += e.value * xd[e.i] * xd[e.j];
+        la::simd::axpy(1.0, work.data(), f.data(), un);
+    }
+    if (!g3_packed_.empty()) {
+        work.resize(static_cast<std::size_t>(g3_packed_.cols()));
+        double* m = work.data();
+        for (std::size_t a = 0; a < un; ++a)
+            for (std::size_t b = a; b < un; ++b) {
+                const double xab = xd[a] * xd[b];
+                for (std::size_t c = b; c < un; ++c) *m++ = xab * xd[c];
+            }
+        for (int r = 0; r < n; ++r)
+            f[static_cast<std::size_t>(r)] += row_dot(g3_packed_, r, work.data());
+    } else if (has_cubic()) {
+        work.assign(un, 0.0);
+        for (const auto& e : g3_.entries())
+            work[static_cast<std::size_t>(e.row)] += e.value * xd[e.i] * xd[e.j] * xd[e.k];
+        la::simd::axpy(1.0, work.data(), f.data(), un);
+    }
+
     bool any_input = false;
     for (int i = 0; i < inputs(); ++i) {
         const double ui = u[static_cast<std::size_t>(i)];
         if (ui == 0.0) continue;
         any_input = true;
-        if (has_bilinear()) la::axpy(ui, apply_d1(i, x), f);
+        if (!has_bilinear()) continue;
+        const auto ii = static_cast<std::size_t>(i);
+        for (int r = 0; r < n; ++r)
+            f[static_cast<std::size_t>(r)] +=
+                ui * (is_sparse() ? row_dot(d1_csr_[ii], r, xd) : row_dot(d1_dense_[ii], r, xd));
     }
     if (any_input) {
         if (is_sparse()) {
             const auto& rp = b_csr_->row_ptr();
             const auto& ci = b_csr_->col_idx();
             const auto& vals = b_csr_->values();
-            for (int r = 0; r < order(); ++r)
+            for (int r = 0; r < n; ++r)
                 for (int k = rp[static_cast<std::size_t>(r)];
                      k < rp[static_cast<std::size_t>(r) + 1]; ++k)
                     f[static_cast<std::size_t>(r)] +=
@@ -173,12 +308,10 @@ la::Vec Qldae::rhs(const la::Vec& x, const la::Vec& u) const {
             for (int i = 0; i < inputs(); ++i) {
                 const double ui = u[static_cast<std::size_t>(i)];
                 if (ui == 0.0) continue;
-                for (int r = 0; r < order(); ++r)
-                    f[static_cast<std::size_t>(r)] += bm(r, i) * ui;
+                for (int r = 0; r < n; ++r) f[static_cast<std::size_t>(r)] += bm(r, i) * ui;
             }
         }
     }
-    return f;
 }
 
 la::Matrix Qldae::jacobian(const la::Vec& x, const la::Vec& u) const {

@@ -14,6 +14,17 @@
 // la::SolverBackend without densifying. The legacy dense accessors g1()/b()/
 // c()/d1() materialise (and cache) a dense mirror on first use -- tests,
 // diagnostics and genuinely dense paths keep working unchanged.
+//
+// G2 and G3 are stored as triplets (sparse::SparseTensor3/4), the canonical
+// form for rom::io, the moment chains and the H2/H3 evaluators. A tensor
+// that is dense in that storage -- the reduced tensors of a ROM -- also gets
+// a row-major PACKED copy, built once by the constructor: one column per
+// monomial x_a x_b (a <= b), resp. x_a x_b x_c (a <= b <= c). rhs_into then
+// evaluates it as the packed monomials times that matrix on the la::simd
+// dot kernel instead of through indirect loads. A tensor is packed only when
+// the packed matrix holds at most twice its stored entries, so a sparse
+// tensor (every stamped circuit) keeps the triplet path and a loaded
+// artifact can never make the constructor allocate more than that.
 #pragma once
 
 #include <memory>
@@ -88,8 +99,18 @@ public:
     /// Input column b_i.
     [[nodiscard]] la::Vec b_col(int input) const;
 
-    /// Right-hand side f(x, u).
+    /// Right-hand side f(x, u); allocating wrapper over rhs_into.
     [[nodiscard]] la::Vec rhs(const la::Vec& x, const la::Vec& u) const;
+
+    /// Right-hand side f(x, u) into caller storage, the time-stepping hot
+    /// path. f is resized to order(); `work` is scratch resized as needed.
+    /// Both keep their capacity, so calls on warmed buffers allocate
+    /// nothing. Neither buffer may alias x.
+    void rhs_into(const la::Vec& x, const la::Vec& u, la::Vec& f, la::Vec& work) const;
+
+    /// Coefficients held by the packed copies of G2 and G3 (0 when both
+    /// stay in triplet form).
+    [[nodiscard]] std::size_t packed_coefficients() const;
 
     /// State Jacobian df/dx at (x, u):
     ///   G1 + G2 (I (x) x + x (x) I) + G3(...) + sum_i D1_i u_i.
@@ -106,6 +127,7 @@ public:
 
 private:
     void validate() const;
+    void pack_tensors();
 
     std::shared_ptr<const la::LinearOperator> g1_op_;
     std::shared_ptr<const sparse::CsrMatrix> g1_csr_;  // set iff sparse-first
@@ -113,6 +135,10 @@ private:
 
     sparse::SparseTensor3 g2_;
     sparse::SparseTensor4 g3_;
+    /// Packed copies of g2_ / g3_ (n x monomials, lexicographic monomial
+    /// order); 0 x 0 when the tensor stays in triplet form.
+    la::Matrix g2_packed_;
+    la::Matrix g3_packed_;
 
     bool has_bilinear_ = false;
     std::vector<sparse::CsrMatrix> d1_csr_;            // sparse-first storage

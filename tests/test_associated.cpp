@@ -148,7 +148,7 @@ TEST(Associated, VariationalSecondOrderResponseMatchesRealization) {
         const Vec x2(z.begin() + n, z.end());
         Vec d1 = la::matvec(sys.g1(), x1);
         Vec d2 = la::matvec(sys.g1(), x2);
-        la::axpy(1.0, sys.g2().apply_quadratic(x1), d2);
+        la::axpy(1.0, sys.g2().apply(x1, x1), d2);
         Vec out(static_cast<std::size_t>(2 * n));
         std::copy(d1.begin(), d1.end(), out.begin());
         std::copy(d2.begin(), d2.end(), out.begin() + n);
@@ -193,11 +193,11 @@ TEST(Associated, VariationalThirdOrderResponseMatchesRealization) {
         const Vec x3(z.begin() + 2 * n, z.end());
         Vec d1 = la::matvec(sys.g1(), x1);
         Vec d2 = la::matvec(sys.g1(), x2);
-        la::axpy(1.0, sys.g2().apply_quadratic(x1), d2);
+        la::axpy(1.0, sys.g2().apply(x1, x1), d2);
         Vec d3 = la::matvec(sys.g1(), x3);
         la::axpy(1.0, sys.g2().apply(x1, x2), d3);
         la::axpy(1.0, sys.g2().apply(x2, x1), d3);
-        la::axpy(1.0, sys.g3().apply_cubic(x1), d3);
+        la::axpy(1.0, sys.g3().apply(x1, x1, x1), d3);
         Vec out(static_cast<std::size_t>(3 * n));
         std::copy(d1.begin(), d1.end(), out.begin());
         std::copy(d2.begin(), d2.end(), out.begin() + n);

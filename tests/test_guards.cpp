@@ -71,9 +71,9 @@ TEST(ReducedTensors, SymmetricCubicStorageMatchesDenseForm) {
     const auto g3r = core::reduce_tensor4(sys.g3(), v);
     for (int trial = 0; trial < 5; ++trial) {
         const Vec xr = test::random_vector(3, rng);
-        const Vec direct =
-            la::matvec_transposed(v, sys.g3().apply_cubic(la::matvec(v, xr)));
-        EXPECT_LT(la::dist2(g3r.apply_cubic(xr), direct), 1e-11 * (1.0 + la::norm2(direct)));
+        const Vec x = la::matvec(v, xr);
+        const Vec direct = la::matvec_transposed(v, sys.g3().apply(x, x, x));
+        EXPECT_LT(la::dist2(g3r.apply(xr, xr, xr), direct), 1e-11 * (1.0 + la::norm2(direct)));
     }
     // Jacobian consistency by finite differences.
     const Vec x0 = test::random_vector(3, rng);
@@ -83,7 +83,7 @@ TEST(ReducedTensors, SymmetricCubicStorageMatchesDenseForm) {
         Vec xp = x0, xm = x0;
         xp[static_cast<std::size_t>(k)] += h;
         xm[static_cast<std::size_t>(k)] -= h;
-        const Vec fd = la::sub(g3r.apply_cubic(xp), g3r.apply_cubic(xm));
+        const Vec fd = la::sub(g3r.apply(xp, xp, xp), g3r.apply(xm, xm, xm));
         for (int r = 0; r < 3; ++r)
             EXPECT_NEAR(jac(r, k), fd[static_cast<std::size_t>(r)] / (2.0 * h), 1e-5);
     }
@@ -100,9 +100,9 @@ TEST(ReducedTensors, SymmetricQuadraticStorageMatchesDenseForm) {
     EXPECT_LE(static_cast<int>(g2r.entry_count()), 4 * 4 * (4 + 1) / 2);
     for (int trial = 0; trial < 5; ++trial) {
         const Vec xr = test::random_vector(4, rng);
-        const Vec direct =
-            la::matvec_transposed(v, sys.g2().apply_quadratic(la::matvec(v, xr)));
-        EXPECT_LT(la::dist2(g2r.apply_quadratic(xr), direct), 1e-11 * (1.0 + la::norm2(direct)));
+        const Vec x = la::matvec(v, xr);
+        const Vec direct = la::matvec_transposed(v, sys.g2().apply(x, x));
+        EXPECT_LT(la::dist2(g2r.apply(xr, xr), direct), 1e-11 * (1.0 + la::norm2(direct)));
     }
 }
 

@@ -68,8 +68,9 @@ TEST(Projection, ReducedTensorQuadraticForm) {
     const Matrix v = random_orthonormal_basis(7, 3, rng);
     const auto g2r = core::reduce_tensor3(sys.g2(), v);
     const Vec xr = test::random_vector(3, rng);
-    const Vec lhs = g2r.apply_quadratic(xr);
-    const Vec rhs = la::matvec_transposed(v, sys.g2().apply_quadratic(la::matvec(v, xr)));
+    const Vec x = la::matvec(v, xr);
+    const Vec lhs = g2r.apply(xr, xr);
+    const Vec rhs = la::matvec_transposed(v, sys.g2().apply(x, x));
     EXPECT_LT(la::dist2(lhs, rhs), 1e-11);
 }
 

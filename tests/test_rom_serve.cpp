@@ -221,5 +221,25 @@ TEST(RomServe, NonFiniteHorizonIsAPreconditionError) {
     EXPECT_EQ(after.transients[0].y, before.transients[0].y);
 }
 
+TEST(RomServe, DivergingTransientIsAnInternalError) {
+    // A drive that blows the ROM's state up is a numerical breakdown: a typed
+    // internal answer with no transients, never an ok answer carrying a NaN
+    // trace. The failed batch leaves the warm state alone, so a valid
+    // request answers bit-identically before and after it.
+    Fixture f;
+    const std::vector<ode::InputFn> drive = {circuits::sine_input(0.05, 1.0)};
+    const rom::ServeResponse before = test::transients(f.engine, f.m, drive, transient_spec());
+    ASSERT_EQ(before.error.code, util::ErrorCode::ok) << before.error.message;
+    const rom::ServeResponse blown =
+        test::transients(f.engine, f.m, {circuits::step_input(1e150)}, transient_spec());
+    EXPECT_EQ(blown.error.code, util::ErrorCode::internal) << blown.error.message;
+    EXPECT_TRUE(blown.transients.empty());
+    const rom::ServeResponse after = test::transients(f.engine, f.m, drive, transient_spec());
+    ASSERT_EQ(after.error.code, util::ErrorCode::ok) << after.error.message;
+    ASSERT_EQ(after.transients.size(), 1u);
+    EXPECT_EQ(after.transients[0].t, before.transients[0].t);
+    EXPECT_EQ(after.transients[0].y, before.transients[0].y);
+}
+
 }  // namespace
 }  // namespace atmor

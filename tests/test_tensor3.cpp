@@ -45,8 +45,8 @@ TEST(Tensor3, JacobianMatchesFiniteDifference) {
         Vec xp = x, xm = x;
         xp[static_cast<std::size_t>(k)] += h;
         xm[static_cast<std::size_t>(k)] -= h;
-        const Vec fp = t.apply_quadratic(xp);
-        const Vec fm = t.apply_quadratic(xm);
+        const Vec fp = t.apply(xp, xp);
+        const Vec fm = t.apply(xm, xm);
         for (int r = 0; r < n; ++r) {
             const double fd = (fp[static_cast<std::size_t>(r)] - fm[static_cast<std::size_t>(r)]) /
                               (2.0 * h);
@@ -61,7 +61,7 @@ TEST(Tensor3, SymmetrizedPreservesQuadraticForm) {
     const SparseTensor3 t = random_tensor(n, 30, rng);
     const SparseTensor3 s = t.symmetrized();
     const Vec x = test::random_vector(n, rng);
-    EXPECT_LT(la::dist2(t.apply_quadratic(x), s.apply_quadratic(x)), 1e-12);
+    EXPECT_LT(la::dist2(t.apply(x, x), s.apply(x, x)), 1e-12);
     // Symmetry: S(x, y) = S(y, x).
     const Vec y = test::random_vector(n, rng);
     EXPECT_LT(la::dist2(s.apply(x, y), s.apply(y, x)), 1e-12);
@@ -94,7 +94,7 @@ TEST(Tensor3, ScaleAndBounds) {
     t.add(0, 1, 1, 3.0);
     t.scale(2.0);
     const Vec x{0.0, 1.0};
-    EXPECT_DOUBLE_EQ(t.apply_quadratic(x)[0], 6.0);
+    EXPECT_DOUBLE_EQ(t.apply(x, x)[0], 6.0);
     EXPECT_THROW(t.add(0, 2, 0, 1.0), util::PreconditionError);
 }
 
@@ -108,7 +108,7 @@ TEST(Tensor4, CubicApplyAndJacobian) {
     const Vec x = test::random_vector(n, rng);
     // Lifted consistency.
     const Vec lifted = tensor::kron3(x, x, x);
-    EXPECT_LT(la::dist2(t.apply_cubic(x), t.apply_lifted(lifted)), 1e-12);
+    EXPECT_LT(la::dist2(t.apply(x, x, x), t.apply_lifted(lifted)), 1e-12);
     // Jacobian by finite differences.
     const Matrix jac = t.jacobian(x);
     const double h = 1e-6;
@@ -116,8 +116,8 @@ TEST(Tensor4, CubicApplyAndJacobian) {
         Vec xp = x, xm = x;
         xp[static_cast<std::size_t>(k)] += h;
         xm[static_cast<std::size_t>(k)] -= h;
-        const Vec fp = t.apply_cubic(xp);
-        const Vec fm = t.apply_cubic(xm);
+        const Vec fp = t.apply(xp, xp, xp);
+        const Vec fm = t.apply(xm, xm, xm);
         for (int r = 0; r < n; ++r) {
             const double fd = (fp[static_cast<std::size_t>(r)] - fm[static_cast<std::size_t>(r)]) /
                               (2.0 * h);
@@ -137,12 +137,13 @@ TEST(Tensor4, ShiftExpansionIdentity) {
               rng.uniform_int(0, n - 1), rng.gaussian());
     const Vec x0 = test::random_vector(n, rng);
     const Vec d = test::random_vector(n, rng);
-    Vec lhs = t.apply_cubic(la::add(x0, d));
+    const Vec x = la::add(x0, d);
+    Vec lhs = t.apply(x, x, x);
 
-    Vec rhs = t.apply_cubic(x0);
+    Vec rhs = t.apply(x0, x0, x0);
     la::axpy(1.0, la::matvec(t.contract_twice(x0), d), rhs);
     la::axpy(1.0, t.contract_once(x0).apply(d, d), rhs);
-    la::axpy(1.0, t.apply_cubic(d), rhs);
+    la::axpy(1.0, t.apply(d, d, d), rhs);
     EXPECT_LT(la::dist2(lhs, rhs), 1e-11);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "la/vector_ops.hpp"
@@ -64,6 +65,28 @@ TEST_P(IntegratorKinds, NonFiniteOrUnrepresentableHorizonIsRejected) {
         EXPECT_THROW(ode::make_warm_start(sys, opt), util::PreconditionError)
             << "t_end = " << t_end << ", dt = " << dt;
     }
+}
+
+TEST_P(IntegratorKinds, DivergingDriveIsAnInternalError) {
+    // x' = -x + x^2 + u blows up in finite time under a 1e3 step. A breakdown
+    // is an InternalError naming t, never a trace of inf/NaN samples: Newton
+    // converges only on a finite iterate, and no non-finite output is
+    // recorded.
+    sparse::SparseTensor3 g2(1, 1, 1);
+    g2.add(0, 0, 0, 1.0);
+    const Qldae sys(Matrix{{-1.0}}, std::move(g2), Matrix{{1.0}}, Matrix{{1.0}});
+    const ode::InputFn u = [](double) { return Vec{1e3}; };
+    TransientOptions opt;
+    opt.t_end = 1.0;
+    opt.dt = 1e-2;
+    opt.method = GetParam();
+    try {
+        const auto res = ode::simulate(sys, u, opt);
+        FAIL() << "returned " << res.y.size() << " samples, last " << res.y.back()[0];
+    } catch (const util::InternalError& e) {
+        EXPECT_NE(std::string(e.what()).find("at t = "), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(ode::simulate_batch(sys, {u, u}, opt), util::InternalError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, IntegratorKinds,
