@@ -46,9 +46,11 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
     // an O(n^3) factorisation here, so it defers to the solver backend's
     // singularity detection at (sigma0 I - G1) factor time.
     bool needs_kron_solvers = false;
+    bool needs_kron_sum3 = false;
     for (std::size_t p = 0; p < opt.expansion_points.size(); ++p) {
         const rom::PointOrder po = order_for(opt, p);
         needs_kron_solvers = needs_kron_solvers || po.k2 > 0 || po.k3 > 0;
+        needs_kron_sum3 = needs_kron_sum3 || po.k3 > 0;
     }
     if (needs_kron_solvers || sys.order() <= kEigenGuardMaxOrder) {
         const la::ZVec eigs = at.schur_g1()->eigenvalues();
@@ -64,11 +66,26 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
                 if (needs_kron_solvers) {
                     for (const auto& ev2 : eigs) {
                         ATMOR_REQUIRE(std::abs(s0 - ev - ev2) > 1e-12 * scale,
-                                      "reduce_associated: expansion point hits an eigenvalue "
-                                      "pair sum of G1 (+) G1");
+                                      "reduce_associated: expansion point "
+                                          << s0 << " hits an eigenvalue pair sum of G1 (+) G1 ("
+                                          << ev + ev2 << "); pick a shifted expansion point");
                     }
                 }
             }
+            // The A3(H3) chains solve with (+)^3 G1 and G1 (+) Gt2, which are
+            // also singular at eigenvalue triple sums. This check is O(n^3),
+            // beside the O(n^4) solves it protects.
+            if (!needs_kron_sum3) continue;
+            const std::size_t n = eigs.size();
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = i; j < n; ++j)
+                    for (std::size_t k = j; k < n; ++k) {
+                        const la::Complex sum = eigs[i] + eigs[j] + eigs[k];
+                        ATMOR_REQUIRE(std::abs(s0 - sum) > 1e-12 * scale,
+                                      "reduce_associated: expansion point "
+                                          << s0 << " hits an eigenvalue triple sum of (+)^3 G1 ("
+                                          << sum << "); pick a shifted expansion point");
+                    }
         }
     } else {
         // Large sparse k1-only path: no eigenvalue sweep, but each expansion

@@ -12,7 +12,7 @@ namespace atmor::core {
 la::Matrix reduce_matrix(const la::Matrix& a, const la::Matrix& v) {
     ATMOR_REQUIRE(a.rows() == v.rows() && a.cols() == v.rows(),
                   "reduce_matrix: shape mismatch");
-    return la::matmul_blocked(la::transpose(v), la::matmul_blocked(a, v));
+    return la::matmul(la::transpose(v), la::matmul(a, v));
 }
 
 la::Matrix reduce_operator(const la::LinearOperator& a, const la::Matrix& v) {
@@ -29,7 +29,7 @@ la::Matrix reduce_operator(const la::LinearOperator& a, const la::Matrix& v) {
         av = la::Matrix(v.rows(), v.cols());
         for (int j = 0; j < v.cols(); ++j) av.set_col(j, a.apply(v.col(j)));
     }
-    return la::matmul_blocked(la::transpose(v), av);
+    return la::matmul(la::transpose(v), av);
 }
 
 sparse::SparseTensor3 reduce_tensor3(const sparse::SparseTensor3& t, const la::Matrix& v) {

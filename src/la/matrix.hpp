@@ -139,10 +139,13 @@ using Vec = std::vector<double>;
 using ZVec = std::vector<Complex>;
 
 // ---------------------------------------------------------------------------
-// Matrix products (ikj loop order: streams over rows of B, cache friendly).
-// The k-wide row updates and row reductions run on the la/simd kernels:
-// elementwise updates (axpy/zaxpy) are bit-identical across kernel tiers,
-// row reductions (dot) are reassociated and tolerance-pinned.
+// Matrix products. One GEMM (src/la/matrix.cpp) serves every dense product:
+// each output element C(i, j) receives its products A(i, k) B(k, j) in
+// ascending k, one elementwise la/simd axpy/zaxpy row update per (i, k), so
+// a product is bit-identical whether it runs serially or split across the
+// pool, and in every kernel tier. Zero entries of A are skipped (they add
+// nothing but signed zeros). Row reductions (dot) are reassociated and
+// tolerance-pinned.
 // ---------------------------------------------------------------------------
 
 /// ci[0..m) += aik * bk[0..m) on the simd kernel layer.
@@ -154,49 +157,25 @@ inline void row_update(T* ci, T aik, const T* bk, int m) {
         simd::zaxpy(aik, bk, ci, static_cast<std::size_t>(m));
 }
 
+/// C = A B over row-major storage: A is n x kd, B kd x m, C n x m and
+/// overwritten; C must not overlap A or B. The work is tiled over column
+/// panels and, once n * kd * m is large enough for the pool's width, split
+/// across util::ThreadPool::global() by row blocks and column panels (nested
+/// calls from pool tasks run inline). Since C starts at +0, an all-zero row
+/// of B is skipped too: for finite A it would add only signed zeros.
+void matmul_into(const double* a, const double* b, double* c, int n, int kd, int m);
+void matmul_into(const Complex* a, const Complex* b, Complex* c, int n, int kd, int m);
+
+/// C += A B with matmul_into's shapes, tiling and split; C's prior contents
+/// are the starting accumulators (so only the zero entries of A are skipped).
+void matmul_acc(const Complex* a, const Complex* b, Complex* c, int n, int kd, int m);
+
 template <class T>
 DenseMatrix<T> matmul(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
     ATMOR_REQUIRE(a.cols() == b.rows(), "matmul: inner dimensions " << a.cols() << " vs "
                                                                     << b.rows());
     DenseMatrix<T> c(a.rows(), b.cols());
-    const int n = a.rows(), k_dim = a.cols(), m = b.cols();
-    for (int i = 0; i < n; ++i) {
-        T* ci = c.row_ptr(i);
-        for (int k = 0; k < k_dim; ++k) {
-            const T aik = a(i, k);
-            if (aik == T(0)) continue;
-            row_update(ci, aik, b.row_ptr(k), m);
-        }
-    }
-    return c;
-}
-
-/// Cache-tiled GEMM for large operands (Galerkin projection's V^T (A V)).
-/// Tiles ascend in k, and within each tile k ascends, so every output element
-/// accumulates its products in exactly matmul's order -- the two agree bit
-/// for bit; the tiling only keeps the active panels of A and B in cache.
-template <class T>
-DenseMatrix<T> matmul_blocked(const DenseMatrix<T>& a, const DenseMatrix<T>& b) {
-    ATMOR_REQUIRE(a.cols() == b.rows(), "matmul_blocked: inner dimensions " << a.cols()
-                                                                            << " vs " << b.rows());
-    constexpr int kTileI = 48;
-    constexpr int kTileK = 48;
-    DenseMatrix<T> c(a.rows(), b.cols());
-    const int n = a.rows(), k_dim = a.cols(), m = b.cols();
-    for (int k0 = 0; k0 < k_dim; k0 += kTileK) {
-        const int k1 = std::min(k_dim, k0 + kTileK);
-        for (int i0 = 0; i0 < n; i0 += kTileI) {
-            const int i1 = std::min(n, i0 + kTileI);
-            for (int i = i0; i < i1; ++i) {
-                T* ci = c.row_ptr(i);
-                for (int k = k0; k < k1; ++k) {
-                    const T aik = a(i, k);
-                    if (aik == T(0)) continue;
-                    row_update(ci, aik, b.row_ptr(k), m);
-                }
-            }
-        }
-    }
+    matmul_into(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols());
     return c;
 }
 

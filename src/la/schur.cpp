@@ -307,6 +307,9 @@ ComplexSchur::ComplexSchur(const Matrix& a) {
         t_(p + 1, p) = Complex(0.0, 0.0);
         ++p;
     }
+    zh_ = adjoint(z_);
+    zbar_ = conjugate(z_);
+    zt_ = transpose(z_);
 }
 
 ZVec ComplexSchur::eigenvalues() const {
@@ -319,8 +322,9 @@ ZVec ComplexSchur::to_schur_basis(const ZVec& x) const {
     ATMOR_REQUIRE(static_cast<int>(x.size()) == dim(), "to_schur_basis: size mismatch");
     ZVec y(static_cast<std::size_t>(dim()), Complex(0));
     for (int i = 0; i < dim(); ++i) {
+        const Complex* zhi = zh_.row_ptr(i);
         Complex acc(0);
-        for (int k = 0; k < dim(); ++k) acc += std::conj(z_(k, i)) * x[static_cast<std::size_t>(k)];
+        for (int k = 0; k < dim(); ++k) acc += zhi[k] * x[static_cast<std::size_t>(k)];
         y[static_cast<std::size_t>(i)] = acc;
     }
     return y;

@@ -43,6 +43,11 @@ public:
     [[nodiscard]] int dim() const { return t_.rows(); }
     [[nodiscard]] const ZMatrix& t() const { return t_; }
     [[nodiscard]] const ZMatrix& z() const { return z_; }
+    /// Z^H, conj(Z) and Z^T, formed once here for the basis changes of the
+    /// structured Kronecker solvers.
+    [[nodiscard]] const ZMatrix& zh() const { return zh_; }
+    [[nodiscard]] const ZMatrix& zbar() const { return zbar_; }
+    [[nodiscard]] const ZMatrix& zt() const { return zt_; }
 
     /// Eigenvalues (diagonal of T).
     [[nodiscard]] ZVec eigenvalues() const;
@@ -65,6 +70,9 @@ public:
 private:
     ZMatrix t_;
     ZMatrix z_;
+    ZMatrix zh_;
+    ZMatrix zbar_;
+    ZMatrix zt_;
 };
 
 /// Eigenvalues of a real square matrix via the real Schur form.

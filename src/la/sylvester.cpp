@@ -6,96 +6,71 @@
 
 namespace atmor::la {
 
-ZMatrix tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, ZMatrix c) {
+void tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, Complex* yt) {
     const int m = t1.rows(), p = t2.rows();
     ATMOR_REQUIRE(t1.square() && t2.square(), "tri_sylvester_shifted: factors must be square");
-    ATMOR_REQUIRE(c.rows() == m && c.cols() == p, "tri_sylvester_shifted: C shape mismatch");
 
-    // Column j couples only to columns k > j through (Y T2^T)_{:,j} =
-    // sum_k y_k T2(j,k); solve descending.
+    // Column j of Y (row j of yt) couples only to columns k > j through
+    // (Y T2^T)_{:,j} = sum_k T2(j,k) y_k; solve descending.
+    const std::size_t len = static_cast<std::size_t>(m);
     for (int j = p - 1; j >= 0; --j) {
-        // rhs_j = C_j + sum_{k > j} T2(j,k) y_k  (already stored in c cols k).
+        Complex* yj = yt + static_cast<std::size_t>(j) * len;
+        const Complex* t2j = t2.row_ptr(j);
+        // rhs_j = C_j + sum_{k > j} T2(j,k) y_k  (rows k > j already solved).
         for (int k = j + 1; k < p; ++k) {
-            const Complex w = t2(j, k);
-            if (w == Complex(0)) continue;
-            for (int i = 0; i < m; ++i) c(i, j) += w * c(i, k);
+            if (t2j[k] == Complex(0)) continue;
+            simd::zaxpy(t2j[k], yt + static_cast<std::size_t>(k) * len, yj, len);
         }
         // ((sigma - T2(j,j)) I - T1) y_j = rhs_j : shifted triangular backsolve.
-        const Complex shift = sigma - t2(j, j);
+        const Complex shift = sigma - t2j[j];
         for (int i = m - 1; i >= 0; --i) {
-            Complex acc = c(i, j);
-            for (int k = i + 1; k < m; ++k) acc += t1(i, k) * c(k, j);
-            const Complex d = shift - t1(i, i);
+            const Complex* t1i = t1.row_ptr(i);
+            Complex acc = yj[i];
+            for (int k = i + 1; k < m; ++k) acc += t1i[k] * yj[k];
+            const Complex d = shift - t1i[i];
             ATMOR_CHECK(std::abs(d) > 0.0,
                         "tri_sylvester_shifted: singular pencil (sigma hits eigenvalue sum)");
-            c(i, j) = acc / d;
+            yj[i] = acc / d;
         }
     }
-    return c;
 }
 
-ZMatrix tri_sylvester_sum(const ZMatrix& t1, const ZMatrix& t2, ZMatrix c) {
-    const int m = t1.rows(), p = t2.rows();
-    ATMOR_REQUIRE(t1.square() && t2.square(), "tri_sylvester_sum: factors must be square");
-    ATMOR_REQUIRE(c.rows() == m && c.cols() == p, "tri_sylvester_sum: C shape mismatch");
-
-    // (Y T2)_{:,j} = sum_{k <= j} y_k T2(k,j): ascending columns.
-    for (int j = 0; j < p; ++j) {
-        for (int k = 0; k < j; ++k) {
-            const Complex w = t2(k, j);
-            if (w == Complex(0)) continue;
-            for (int i = 0; i < m; ++i) c(i, j) -= w * c(i, k);
-        }
-        // (T1 + T2(j,j) I) y_j = rhs_j.
-        const Complex shift = t2(j, j);
-        for (int i = m - 1; i >= 0; --i) {
-            Complex acc = c(i, j);
-            for (int k = i + 1; k < m; ++k) acc -= t1(i, k) * c(k, j);
-            const Complex d = t1(i, i) + shift;
-            ATMOR_CHECK(std::abs(d) > 0.0, "tri_sylvester_sum: singular pencil");
-            c(i, j) = acc / d;
-        }
-    }
-    return c;
-}
-
-ZMatrix resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const ZMatrix& c) {
+ZVec resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const ZVec& vec_c) {
     const int n = schur_a.dim();
-    ATMOR_REQUIRE(c.rows() == n && c.cols() == n, "resolvent_kron_sum_solve: C must be n x n");
-    const ZMatrix& t = schur_a.t();
-    const ZMatrix& z = schur_a.z();
+    ATMOR_REQUIRE(static_cast<long>(vec_c.size()) == static_cast<long>(n) * n,
+                  "resolvent_kron_sum_solve: vec(C) must have n^2 entries");
     // sigma X - A X - X A^T = C, A = Z T Z^H  =>  with Y = Z^H X conj(Z):
-    // sigma Y - T Y - Y T^T = Z^H C conj(Z).
-    const ZMatrix zbar = conjugate(z);
-    ZMatrix rhs = matmul(adjoint(z), matmul(c, zbar));
-    ZMatrix y = tri_sylvester_shifted(t, t, sigma, std::move(rhs));
-    // X = Z Y Z^T.
-    return matmul(z, matmul(y, transpose(z)));
-}
-
-Matrix solve_sylvester(const Matrix& a, const Matrix& b, const Matrix& c) {
-    ATMOR_REQUIRE(a.square() && b.square(), "solve_sylvester: A, B must be square");
-    ATMOR_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(),
-                  "solve_sylvester: C shape mismatch");
-    const ComplexSchur sa(a);
-    const ComplexSchur sb(b);
-    // A X + X B = C => T_A Y + Y T_B = U^H C W, Y = U^H X W.
-    ZMatrix rhs = matmul(adjoint(sa.z()), matmul(complexify(c), sb.z()));
-    ZMatrix y = tri_sylvester_sum(sa.t(), sb.t(), std::move(rhs));
-    return real_part(matmul(sa.z(), matmul(y, adjoint(sb.z()))));
+    // sigma Y - T Y - Y T^T = Z^H C conj(Z), and X = Z Y Z^T. On the
+    // transposed buffers: Y^T's right side is (Z^H C^T) conj(Z) and
+    // X^T = (Z Y^T) Z^T.
+    const std::size_t nn = vec_c.size();
+    ZVec w(nn), y(nn);
+    matmul_into(schur_a.zh().data(), vec_c.data(), w.data(), n, n, n);
+    matmul_into(w.data(), schur_a.zbar().data(), y.data(), n, n, n);
+    tri_sylvester_shifted(schur_a.t(), schur_a.t(), sigma, y.data());
+    matmul_into(schur_a.z().data(), y.data(), w.data(), n, n, n);
+    matmul_into(w.data(), schur_a.zt().data(), y.data(), n, n, n);
+    return y;
 }
 
 Matrix solve_lyapunov(const Matrix& a, const Matrix& q) {
     ATMOR_REQUIRE(a.square() && q.rows() == a.rows() && q.cols() == a.cols(),
                   "solve_lyapunov: shape mismatch");
+    const int n = a.rows();
     const ComplexSchur sa(a);
-    // A P + P A^T = Q is the sigma = 0 case of the kron-sum resolvent with C = -Q.
-    ZMatrix c = complexify(q);
-    c *= Complex(-1.0, 0.0);
-    const ZMatrix zbar = conjugate(sa.z());
-    ZMatrix rhs = matmul(adjoint(sa.z()), matmul(c, zbar));
-    ZMatrix y = tri_sylvester_shifted(sa.t(), sa.t(), Complex(0), std::move(rhs));
-    return real_part(matmul(sa.z(), matmul(y, transpose(sa.z()))));
+    // A P + P A^T = Q is the sigma = 0 case of the kron-sum resolvent with
+    // C = -Q; vec(C) row j is column j of C.
+    ZVec c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            c[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)] =
+                Complex(q(i, j), 0.0) * Complex(-1.0, 0.0);
+    const ZVec x = resolvent_kron_sum_solve(sa, Complex(0), c);
+    Matrix p(n, n);
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            p(i, j) = x[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)].real();
+    return p;
 }
 
 Matrix controllability_gramian(const Matrix& a, const Matrix& b) {

@@ -1,5 +1,5 @@
-// Sylvester and Lyapunov solvers (Bartels-Stewart) built on the complex
-// Schur form.
+// Lyapunov solvers and the Kronecker-sum resolvent (Bartels-Stewart) built on
+// the complex Schur form.
 //
 // The central primitive is `resolvent_kron_sum_solve`, which evaluates
 //     (sigma*I - A (+) A)^{-1} vec(C)  as the matrix equation
@@ -7,6 +7,10 @@
 // in O(n^3) through the Schur factors of A -- this is exactly how the paper
 // (Sec. 2.3) proposes to make the n^2-dimensional blocks of the associated
 // realisation (eq. 17) tractable.
+//
+// Layout: vec() stacks columns, so a vec(X) buffer read row-major is X^T --
+// row j of the buffer is column j of X. The solvers work on that layout in
+// place: every column recurrence runs over contiguous rows.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -14,22 +18,17 @@
 
 namespace atmor::la {
 
-/// Solve sigma*Y - T1 Y - Y T2^T = C where T1 (m x m) and T2 (p x p) are
-/// upper triangular; Y and C are m x p. Columns are solved in descending
-/// order; each column is a shifted triangular solve with T1.
-ZMatrix tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, ZMatrix c);
+/// Solve sigma*Y - T1 Y - Y T2^T = C in place, where T1 (m x m) and T2
+/// (p x p) are upper triangular and Y, C are m x p. `yt` holds vec(C) on
+/// entry and vec(Y) on return: p rows of length m, row j = column j. Rows
+/// are solved in descending order; each is a shifted triangular solve with
+/// T1. Throws util::InternalError on a singular pencil (sigma equal to
+/// T1(i,i) + T2(j,j)).
+void tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, Complex* yt);
 
-/// Solve T1 Y + Y T2 = C with both T1 (m x m) and T2 (p x p) upper
-/// triangular; ascending column recurrence.
-ZMatrix tri_sylvester_sum(const ZMatrix& t1, const ZMatrix& t2, ZMatrix c);
-
-/// Solve sigma*X - A X - X A^T = C given the complex Schur form of A.
-/// This is (sigma*I - A (+) A)^{-1} in vec() coordinates.
-ZMatrix resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const ZMatrix& c);
-
-/// Dense real Sylvester A X + X B = C (A: m x m, B: p x p, C/X: m x p).
-/// Requires spectra(A) and -spectra(B) disjoint.
-Matrix solve_sylvester(const Matrix& a, const Matrix& b, const Matrix& c);
+/// vec(X) = (sigma*I - A (+) A)^{-1} vec(C), i.e. sigma*X - A X - X A^T = C,
+/// given the complex Schur form of A; vec_c has n^2 entries.
+ZVec resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const ZVec& vec_c);
 
 /// Dense real Lyapunov A P + P A^T = Q.
 Matrix solve_lyapunov(const Matrix& a, const Matrix& q);

@@ -232,7 +232,7 @@ FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
     const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block, artifact_dir);
     const la::Matrix coeff = decode_matrix_block(coeff_bytes.data(), coeff_bytes.size(),
                                                  m.coeff_rows, m.coeff_cols, h.tier);
-    la::Matrix v = la::matmul_blocked(basis, coeff);
+    la::Matrix v = la::matmul(basis, coeff);
     const std::string meta_bytes = fetch_block(payload, h, m.meta_block, artifact_dir);
     ReducedModel model =
         decode_member_meta(meta_bytes.data(), meta_bytes.size(), h.tier, std::move(v));

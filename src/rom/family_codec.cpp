@@ -533,11 +533,11 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
         const la::Matrix ut = la::transpose(u);
         for (const std::size_t i : idxs) {
             const FamilyMember& fm = f.members[i];
-            const la::Matrix coeff = la::matmul_blocked(ut, fm.model.v);
+            const la::Matrix coeff = la::matmul(ut, fm.model.v);
             std::string coeff_bytes = encode_matrix_block(coeff, opt.tier);
             const la::Matrix coeff_dec = decode_matrix_block(
                 coeff_bytes.data(), coeff_bytes.size(), coeff.rows(), coeff.cols(), opt.tier);
-            la::Matrix v_dec = la::matmul_blocked(u_dec, coeff_dec);
+            la::Matrix v_dec = la::matmul(u_dec, coeff_dec);
             const double berr = la::max_abs(v_dec - fm.model.v);
 
             // The meta block stores the hash of the basis that will actually
@@ -609,7 +609,7 @@ Family decode_family(const CompressedFamily& cf) {
         const la::Matrix coeff = decode_matrix_block(cm.coeff_bytes.data(),
                                                      cm.coeff_bytes.size(), cm.coeff_rows,
                                                      cm.coeff_cols, cf.tier);
-        la::Matrix v = la::matmul_blocked(u, coeff);
+        la::Matrix v = la::matmul(u, coeff);
         ReducedModel model =
             decode_member_meta(cm.meta_bytes.data(), cm.meta_bytes.size(), cf.tier,
                                std::move(v));

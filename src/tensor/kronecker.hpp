@@ -7,7 +7,6 @@
 //   * (M (x) N) vec(X) = vec(N X M^T)
 //   * A (+) B = A (x) I + I (x) B, so (A (+) B) vec(X) = vec(B X + X A^T)
 //     for X with rows(B) rows and rows(A) columns ("A outer, B inner")
-//   * commutation K_{m,p} maps (x (x) y) -> (y (x) x), x in R^m, y in R^p
 #pragma once
 
 #include <vector>
@@ -35,10 +34,5 @@ la::Vec vec_of(const la::Matrix& m);
 la::ZVec vec_of(const la::ZMatrix& m);
 la::Matrix unvec(const la::Vec& w, int rows, int cols);
 la::ZMatrix unvec(const la::ZVec& w, int rows, int cols);
-
-/// Commutation (perfect shuffle) K_{m,p}: maps x (x) y to y (x) x for
-/// x in R^m, y in R^p. Input length m*p indexed i*p + j; output j*m + i.
-la::ZVec commute(const la::ZVec& w, int m, int p);
-la::Vec commute(const la::Vec& w, int m, int p);
 
 }  // namespace atmor::tensor

@@ -1,7 +1,9 @@
 #include "tensor/structured.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "la/sylvester.hpp"
-#include "tensor/kronecker.hpp"
 #include "util/check.hpp"
 
 namespace atmor::tensor {
@@ -32,27 +34,45 @@ KronSum2Solver::KronSum2Solver(std::shared_ptr<const la::ComplexSchur> schur_a)
     n_ = schur_->dim();
 }
 
+namespace {
+
+/// vec(B X + X A^T) for X in C^{p x m} with B = inner (p x p) and A = outer
+/// (m x m), on the vec layout: xt row c (length p) is column c of X.
+ZVec apply_kron_sum(const std::function<ZVec(const ZVec&)>& inner, const la::ComplexSchur& outer,
+                    int p, const ZVec& xt) {
+    const int m = outer.dim();
+    ZVec out(xt.size());
+    // B X: column c of X is the contiguous row c of xt.
+    for (int c = 0; c < m; ++c) {
+        const std::size_t base = static_cast<std::size_t>(c) * static_cast<std::size_t>(p);
+        const ZVec bx = inner(ZVec(xt.begin() + base, xt.begin() + base + p));
+        std::copy(bx.begin(), bx.end(), out.begin() + base);
+    }
+    // + X A^T: row r of X (a strided column of xt) through A.
+    ZVec row(static_cast<std::size_t>(m));
+    for (int r = 0; r < p; ++r) {
+        for (int c = 0; c < m; ++c)
+            row[static_cast<std::size_t>(c)] =
+                xt[static_cast<std::size_t>(c) * static_cast<std::size_t>(p) +
+                   static_cast<std::size_t>(r)];
+        const ZVec arow = outer.apply(row);
+        for (int c = 0; c < m; ++c)
+            out[static_cast<std::size_t>(c) * static_cast<std::size_t>(p) +
+                static_cast<std::size_t>(r)] += arow[static_cast<std::size_t>(c)];
+    }
+    return out;
+}
+
+}  // namespace
+
 ZVec KronSum2Solver::apply(const ZVec& x) const {
     ATMOR_REQUIRE(static_cast<int>(x.size()) == dim(), "KronSum2Solver::apply: size mismatch");
-    // vec(A X + X A^T): column c of X maps through A; rows map through A^T.
-    const ZMatrix xm = unvec(x, n_, n_);
-    ZMatrix out(n_, n_);
-    // A X: apply A to each column.
-    for (int c = 0; c < n_; ++c) out.set_col(c, schur_->apply(xm.col(c)));
-    // + X A^T = (A X^T)^T: apply A to each column of X^T (= row of X).
-    for (int r = 0; r < n_; ++r) {
-        const ZVec row = xm.row(r);
-        const ZVec arow = schur_->apply(row);
-        for (int c = 0; c < n_; ++c) out(r, c) += arow[static_cast<std::size_t>(c)];
-    }
-    return vec_of(out);
+    return apply_kron_sum([this](const ZVec& v) { return schur_->apply(v); }, *schur_, n_, x);
 }
 
 ZVec KronSum2Solver::solve(Complex sigma, const ZVec& rhs) const {
     ATMOR_REQUIRE(static_cast<int>(rhs.size()) == dim(), "KronSum2Solver::solve: size mismatch");
-    const ZMatrix c = unvec(rhs, n_, n_);
-    const ZMatrix x = la::resolvent_kron_sum_solve(*schur_, sigma, c);
-    return vec_of(x);
+    return la::resolvent_kron_sum_solve(*schur_, sigma, rhs);
 }
 
 // ---------------------------------------------------------------------------
@@ -69,43 +89,31 @@ KronSumLeftSolver::KronSumLeftSolver(std::shared_ptr<const la::ComplexSchur> out
 
 ZVec KronSumLeftSolver::apply(const ZVec& x) const {
     ATMOR_REQUIRE(static_cast<int>(x.size()) == dim(), "KronSumLeftSolver::apply: size mismatch");
-    const ZMatrix xm = unvec(x, p_, m_);
-    ZMatrix out(p_, m_);
-    // B X per column.
-    for (int c = 0; c < m_; ++c) out.set_col(c, inner_->apply(xm.col(c)));
-    // + X A^T: row r of X (length m) through A, scattered back to row r.
-    for (int r = 0; r < p_; ++r) {
-        const ZVec arow = outer_->apply(xm.row(r));
-        for (int c = 0; c < m_; ++c) out(r, c) += arow[static_cast<std::size_t>(c)];
-    }
-    return vec_of(out);
+    return apply_kron_sum([this](const ZVec& v) { return inner_->apply(v); }, *outer_, p_, x);
 }
 
 ZVec KronSumLeftSolver::solve(Complex sigma, const ZVec& rhs) const {
     ATMOR_REQUIRE(static_cast<int>(rhs.size()) == dim(), "KronSumLeftSolver::solve: size mismatch");
     const ZMatrix& t = outer_->t();
-    const ZMatrix& z = outer_->z();
+    const std::size_t p = static_cast<std::size_t>(p_);
 
     // sigma X - B X - X A^T = C  with  A = Z T Z^H. Setting Y = X conj(Z):
     //   sigma Y - B Y - Y T^T = C conj(Z),
     // solved by a descending column recurrence: column j couples to k > j via
     // T(j, k), and each column is an inner solve at shift sigma - T(j, j).
-    const ZMatrix zbar = la::conjugate(z);
-    ZMatrix ctil = la::matmul(unvec(rhs, p_, m_), zbar);
-
-    ZMatrix y(p_, m_);
-    ZVec col(static_cast<std::size_t>(p_));
+    // On the vec layout column j is row j of Y^T, whose right side is
+    // Z^H C^T, and X^T = Z Y^T.
+    ZVec yt(rhs.size());
+    la::matmul_into(outer_->zh().data(), rhs.data(), yt.data(), m_, m_, p_);
     for (int j = m_ - 1; j >= 0; --j) {
-        for (int i = 0; i < p_; ++i) col[static_cast<std::size_t>(i)] = ctil(i, j);
-        for (int k = j + 1; k < m_; ++k) {
-            const Complex w = t(j, k);
-            if (w == Complex(0)) continue;
-            for (int i = 0; i < p_; ++i) col[static_cast<std::size_t>(i)] += w * y(i, k);
-        }
-        y.set_col(j, inner_->solve(sigma - t(j, j), col));
+        Complex* yj = yt.data() + static_cast<std::size_t>(j) * p;
+        la::matmul_acc(t.row_ptr(j) + j + 1, yj + p, yj, 1, m_ - j - 1, p_);
+        const ZVec col = inner_->solve(sigma - t(j, j), ZVec(yj, yj + p));
+        std::copy(col.begin(), col.end(), yj);
     }
-    // X = Y Z^T.
-    return vec_of(la::matmul(y, la::transpose(z)));
+    ZVec xt(rhs.size());
+    la::matmul_into(outer_->z().data(), yt.data(), xt.data(), m_, m_, p_);
+    return xt;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,27 +164,6 @@ ZVec BlockTriangularSolver::solve(Complex sigma, const ZVec& rhs) const {
     std::copy(x1.begin(), x1.end(), out.begin());
     std::copy(x2.begin(), x2.end(), out.begin() + nu);
     return out;
-}
-
-// ---------------------------------------------------------------------------
-// CommutedSolver
-// ---------------------------------------------------------------------------
-
-CommutedSolver::CommutedSolver(std::shared_ptr<const ShiftedSolver> inner, int m, int p)
-    : inner_(std::move(inner)), m_(m), p_(p) {
-    ATMOR_REQUIRE(inner_ != nullptr, "CommutedSolver: null inner");
-    ATMOR_REQUIRE(m > 0 && p > 0 && inner_->dim() == m * p,
-                  "CommutedSolver: inner dim must equal m*p");
-}
-
-ZVec CommutedSolver::apply(const ZVec& x) const {
-    // Op = K_{m,p} Inner K_{p,m}; here x is indexed like the commuted operator
-    // (outer dimension p first).
-    return commute(inner_->apply(commute(x, p_, m_)), m_, p_);
-}
-
-ZVec CommutedSolver::solve(Complex sigma, const ZVec& rhs) const {
-    return commute(inner_->solve(sigma, commute(rhs, p_, m_)), m_, p_);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@
 //   solve(sigma, rhs) = (sigma*I - Op)^{-1} rhs
 // through the complex Schur form of G1 plus triangular Sylvester recurrences,
 // exactly the structure-exploiting strategy of the paper's Sec. 2.3.
+//
+// A Kronecker-sum operator acts on vec(X), and the solvers read that vector
+// in place as the row-major X^T (row j = column j of X): every column
+// recurrence runs over contiguous rows, and the Schur basis changes are
+// la::matmul_into products on the vector itself, with no unvec/vec copies.
 #pragma once
 
 #include <memory>
@@ -69,7 +74,10 @@ private:
 /// Op = A (+) B with a small "outer" A (m x m, via Schur) and an arbitrary
 /// structured "inner" B (p x p): acts on vec(X), X in C^{p x m}, as
 /// vec(B X + X A^T). Solve runs a descending column recurrence; each column
-/// is one inner solve at a shifted sigma.
+/// is one inner solve at a shifted sigma. The (+)^3 and G1 (+) Gt2 solvers
+/// of A3(H3) are this class; Gt2 (+) G1 needs no solver of its own, since its
+/// resolvent is a permutation of G1 (+) Gt2's (volterra reads the solution
+/// through that permutation).
 class KronSumLeftSolver final : public ShiftedSolver {
 public:
     KronSumLeftSolver(std::shared_ptr<const la::ComplexSchur> outer_a,
@@ -103,23 +111,6 @@ private:
     std::shared_ptr<const la::ComplexSchur> up_;
     sparse::SparseTensor3 coupling_;
     std::shared_ptr<const ShiftedSolver> low_;
-};
-
-/// Op = K_{m,p} Inner K_{p,m}: if Inner represents A (+) B (A outer of
-/// dimension m, B inner of dimension p), this represents B (+) A.
-/// Used for the Gt2 (+) G1 resolvent of the paper's H3 realisation.
-class CommutedSolver final : public ShiftedSolver {
-public:
-    CommutedSolver(std::shared_ptr<const ShiftedSolver> inner, int m, int p);
-
-    [[nodiscard]] int dim() const override { return m_ * p_; }
-    [[nodiscard]] la::ZVec apply(const la::ZVec& x) const override;
-    [[nodiscard]] la::ZVec solve(la::Complex sigma, const la::ZVec& rhs) const override;
-
-private:
-    std::shared_ptr<const ShiftedSolver> inner_;
-    int m_;
-    int p_;
 };
 
 /// Factory: Op = A (+) A (+) A on n^3, realised as A (+) (A (+) A).

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 
@@ -12,6 +13,12 @@ namespace {
 /// and runs inline instead of re-entering the scheduler (which could
 /// deadlock a pool whose workers are all blocked on the outer loop).
 thread_local bool t_in_pool_task = false;
+
+/// How long an idle worker polls for the next parallel_for before it sleeps.
+/// The Kronecker solvers split products back to back, under a millisecond
+/// apart; a polling worker picks the next one up at once, where waking a
+/// sleeping worker on an idle CPU can take as long as the product itself.
+constexpr std::chrono::microseconds kPollBeforeSleep{1000};
 
 }  // namespace
 
@@ -108,8 +115,19 @@ void ThreadPool::worker_loop(std::size_t self) {
     // under the lock after enqueueing; a worker only blocks when no enqueue
     // happened since it last scanned the queues.
     std::uint64_t seen = 0;
+    std::uint64_t seen_dispatch = 0;
     for (;;) {
         if (try_run_one(self)) continue;
+        const auto deadline = std::chrono::steady_clock::now() + kPollBeforeSleep;
+        while (dispatches_.load(std::memory_order_acquire) == seen_dispatch &&
+               !stop_.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        const std::uint64_t dispatched = dispatches_.load(std::memory_order_acquire);
+        if (dispatched != seen_dispatch) {
+            seen_dispatch = dispatched;
+            continue;
+        }
         std::unique_lock<std::mutex> lock(wake_mutex_);
         if (stop_.load(std::memory_order_acquire)) return;
         if (wake_epoch_ == seen) {
@@ -154,6 +172,7 @@ void ThreadPool::parallel_for(long begin, long end, const std::function<void(lon
             queues_[q]->tasks.emplace_back([batch] { batch->drain(); });
         }
     }
+    dispatches_.fetch_add(1, std::memory_order_release);
     {
         std::lock_guard<std::mutex> lock(wake_mutex_);
         ++wake_epoch_;

@@ -6,7 +6,10 @@
 // 10x the budget of a converging one). Each worker therefore owns a deque:
 // it pushes and pops its own work LIFO (cache-warm) and steals FIFO from the
 // back of a random victim when it runs dry, which keeps all cores busy
-// without a central queue becoming the bottleneck.
+// without a central queue becoming the bottleneck. A worker with nothing
+// left to run or steal polls for up to a millisecond before it sleeps, so
+// loops issued back to back (the split products of the Kronecker solvers)
+// find it running.
 //
 // Determinism contract: parallel_for partitions the index space identically
 // for every thread count, and parallel_map/parallel_reduce combine per-index
@@ -105,6 +108,8 @@ private:
     std::mutex wake_mutex_;
     std::condition_variable wake_;
     std::uint64_t wake_epoch_ = 0;  ///< guarded by wake_mutex_
+    /// parallel_for calls so far; idle workers poll it before sleeping.
+    std::atomic<std::uint64_t> dispatches_{0};
     std::atomic<bool> stop_{false};
     std::atomic<std::size_t> next_queue_{0};
 };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/atmor.hpp"
 #include "core/norm.hpp"
@@ -181,6 +183,41 @@ TEST(AtMor, ReduceLinearIsK1Only) {
     EXPECT_EQ(res.raw_vectors, 4);
 }
 
+/// Every matrix of two reduced models (basis, G1, B, C, G2, G3) agrees bit
+/// for bit.
+void expect_identical_models(const MorResult& a, const MorResult& b) {
+    const auto same = [](const la::Matrix& x, const la::Matrix& y, const char* what) {
+        ASSERT_EQ(x.rows(), y.rows()) << what;
+        ASSERT_EQ(x.cols(), y.cols()) << what;
+        for (int i = 0; i < x.rows(); ++i)
+            for (int j = 0; j < x.cols(); ++j) EXPECT_EQ(x(i, j), y(i, j)) << what;
+    };
+    ASSERT_EQ(a.order, b.order);
+    same(a.v, b.v, "V");
+    same(a.rom.g1(), b.rom.g1(), "G1");
+    same(a.rom.b(), b.rom.b(), "B");
+    same(a.rom.c(), b.rom.c(), "C");
+    same(a.rom.g2().to_dense_matrix(), b.rom.g2().to_dense_matrix(), "G2");
+    const auto& e3a = a.rom.g3().entries();
+    const auto& e3b = b.rom.g3().entries();
+    ASSERT_EQ(e3a.size(), e3b.size());
+    for (std::size_t k = 0; k < e3a.size(); ++k) {
+        EXPECT_EQ(e3a[k].value, e3b[k].value);
+        EXPECT_EQ(e3a[k].row, e3b[k].row);
+    }
+}
+
+/// The same reduction on a 1-thread and a 4-thread pool.
+std::pair<MorResult, MorResult> reduce_on_1_and_4_threads(const Qldae& sys,
+                                                          const AtMorOptions& mor) {
+    util::ThreadPool::set_global_threads(1);
+    MorResult serial = core::reduce_associated(sys, mor);
+    util::ThreadPool::set_global_threads(4);
+    MorResult parallel = core::reduce_associated(sys, mor);
+    util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
+    return {std::move(serial), std::move(parallel)};
+}
+
 TEST(AtMor, ParallelPipelineProducesIdenticalReducedModel) {
     // The multipoint fan-out must be EXACT: every matrix of the reduced
     // model built on a wide pool equals the single-threaded build bit for
@@ -196,20 +233,52 @@ TEST(AtMor, ParallelPipelineProducesIdenticalReducedModel) {
     mor.k3 = 1;
     mor.expansion_points = {Complex(0.9, 0.0), Complex(1.1, 0.7), Complex(0.7, 1.9),
                             Complex(1.4, 0.3)};
+    const auto [serial, parallel] = reduce_on_1_and_4_threads(sys, mor);
+    expect_identical_models(serial, parallel);
 
-    util::ThreadPool::set_global_threads(1);
-    const MorResult serial = core::reduce_associated(sys, mor);
-    util::ThreadPool::set_global_threads(4);
-    const MorResult parallel = core::reduce_associated(sys, mor);
-    util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
+    // One expansion point runs on the calling thread, so the Kronecker
+    // solvers' products split across the pool instead (n = 24, k3 = 1: the
+    // outer basis changes of G1 (+) Gt2 are 24 x 24 x 600).
+    util::Rng rng24(2408);
+    test::QldaeOptions opt24;
+    opt24.n = 24;
+    opt24.cubic = true;
+    const Qldae sys24 = test::random_qldae(opt24, rng24);
+    AtMorOptions mor24;
+    mor24.k1 = 3;
+    mor24.k2 = 2;
+    mor24.k3 = 1;
+    mor24.expansion_points = {Complex(0.9, 0.0)};
+    const auto [serial24, parallel24] = reduce_on_1_and_4_threads(sys24, mor24);
+    expect_identical_models(serial24, parallel24);
+}
 
-    ASSERT_EQ(serial.order, parallel.order);
-    for (int i = 0; i < serial.v.rows(); ++i)
-        for (int j = 0; j < serial.v.cols(); ++j) EXPECT_EQ(serial.v(i, j), parallel.v(i, j));
-    const la::Matrix& g1s = serial.rom.g1();
-    const la::Matrix& g1p = parallel.rom.g1();
-    for (int i = 0; i < g1s.rows(); ++i)
-        for (int j = 0; j < g1s.cols(); ++j) EXPECT_EQ(g1s(i, j), g1p(i, j));
+TEST(AtMor, ExpansionPointOnEigenvalueTripleSumIsRejected) {
+    // G1 has eigenvalues -1, -1.5, -10, so s0 = -3.5 = -1 - 1 - 1.5 is an
+    // eigenvalue triple sum -- singular for the A3(H3) resolvents -- but not
+    // an eigenvalue or a pair sum.
+    la::Matrix g1{{-1.0, 0.3, 0.2}, {0.0, -1.5, 0.4}, {0.0, 0.0, -10.0}};
+    sparse::SparseTensor3 g2(3, 3, 3);
+    g2.add(0, 0, 1, 0.5);
+    g2.add(1, 2, 2, -0.3);
+    g2.add(2, 0, 0, 0.2);
+    la::Matrix b{{1.0}, {0.5}, {-0.4}};
+    la::Matrix c{{1.0, 0.0, 0.0}};
+    const Qldae sys(g1, g2, b, c);
+    AtMorOptions mor;
+    mor.k1 = 3;
+    mor.k2 = 1;
+    mor.k3 = 1;
+    mor.expansion_points = {Complex(-3.5, 0.0)};
+    try {
+        (void)core::reduce_associated(sys, mor);
+        ADD_FAILURE() << "a triple-sum expansion point was accepted";
+    } catch (const util::PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("triple sum"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("(-3.5,0)"), std::string::npos) << e.what();
+    }
+    mor.k3 = 0;
+    EXPECT_EQ(core::reduce_associated(sys, mor).order, 3);
 }
 
 TEST(AtMor, InvalidOptionsThrow) {

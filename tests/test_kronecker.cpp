@@ -88,16 +88,6 @@ TEST(Kronecker, KronOfVecsIsVecOfOuterProduct) {
     EXPECT_LT(la::dist2(tn::kron(x, y), tn::vec_of(outer)), 1e-13);
 }
 
-TEST(Kronecker, CommutationSwapsFactors) {
-    util::Rng rng(1306);
-    const Vec x = test::random_vector(3, rng);
-    const Vec y = test::random_vector(4, rng);
-    const Vec swapped = tn::commute(tn::kron(x, y), 3, 4);
-    EXPECT_LT(la::dist2(swapped, tn::kron(y, x)), 1e-13);
-    // Involution: K_{p,m} K_{m,p} = I.
-    EXPECT_LT(la::dist2(tn::commute(swapped, 4, 3), tn::kron(x, y)), 1e-13);
-}
-
 TEST(Kronecker, KronSumEigenvaluesAreSums) {
     // Known: eig(A (+) B) = {lambda_i + mu_j}. Use diagonal matrices.
     Matrix a{{1.0, 0.0}, {0.0, 2.0}};

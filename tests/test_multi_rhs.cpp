@@ -4,7 +4,9 @@
 // bottoms out here.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "circuits/nltl.hpp"
 #include "la/lu.hpp"
@@ -13,6 +15,7 @@
 #include "sparse/csr.hpp"
 #include "sparse/splu.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "volterra/qldae.hpp"
 
 namespace atmor {
@@ -164,7 +167,7 @@ TEST(MultiRhs, SparseBackendOnCsrOperatorBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// SpMM and blocked GEMM.
+// SpMM and the GEMM.
 // ---------------------------------------------------------------------------
 
 // spmm accumulates elementwise (axpy across the block); matvec reduces each
@@ -195,16 +198,64 @@ TEST(MultiRhs, CsrSpmmMatchesMatvecTightly) {
     }
 }
 
-TEST(MultiRhs, BlockedGemmMatchesMatmulBitForBit) {
-    // Dimensions straddling the tile size so partial tiles are exercised.
-    const Matrix a = random_matrix(70, 101, 14);
-    const Matrix b = random_matrix(101, 53, 15);
-    const Matrix c_ref = la::matmul(a, b);
-    const Matrix c_blk = la::matmul_blocked(a, b);
-    ASSERT_EQ(c_blk.rows(), c_ref.rows());
-    ASSERT_EQ(c_blk.cols(), c_ref.cols());
-    for (int i = 0; i < c_ref.rows(); ++i)
-        for (int j = 0; j < c_ref.cols(); ++j) EXPECT_EQ(c_blk(i, j), c_ref(i, j));
+/// C += A B by the serial ikj loop the GEMM must reproduce: ascending k per
+/// output row, skipping A(i, k) == 0.
+template <class T>
+la::DenseMatrix<T> serial_gemm(const la::DenseMatrix<T>& a, const la::DenseMatrix<T>& b,
+                               la::DenseMatrix<T> c) {
+    for (int i = 0; i < a.rows(); ++i)
+        for (int k = 0; k < a.cols(); ++k) {
+            if (a(i, k) == T(0)) continue;
+            la::row_update(c.row_ptr(i), a(i, k), b.row_ptr(k), b.cols());
+        }
+    return c;
+}
+
+template <class T>
+void expect_same_bits(const la::DenseMatrix<T>& got, const la::DenseMatrix<T>& want) {
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    if (got.rows() == 0 || got.cols() == 0) return;  // memcmp needs non-null storage
+    const std::size_t bytes = sizeof(T) * static_cast<std::size_t>(got.rows() * got.cols());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0);
+}
+
+template <class T>
+void expect_split_gemm_bit_identical(const la::DenseMatrix<T>& a, la::DenseMatrix<T> b) {
+    // Zero a few rows of B (matmul skips them) and entries of A.
+    for (int k = 0; k < b.rows(); k += 7)
+        for (int j = 0; j < b.cols(); ++j) b(k, j) = T(0);
+    la::DenseMatrix<T> a0 = a;
+    for (int i = 0; i < a0.rows(); i += 3) a0(i, i % a0.cols()) = T(0);
+    la::DenseMatrix<T> c0(a0.rows(), b.cols());
+    for (int i = 0; i < c0.rows(); ++i)
+        for (int j = 0; j < c0.cols(); ++j) c0(i, j) = b(j % b.rows(), i % b.cols());
+    const la::DenseMatrix<T> want = serial_gemm(a0, b, la::DenseMatrix<T>(a0.rows(), b.cols()));
+    const la::DenseMatrix<T> want_acc = serial_gemm(a0, b, c0);
+    for (const int threads : {1, 4}) {
+        util::ThreadPool::set_global_threads(threads);
+        expect_same_bits(la::matmul(a0, b), want);
+        if constexpr (std::is_same_v<T, Complex>) {
+            la::DenseMatrix<T> acc = c0;
+            la::matmul_acc(a0.data(), b.data(), acc.data(), a0.rows(), a0.cols(), b.cols());
+            expect_same_bits(acc, want_acc);
+        }
+    }
+    util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
+}
+
+TEST(MultiRhs, SplitGemmMatchesSerialLoopBitForBit) {
+    // Shapes straddling the column panels, above the split threshold: many
+    // rows (row blocks), a single row (column panels only), and a square
+    // product; real and complex.
+    expect_split_gemm_bit_identical(random_matrix(70, 101, 14), random_matrix(101, 530, 15));
+    expect_split_gemm_bit_identical(random_matrix(1, 90, 16), random_matrix(90, 1300, 17));
+    expect_split_gemm_bit_identical(random_zmatrix(70, 70, 18), random_zmatrix(70, 70, 19));
+    expect_split_gemm_bit_identical(random_zmatrix(24, 24, 20), random_zmatrix(24, 600, 21));
+    expect_split_gemm_bit_identical(random_zmatrix(1, 69, 22), random_zmatrix(69, 4970, 23));
+    // Below the threshold and degenerate shapes stay exact too.
+    expect_split_gemm_bit_identical(random_zmatrix(5, 3, 24), random_zmatrix(3, 4, 25));
+    expect_split_gemm_bit_identical(random_matrix(0, 3, 26), random_matrix(3, 4, 27));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "kron_reference.hpp"
 #include "la/lu.hpp"
 #include "la/schur.hpp"
 #include "la/sylvester.hpp"
@@ -12,25 +13,6 @@ namespace {
 using la::Complex;
 using la::Matrix;
 using la::ZMatrix;
-
-class SylvesterSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(SylvesterSizes, DenseSylvesterResidual) {
-    const auto [m, p] = GetParam();
-    util::Rng rng(700 + static_cast<std::uint64_t>(m * 17 + p));
-    const Matrix a = test::random_stable_matrix(m, rng);
-    const Matrix b = test::random_stable_matrix(p, rng);
-    const Matrix c = test::random_matrix(m, p, rng);
-    // A stable, B stable => spectra(A) and -spectra(B) disjoint.
-    const Matrix x = la::solve_sylvester(a, b, c);
-    const Matrix residual = la::matmul(a, x) + la::matmul(x, b) - c;
-    EXPECT_LT(la::max_abs(residual), 1e-8 * (1.0 + la::max_abs(x)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SylvesterSizes,
-                         ::testing::Values(std::pair{1, 1}, std::pair{2, 3}, std::pair{5, 5},
-                                           std::pair{10, 4}, std::pair{25, 25},
-                                           std::pair{40, 12}));
 
 TEST(Lyapunov, ResidualSmall) {
     util::Rng rng(701);
@@ -56,6 +38,15 @@ TEST(Lyapunov, GramianIsSymmetricPositive) {
     }
 }
 
+/// vec(C): column-stacked, i.e. C^T row-major.
+la::ZVec vec_complex(const Matrix& c) {
+    la::ZVec v(static_cast<std::size_t>(c.rows()) * static_cast<std::size_t>(c.cols()));
+    for (int col = 0; col < c.cols(); ++col)
+        for (int row = 0; row < c.rows(); ++row)
+            v[static_cast<std::size_t>(col * c.rows() + row)] = Complex(c(row, col), 0.0);
+    return v;
+}
+
 TEST(KronSumResolvent, MatchesDenseOracle) {
     // (sigma I - A (+) A)^{-1} vec(C) computed structurally must equal the
     // dense n^2 x n^2 solve.
@@ -66,7 +57,7 @@ TEST(KronSumResolvent, MatchesDenseOracle) {
     const la::ComplexSchur cs(a);
     const Complex sigma(0.4, 0.9);
 
-    const ZMatrix x = la::resolvent_kron_sum_solve(cs, sigma, la::complexify(c));
+    const la::ZVec x = la::resolvent_kron_sum_solve(cs, sigma, vec_complex(c));
 
     // Dense oracle in vec coordinates: vec(X) stacks columns, and
     // (A (+) A) vec(X) = vec(A X + X A^T)  <=>  kron(I, A) + kron(A, I).
@@ -74,17 +65,11 @@ TEST(KronSumResolvent, MatchesDenseOracle) {
     ZMatrix m = la::complexify(ks);
     m *= Complex(-1.0, 0.0);
     for (int i = 0; i < n * n; ++i) m(i, i) += sigma;
-    la::ZVec vc(static_cast<std::size_t>(n * n));
-    for (int col = 0; col < n; ++col)
-        for (int row = 0; row < n; ++row)
-            vc[static_cast<std::size_t>(col * n + row)] = Complex(c(row, col), 0.0);
-    const la::ZVec vx = la::solve(m, vc);
+    const la::ZVec vx = la::solve(m, vec_complex(c));
 
+    ASSERT_EQ(x.size(), vx.size());
     double err = 0.0;
-    for (int col = 0; col < n; ++col)
-        for (int row = 0; row < n; ++row)
-            err = std::max(err,
-                           std::abs(x(row, col) - vx[static_cast<std::size_t>(col * n + row)]));
+    for (std::size_t i = 0; i < x.size(); ++i) err = std::max(err, std::abs(x[i] - vx[i]));
     EXPECT_LT(err, 1e-9);
 }
 
@@ -94,7 +79,11 @@ TEST(KronSumResolvent, RealShiftRealData) {
     const Matrix a = test::random_stable_matrix(n, rng);
     const Matrix c = test::random_matrix(n, n, rng);
     const la::ComplexSchur cs(a);
-    const ZMatrix x = la::resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), la::complexify(c));
+    const la::ZVec vx = la::resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), vec_complex(c));
+    // Back to matrix form: entry col * n + row is X(row, col).
+    ZMatrix x(n, n);
+    for (int col = 0; col < n; ++col)
+        for (int row = 0; row < n; ++row) x(row, col) = vx[static_cast<std::size_t>(col * n + row)];
     // Solution of a real equation must be real.
     EXPECT_LT(la::max_abs(la::imag_part(x)), 1e-9 * (1.0 + la::max_abs(x)));
     // Residual: sigma X - A X - X A^T = C with sigma = 0.
@@ -106,23 +95,27 @@ TEST(KronSumResolvent, RealShiftRealData) {
 
 TEST(TriSylvester, ShiftedSingularPencilThrows) {
     // T1 = T2 = 0 (1x1), sigma = 0 makes the pencil singular.
-    ZMatrix t1(1, 1), t2(1, 1), c(1, 1);
-    c(0, 0) = Complex(1.0, 0.0);
-    EXPECT_THROW(la::tri_sylvester_shifted(t1, t2, Complex(0.0, 0.0), c), util::InternalError);
+    ZMatrix t1(1, 1), t2(1, 1);
+    la::ZVec c{Complex(1.0, 0.0)};
+    EXPECT_THROW(la::tri_sylvester_shifted(t1, t2, Complex(0.0, 0.0), c.data()),
+                 util::InternalError);
 }
 
-TEST(SylvesterEquationFromPaper, PiDecouplingEquationSolvable) {
-    // The paper's eq. (18) Sylvester equation G1 Pi + G2 = Pi (G1 (+) G1)
-    // in dense miniature: solve A X - X B = -C with A = G1, B = kron-sum.
-    util::Rng rng(705);
-    const int n = 4;
-    const Matrix g1 = test::random_stable_matrix(n, rng);
-    const Matrix ks = test::dense_kron_sum(g1, g1);
-    const Matrix g2 = test::random_matrix(n, n * n, rng);
-    // G1 Pi - Pi (G1+G1) = -G2  <=>  solve_sylvester(G1, -(G1(+)G1), -G2).
-    const Matrix pi = la::solve_sylvester(g1, ks * -1.0, g2 * -1.0);
-    const Matrix residual = la::matmul(g1, pi) + g2 - la::matmul(pi, ks);
-    EXPECT_LT(la::max_abs(residual), 1e-8 * (1.0 + la::max_abs(pi)));
+TEST(Lyapunov, BitIdenticalToColumnForm) {
+    // solve_lyapunov runs the vec-form resolvent; its P must equal, bit for
+    // bit, the column-layout formulation of tests/kron_reference.hpp.
+    util::Rng rng(706);
+    const int n = 48;  // 48^3 multiply-adds: the products split across the pool
+    const Matrix a = test::random_stable_matrix(n, rng);
+    const Matrix q = test::random_matrix(n, n, rng);
+    ZMatrix c = la::complexify(q);
+    c *= Complex(-1.0, 0.0);
+    const la::ComplexSchur cs(a);
+    const Matrix want =
+        la::real_part(test::ref_resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), c));
+    const Matrix got = la::solve_lyapunov(a, q);
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j) EXPECT_EQ(got(i, j), want(i, j)) << i << "," << j;
 }
 
 }  // namespace
