@@ -2,11 +2,12 @@
 //
 //   A. Large-sparse power-delivery mesh (n >= 5000 nodes): a 1-axis
 //      clamp-strength family of the 5-point-stencil grid reduces through the
-//      sparse-first stack (sparse::SparseLu + RCM resolvents; the builder
-//      picks SparseLuBackend because the lifted G1 is sparse) and serves
-//      parametrically at reduced order. Invariant: the engine's
-//      max_factor_dim stays BELOW the full order -- zero dense full-order
-//      factorizations anywhere in the online path.
+//      sparse-first stack (sparse::SparseLu resolvents under the
+//      minimum-degree order the mesh pattern selects; the builder picks
+//      SparseLuBackend because the lifted G1 is sparse) and serves
+//      parametrically at reduced order. Invariant: the engine's max_factor_dim stays BELOW the full
+//      order -- zero dense full-order factorizations anywhere in the online
+//      path.
 //   B. Sparse-grid vs factorial training over a 4-axis mixer box: the same
 //      family tolerance reached from Smolyak level-2 candidates (41) vs the
 //      3^4 factorial grid (81). Invariant: both converge, and the sparse
@@ -97,8 +98,9 @@ int main(int argc, char** argv) {
     gfam.adaptive.band_grid = 5;
     gfam.adaptive.max_points = 3;
     // Linear (k1-only) subspaces: the mesh family stresses the SPARSE stack
-    // -- SparseLu + RCM resolvents at n > 5000 -- while the quadratic
-    // machinery is stressed at small order by the mixer sections below.
+    // -- minimum-degree-ordered SparseLu resolvents at n > 5000 -- while the
+    // quadratic machinery is stressed at small order by the mixer sections
+    // below.
     // Second-order moment work scales with n^2 and has no business in the
     // large-sparse axis.
     gfam.adaptive.point_order = rom::PointOrder{8, 0, 0};

@@ -6,10 +6,12 @@
 //
 // The interesting regime is n = rows * cols >= 5000: the nodal conductance
 // matrix is a 5-point-stencil Laplacian, so the lifted QLDAE stresses
-// exactly the sparse-first machinery -- sparse::SparseLu + RCM ordering for
-// the shifted resolvents and the Schur backend for the bordered lifted
-// blocks -- while the clamp diodes keep the family genuinely nonlinear
-// (grounded exponential elements, same lifting as the NLTL ladder).
+// exactly the sparse-first machinery -- sparse::SparseLu for the shifted
+// resolvents, under the approximate-minimum-degree order that
+// sparse::fill_reducing_order picks for a 2-D mesh, and the Schur backend
+// for the bordered lifted blocks -- while the clamp diodes keep the family
+// genuinely nonlinear (grounded exponential elements, same lifting as the
+// NLTL ladder).
 #pragma once
 
 #include <string>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <type_traits>
 
 #include "la/simd.hpp"
@@ -109,51 +110,110 @@ Csc<double> csc_of(const CsrMatrix& a) {
     return out;
 }
 
-template <class T>
-std::vector<int> rcm_order(const Csc<T>& a) {
-    const int n = a.n;
-    // Symmetric adjacency of A + A^T (diagonal dropped).
-    std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j)
-        for (int p = a.col_ptr[static_cast<std::size_t>(j)];
-             p < a.col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
-            const int i = a.row_idx[static_cast<std::size_t>(p)];
-            if (i == j) continue;
-            adj[static_cast<std::size_t>(i)].push_back(j);
-            adj[static_cast<std::size_t>(j)].push_back(i);
-        }
-    for (auto& nb : adj) {
-        std::sort(nb.begin(), nb.end());
-        nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-    }
-    auto degree = [&](int v) { return static_cast<int>(adj[static_cast<std::size_t>(v)].size()); };
+namespace {
 
+/// The pattern of A + A^T with the diagonal dropped: sorted, duplicate-free
+/// neighbour lists in compressed form.
+struct Graph {
+    int n = 0;
+    std::vector<int> ptr;  ///< size n + 1
+    std::vector<int> adj;  ///< size ptr[n]
+    [[nodiscard]] int degree(int v) const {
+        return ptr[static_cast<std::size_t>(v) + 1] - ptr[static_cast<std::size_t>(v)];
+    }
+};
+
+Graph symmetric_graph(int n, const std::vector<int>& ptr, const std::vector<int>& idx) {
+    ATMOR_REQUIRE(n >= 0 && ptr.size() == static_cast<std::size_t>(n) + 1 && ptr[0] == 0 &&
+                      static_cast<std::size_t>(ptr.back()) <= idx.size(),
+                  "sparse ordering: malformed pattern");
+    Graph g;
+    g.n = n;
+    std::vector<int> start(static_cast<std::size_t>(n) + 1, 0);
+    for (int j = 0; j < n; ++j) {
+        ATMOR_REQUIRE(ptr[static_cast<std::size_t>(j)] <= ptr[static_cast<std::size_t>(j) + 1],
+                      "sparse ordering: malformed pattern");
+        for (int p = ptr[static_cast<std::size_t>(j)]; p < ptr[static_cast<std::size_t>(j) + 1];
+             ++p) {
+            const int i = idx[static_cast<std::size_t>(p)];
+            ATMOR_REQUIRE(i >= 0 && i < n, "sparse ordering: index out of range");
+            if (i == j) continue;
+            ++start[static_cast<std::size_t>(i) + 1];
+            ++start[static_cast<std::size_t>(j) + 1];
+        }
+    }
+    for (int v = 0; v < n; ++v)
+        start[static_cast<std::size_t>(v) + 1] += start[static_cast<std::size_t>(v)];
+    std::vector<int> both(static_cast<std::size_t>(start.back()));
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (int j = 0; j < n; ++j)
+        for (int p = ptr[static_cast<std::size_t>(j)]; p < ptr[static_cast<std::size_t>(j) + 1];
+             ++p) {
+            const int i = idx[static_cast<std::size_t>(p)];
+            if (i == j) continue;
+            both[static_cast<std::size_t>(fill[static_cast<std::size_t>(i)]++)] = j;
+            both[static_cast<std::size_t>(fill[static_cast<std::size_t>(j)]++)] = i;
+        }
+    // Sort and deduplicate each list, compacting in place.
+    g.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+    int out = 0;
+    for (int v = 0; v < n; ++v) {
+        const auto first = both.begin() + start[static_cast<std::size_t>(v)];
+        const auto last = both.begin() + start[static_cast<std::size_t>(v) + 1];
+        std::sort(first, last);
+        const auto uend = std::unique(first, last);
+        for (auto it = first; it != uend; ++it) both[static_cast<std::size_t>(out++)] = *it;
+        g.ptr[static_cast<std::size_t>(v) + 1] = out;
+    }
+    both.resize(static_cast<std::size_t>(out));
+    g.adj = std::move(both);
+    return g;
+}
+
+std::vector<int> rcm(const Graph& g) {
+    const int n = g.n;
+    // Every node once, in (degree, index) order: a counting sort by degree
+    // keeps index order within a degree. Component roots are taken from it
+    // with an advancing cursor, since nodes behind the cursor stay visited.
+    std::vector<int> by_degree(static_cast<std::size_t>(n));
+    {
+        std::vector<int> slot(static_cast<std::size_t>(n) + 1, 0);
+        for (int v = 0; v < n; ++v) ++slot[static_cast<std::size_t>(g.degree(v)) + 1];
+        for (int d = 0; d < n; ++d)
+            slot[static_cast<std::size_t>(d) + 1] += slot[static_cast<std::size_t>(d)];
+        for (int v = 0; v < n; ++v)
+            by_degree[static_cast<std::size_t>(slot[static_cast<std::size_t>(g.degree(v))]++)] = v;
+    }
     std::vector<int> order;
     order.reserve(static_cast<std::size_t>(n));
     std::vector<char> visited(static_cast<std::size_t>(n), 0);
     std::vector<int> queue;
     queue.reserve(static_cast<std::size_t>(n));
+    std::vector<int> next;
+    std::size_t cursor = 0;
     for (;;) {
         // Root: unvisited node of minimum degree (pseudo-peripheral enough).
-        int root = -1;
-        for (int v = 0; v < n; ++v)
-            if (!visited[static_cast<std::size_t>(v)] && (root < 0 || degree(v) < degree(root)))
-                root = v;
-        if (root < 0) break;
+        while (cursor < by_degree.size() && visited[static_cast<std::size_t>(by_degree[cursor])])
+            ++cursor;
+        if (cursor == by_degree.size()) break;
+        const int root = by_degree[cursor];
         queue.clear();
         queue.push_back(root);
         visited[static_cast<std::size_t>(root)] = 1;
         for (std::size_t head = 0; head < queue.size(); ++head) {
             const int v = queue[head];
             order.push_back(v);
-            std::vector<int> next;
-            for (int w : adj[static_cast<std::size_t>(v)])
+            next.clear();
+            for (int p = g.ptr[static_cast<std::size_t>(v)];
+                 p < g.ptr[static_cast<std::size_t>(v) + 1]; ++p) {
+                const int w = g.adj[static_cast<std::size_t>(p)];
                 if (!visited[static_cast<std::size_t>(w)]) {
                     visited[static_cast<std::size_t>(w)] = 1;
                     next.push_back(w);
                 }
+            }
             std::sort(next.begin(), next.end(),
-                      [&](int x, int y) { return degree(x) < degree(y); });
+                      [&](int x, int y) { return g.degree(x) < g.degree(y); });
             queue.insert(queue.end(), next.begin(), next.end());
         }
     }
@@ -161,18 +221,417 @@ std::vector<int> rcm_order(const Csc<T>& a) {
     return order;
 }
 
-template std::vector<int> rcm_order(const Csc<double>&);
-template std::vector<int> rcm_order(const Csc<la::Complex>&);
+/// Strictly-lower nonzeros of the Cholesky factor of A + A^T under q: one
+/// pass that builds the elimination tree and walks each row's subtree up it
+/// (Liu; Davis 2006, Sec. 4), O(nnz(L)).
+long predicted_fill(const Graph& g, const std::vector<int>& q) {
+    const std::size_t n = static_cast<std::size_t>(g.n);
+    std::vector<int> qinv(n), parent(n), flag(n);
+    for (std::size_t k = 0; k < n; ++k) qinv[static_cast<std::size_t>(q[k])] = static_cast<int>(k);
+    long count = 0;
+    for (int k = 0; k < g.n; ++k) {
+        parent[static_cast<std::size_t>(k)] = -1;
+        flag[static_cast<std::size_t>(k)] = k;
+        const int v = q[static_cast<std::size_t>(k)];
+        for (int p = g.ptr[static_cast<std::size_t>(v)]; p < g.ptr[static_cast<std::size_t>(v) + 1];
+             ++p) {
+            int i = qinv[static_cast<std::size_t>(g.adj[static_cast<std::size_t>(p)])];
+            for (; i < k && flag[static_cast<std::size_t>(i)] != k;
+                 i = parent[static_cast<std::size_t>(i)]) {
+                if (parent[static_cast<std::size_t>(i)] == -1)
+                    parent[static_cast<std::size_t>(i)] = k;
+                flag[static_cast<std::size_t>(i)] = k;
+                ++count;
+            }
+        }
+    }
+    return count;
+}
+
+/// Assembly-tree links: -1 is a root, flip(p) <= -2 points to parent p.
+constexpr int flip(int i) { return -i - 2; }
+
+/// Restart the w marks when mark could overflow within one pivot step (it
+/// grows by at most lemax + n <= 2n per step); afterwards w[e] < mark holds
+/// for every live element.
+int fresh_mark(int mark, int* w, int n) {
+    if (mark < 2 || static_cast<long>(mark) > std::numeric_limits<int>::max() - 3L * n - 3) {
+        for (int e = 0; e < n; ++e)
+            if (w[e] != 0) w[e] = 1;
+        return 2;
+    }
+    return mark;
+}
+
+/// Approximate minimum degree (Amestoy, Davis and Duff 1996), in the
+/// workspace layout of Davis 2006, Sec. 7.1. Variables (uneliminated nodes)
+/// and elements (eliminated pivots, each standing for the clique its
+/// elimination created) share one index array iw: pe[i] starts i's list,
+/// whose first elen[i] entries are elements and the rest of its len[i] are
+/// variables. Eliminating pivot k merges k's variables and its elements'
+/// variables into the new element Lk and absorbs those elements, so the
+/// graph never outgrows its input plus one list per pivot. A variable's
+/// degree is the AMD bound |Lk \ i| + sum_e |Le \ Lk| + |Ai \ Lk|, kept in
+/// bucketed lists; variables with identical lists merge into supervariables
+/// (hash, then compare), and rows denser than 10 sqrt(n) are ordered last.
+std::vector<int> amd(const Graph& g) {
+    const int n = g.n;
+    if (n == 0) return {};
+    const int nnz = g.ptr[static_cast<std::size_t>(n)];
+    const int sqrt_cut = static_cast<int>(10.0 * std::sqrt(static_cast<double>(n)));
+    const int dense = std::min(n - 2, std::max(16, sqrt_cut));
+    // Elbow room for new elements; garbage collection compacts iw when a new
+    // element would not fit.
+    const long cap_l = static_cast<long>(nnz) + nnz / 5 + 2L * n;
+    ATMOR_REQUIRE(cap_l + n <= std::numeric_limits<int>::max(), "amd_order: pattern too large");
+    const int cap = static_cast<int>(cap_l);
+    std::vector<int> iw_store(static_cast<std::size_t>(cap));
+    std::copy(g.adj.begin(), g.adj.end(), iw_store.begin());
+    int* const iw = iw_store.data();
+    // Per-node arrays of n + 1 entries (node n collects the dense rows):
+    //   pe      start of i's list in iw; -1 at a root, flip(parent) once absorbed
+    //   len     length of i's list
+    //   nv      supervariable size; negated while i is in Lk, 0 once absorbed
+    //   next    degree lists, then hash chains
+    //   last    degree lists, then the hash bucket of i
+    //   head    degree list heads
+    //   elen    elements in a variable's list; -2 for an element, -1 dead
+    //   degree  approximate degree (external degree of an element)
+    //   w       |Le \ Lk| + mark during a pivot step; 0 marks a dead element
+    //   hhead   hash bucket heads
+    std::vector<int> ws(10 * (static_cast<std::size_t>(n) + 1));
+    int* const pe = ws.data();
+    int* const len = pe + (n + 1);
+    int* const nv = len + (n + 1);
+    int* const next = nv + (n + 1);
+    int* const last = next + (n + 1);
+    int* const head = last + (n + 1);
+    int* const elen = head + (n + 1);
+    int* const degree = elen + (n + 1);
+    int* const w = degree + (n + 1);
+    int* const hhead = w + (n + 1);
+    const auto unlink_degree = [&](int i) {
+        if (next[i] != -1) last[next[i]] = last[i];
+        if (last[i] != -1)
+            next[last[i]] = next[i];
+        else
+            head[degree[i]] = next[i];
+    };
+    const auto link_degree = [&](int i, int d) {
+        if (head[d] != -1) last[head[d]] = i;
+        next[i] = head[d];
+        last[i] = -1;
+        head[d] = i;
+    };
+
+    for (int i = 0; i <= n; ++i) {
+        pe[i] = i < n ? g.ptr[static_cast<std::size_t>(i)] : -1;
+        len[i] = i < n ? g.degree(i) : 0;
+        head[i] = next[i] = last[i] = hhead[i] = -1;
+        nv[i] = 1;
+        w[i] = 1;
+        elen[i] = 0;
+        degree[i] = len[i];
+    }
+    // Node n is a dead element that collects the dense rows.
+    elen[n] = -2;
+    w[n] = 0;
+    int eliminated = 0;
+    for (int i = 0; i < n; ++i) {
+        if (degree[i] == 0) {  // isolated: an element at once, a tree root
+            elen[i] = -2;
+            pe[i] = -1;
+            w[i] = 0;
+            ++eliminated;
+        } else if (degree[i] > dense) {  // dense: absorbed into node n
+            nv[i] = 0;
+            elen[i] = -1;
+            pe[i] = flip(n);
+            ++nv[n];
+            ++eliminated;
+        } else {
+            link_degree(i, degree[i]);
+        }
+    }
+
+    int mark = fresh_mark(0, w, n);
+    int mindeg = 0;
+    int lemax = 0;
+    int cnz = nnz;  // iw[cnz, cap) is free
+    while (eliminated < n) {
+        // -- Pivot: a variable of least approximate degree.
+        while (mindeg < n && head[mindeg] == -1) ++mindeg;
+        ATMOR_CHECK(mindeg < n, "amd_order: degree lists empty before every node was ordered");
+        const int k = head[mindeg];
+        unlink_degree(k);
+        const int elenk = elen[k];
+        int nvk = nv[k];
+        eliminated += nvk;
+
+        // -- Garbage collection: compact the live lists to the front of iw.
+        if (elenk > 0 && cnz + mindeg >= cap) {
+            for (int j = 0; j < n; ++j) {
+                const int p = pe[j];
+                if (p >= 0) {  // tag the first slot of j's list with j
+                    pe[j] = iw[p];
+                    iw[p] = flip(j);
+                }
+            }
+            int q = 0;
+            for (int p = 0; p < cnz;) {
+                const int j = flip(iw[p++]);
+                if (j < 0) continue;
+                iw[q] = pe[j];
+                pe[j] = q++;
+                for (int t = 0; t < len[j] - 1; ++t) iw[q++] = iw[p++];
+            }
+            cnz = q;
+        }
+
+        // -- New element Lk: k's variables plus the variables of k's
+        // elements, which are absorbed into k. Built in place when k has no
+        // elements, else at the free end of iw.
+        int dk = 0;
+        nv[k] = -nvk;
+        int p = pe[k];
+        const int pk1 = elenk == 0 ? p : cnz;
+        int pk2 = pk1;
+        for (int k1 = 1; k1 <= elenk + 1; ++k1) {
+            int e = k;
+            int pj = p;
+            int ln = len[k] - elenk;
+            if (k1 <= elenk) {
+                e = iw[p++];
+                pj = pe[e];
+                ln = len[e];
+            }
+            for (int k2 = 1; k2 <= ln; ++k2) {
+                const int i = iw[pj++];
+                const int nvi = nv[i];
+                if (nvi <= 0) continue;  // dead, or already in Lk
+                dk += nvi;
+                nv[i] = -nvi;
+                iw[pk2++] = i;
+                unlink_degree(i);
+            }
+            if (e != k) {
+                pe[e] = flip(k);
+                w[e] = 0;
+            }
+        }
+        if (elenk != 0) cnz = pk2;
+        degree[k] = dk;
+        pe[k] = pk1;
+        len[k] = pk2 - pk1;
+        elen[k] = -2;
+
+        // -- Set differences: w[e] - mark = |Le \ Lk| for each element e
+        // adjacent to Lk.
+        mark = fresh_mark(mark, w, n);
+        for (int pk = pk1; pk < pk2; ++pk) {
+            const int i = iw[pk];
+            const int eln = elen[i];
+            if (eln <= 0) continue;
+            const int nvi = -nv[i];
+            const int wnvi = mark - nvi;
+            for (int q = pe[i]; q < pe[i] + eln; ++q) {
+                const int e = iw[q];
+                if (w[e] >= mark)
+                    w[e] -= nvi;
+                else if (w[e] != 0)  // first sight of a live element
+                    w[e] = degree[e] + wnvi;
+            }
+        }
+
+        // -- Degree update of every variable in Lk; prune its lists and hash
+        // it for the supervariable search.
+        for (int pk = pk1; pk < pk2; ++pk) {
+            const int i = iw[pk];
+            const int p1 = pe[i];
+            const int p2 = p1 + elen[i] - 1;
+            int pn = p1;
+            unsigned long h = 0;
+            int d = 0;
+            for (int q = p1; q <= p2; ++q) {
+                const int e = iw[q];
+                if (w[e] == 0) continue;  // absorbed
+                const int dext = w[e] - mark;
+                if (dext > 0) {
+                    d += dext;
+                    iw[pn++] = e;
+                    h += static_cast<unsigned long>(e);
+                } else {  // Le inside Lk: aggressive absorption into k
+                    pe[e] = flip(k);
+                    w[e] = 0;
+                }
+            }
+            elen[i] = pn - p1 + 1;
+            const int p3 = pn;
+            const int p4 = p1 + len[i];
+            for (int q = p2 + 1; q < p4; ++q) {
+                const int j = iw[q];
+                const int nvj = nv[j];
+                if (nvj <= 0) continue;  // dead, or in Lk
+                d += nvj;
+                iw[pn++] = j;
+                h += static_cast<unsigned long>(j);
+            }
+            if (d == 0) {  // mass elimination: i touches nothing outside Lk
+                pe[i] = flip(k);
+                const int nvi = -nv[i];
+                dk -= nvi;
+                nvk += nvi;
+                eliminated += nvi;
+                nv[i] = 0;
+                elen[i] = -1;
+            } else {
+                degree[i] = std::min(degree[i], d);
+                // k becomes i's first element; the displaced entries move
+                // to the ends of their sections.
+                iw[pn] = iw[p3];
+                iw[p3] = iw[p1];
+                iw[p1] = k;
+                len[i] = pn - p1 + 1;
+                const int bucket = static_cast<int>(h % static_cast<unsigned long>(n));
+                next[i] = hhead[bucket];
+                hhead[bucket] = i;
+                last[i] = bucket;
+            }
+        }
+        degree[k] = dk;
+        lemax = std::max(lemax, dk);
+        mark = fresh_mark(mark + lemax, w, n);
+
+        // -- Supervariables: variables of Lk with identical lists merge.
+        for (int pk = pk1; pk < pk2; ++pk) {
+            int i = iw[pk];
+            if (nv[i] >= 0) continue;  // mass-eliminated above
+            const int bucket = last[i];
+            i = hhead[bucket];
+            hhead[bucket] = -1;
+            for (; i != -1 && next[i] != -1; i = next[i], ++mark) {
+                const int ln = len[i];
+                const int eln = elen[i];
+                for (int q = pe[i] + 1; q < pe[i] + ln; ++q) w[iw[q]] = mark;
+                int jlast = i;
+                for (int j = next[i]; j != -1;) {
+                    bool same = len[j] == ln && elen[j] == eln;
+                    for (int q = pe[j] + 1; same && q < pe[j] + ln; ++q)
+                        same = w[iw[q]] == mark;
+                    if (same) {  // absorb j into i
+                        pe[j] = flip(i);
+                        nv[i] += nv[j];
+                        nv[j] = 0;
+                        elen[j] = -1;
+                        j = next[j];
+                        next[jlast] = j;
+                    } else {
+                        jlast = j;
+                        j = next[j];
+                    }
+                }
+            }
+        }
+
+        // -- Finalise Lk: external degrees back into the degree lists.
+        int pf = pk1;
+        for (int pk = pk1; pk < pk2; ++pk) {
+            const int i = iw[pk];
+            const int nvi = -nv[i];
+            if (nvi <= 0) continue;  // absorbed
+            nv[i] = nvi;
+            const int d = std::min(degree[i] + dk - nvi, n - eliminated - nvi);
+            link_degree(i, d);
+            mindeg = std::min(mindeg, d);
+            degree[i] = d;
+            iw[pf++] = i;
+        }
+        nv[k] = nvk;
+        len[k] = pf - pk1;
+        if (len[k] == 0) {  // k is a root of the assembly tree
+            pe[k] = -1;
+            w[k] = 0;
+        }
+        if (elenk != 0) cnz = pf;
+    }
+
+    // -- Postorder the assembly tree. Children lists hold elements first,
+    // then the variables absorbed into their parent, each by index.
+    for (int i = 0; i < n; ++i) pe[i] = flip(pe[i]);  // parent, or -1 at a root
+    for (int j = 0; j <= n; ++j) head[j] = -1;
+    for (int j = n; j >= 0; --j) {
+        if (nv[j] > 0) continue;
+        next[j] = head[pe[j]];
+        head[pe[j]] = j;
+    }
+    for (int e = n; e >= 0; --e) {
+        if (nv[e] <= 0 || pe[e] == -1) continue;
+        next[e] = head[pe[e]];
+        head[pe[e]] = e;
+    }
+    std::vector<int> post;
+    post.reserve(static_cast<std::size_t>(n) + 1);
+    int* const stack = w;
+    for (int r = 0; r <= n; ++r) {
+        if (pe[r] != -1) continue;
+        int top = 0;
+        stack[0] = r;
+        while (top >= 0) {
+            const int v = stack[top];
+            const int c = head[v];
+            if (c == -1) {
+                --top;
+                post.push_back(v);
+            } else {
+                head[v] = next[c];
+                stack[++top] = c;
+            }
+        }
+    }
+    ATMOR_CHECK(static_cast<int>(post.size()) == n + 1 && post.back() == n,
+                "amd_order: assembly tree does not cover every node");
+    post.pop_back();
+    return post;
+}
+
+}  // namespace
+
+std::vector<int> rcm_order(int n, const std::vector<int>& ptr, const std::vector<int>& idx) {
+    return rcm(symmetric_graph(n, ptr, idx));
+}
+
+std::vector<int> amd_order(int n, const std::vector<int>& ptr, const std::vector<int>& idx) {
+    return amd(symmetric_graph(n, ptr, idx));
+}
+
+std::vector<int> fill_reducing_order(int n, const std::vector<int>& ptr,
+                                     const std::vector<int>& idx) {
+    const Graph g = symmetric_graph(n, ptr, idx);
+    std::vector<int> q = rcm(g);
+    const long rcm_fill = predicted_fill(g, q);
+    // The pattern's own lower triangle: RCM fills nothing beyond it on
+    // ladders and trees, and then its order is kept untouched.
+    if (rcm_fill <= static_cast<long>(g.adj.size()) / 2) return q;
+    std::vector<int> md = amd(g);
+    if (predicted_fill(g, md) < rcm_fill) q = std::move(md);
+    return q;
+}
 
 template <class T>
-SparseLu<T>::SparseLu(const Csc<T>& a) {
+SparseLu<T>::SparseLu(const Csc<T>& a, const std::vector<int>& q) {
     ATMOR_REQUIRE(a.n >= 1, "SparseLu: empty matrix");
     ATMOR_REQUIRE(static_cast<int>(a.col_ptr.size()) == a.n + 1, "SparseLu: bad col_ptr");
+    ATMOR_REQUIRE(static_cast<int>(q.size()) == a.n, "SparseLu: order size mismatch");
     n_ = a.n;
-    q_ = rcm_order(a);
+    q_ = q;
     // Permuted matrix B[i, j] = A[q[i], q[j]] (counting-sort rebuild).
-    std::vector<int> qi(static_cast<std::size_t>(n_));
-    for (int k = 0; k < n_; ++k) qi[static_cast<std::size_t>(q_[static_cast<std::size_t>(k)])] = k;
+    std::vector<int> qi(static_cast<std::size_t>(n_), -1);
+    for (int k = 0; k < n_; ++k) {
+        const int v = q_[static_cast<std::size_t>(k)];
+        ATMOR_REQUIRE(v >= 0 && v < n_ && qi[static_cast<std::size_t>(v)] < 0,
+                      "SparseLu: order is not a permutation");
+        qi[static_cast<std::size_t>(v)] = k;
+    }
     Csc<T> b;
     b.n = n_;
     b.col_ptr.assign(static_cast<std::size_t>(n_) + 1, 0);
@@ -416,12 +875,22 @@ double SparseLu<T>::pivot_ratio() const {
 template class SparseLu<double>;
 template class SparseLu<la::Complex>;
 
-SpLu splu(const CsrMatrix& a) { return SpLu(csc_of(a)); }
+namespace {
 
-SpLu splu_shifted(const CsrMatrix& a, double shift) { return SpLu(shifted_csc(a, shift)); }
+std::vector<int> order_of(const CsrMatrix& a) {
+    return fill_reducing_order(a.rows(), a.row_ptr(), a.col_idx());
+}
+
+}  // namespace
+
+SpLu splu(const CsrMatrix& a) { return SpLu(csc_of(a), order_of(a)); }
+
+SpLu splu_shifted(const CsrMatrix& a, double shift) {
+    return SpLu(shifted_csc(a, shift), order_of(a));
+}
 
 ZSpLu splu_shifted(const CsrMatrix& a, la::Complex shift) {
-    return ZSpLu(shifted_csc(a, shift));
+    return ZSpLu(shifted_csc(a, shift), order_of(a));
 }
 
 }  // namespace atmor::sparse

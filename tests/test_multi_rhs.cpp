@@ -7,8 +7,10 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "circuits/nltl.hpp"
+#include "circuits/power_grid.hpp"
 #include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/solver_backend.hpp"
@@ -84,16 +86,26 @@ TEST(MultiRhs, DenseComplexLuBlockedMatchesSingleBitForBit) {
 }
 
 TEST(MultiRhs, SparseLuBlockedMatchesSingleBitForBit) {
-    // Lifted NLTL: the pipeline's actual sparsity pattern (with pivoting and
-    // RCM permutation exercised).
-    circuits::NltlOptions copt;
-    copt.stages = 30;
-    const volterra::Qldae sys = circuits::current_source_line(copt).to_qldae();
-    const int n = sys.order(), k = 9;
-    const sparse::SpLu lu = sparse::splu_shifted(*sys.g1_csr(), 1.0);
-    const Matrix b = random_matrix(n, k, 5);
-    const Matrix x = lu.solve(b);
-    for (int c = 0; c < k; ++c) expect_identical_columns(x, lu.solve(b.col(c)), c);
+    // The pipeline's actual sparsity patterns, with pivoting exercised: a
+    // lifted NLTL keeps its RCM order, and a 2-D mesh takes minimum degree,
+    // whose permutation is far from the identity.
+    circuits::NltlOptions nopt;
+    nopt.stages = 30;
+    circuits::PowerGridOptions gopt;
+    gopt.rows = 14;
+    gopt.cols = 14;
+    const volterra::Qldae line = circuits::current_source_line(nopt).to_qldae();
+    const volterra::Qldae grid = circuits::power_grid(gopt).to_qldae();
+    const sparse::CsrMatrix& g = *grid.g1_csr();
+    ASSERT_NE(sparse::fill_reducing_order(g.rows(), g.row_ptr(), g.col_idx()),
+              sparse::rcm_order(g.rows(), g.row_ptr(), g.col_idx()));
+    for (const volterra::Qldae* sys : {&line, &grid}) {
+        const int n = sys->order(), k = 9;
+        const sparse::SpLu lu = sparse::splu_shifted(*sys->g1_csr(), 1.0);
+        const Matrix b = random_matrix(n, k, 5);
+        const Matrix x = lu.solve(b);
+        for (int c = 0; c < k; ++c) expect_identical_columns(x, lu.solve(b.col(c)), c);
+    }
 }
 
 TEST(MultiRhs, SparseComplexLuBlockedMatchesSingleBitForBit) {

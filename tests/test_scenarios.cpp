@@ -60,7 +60,8 @@ TEST(Scenarios, PowerGridLiftsToSparseQldae) {
     EXPECT_EQ(q.inputs(), 1);
     EXPECT_EQ(q.outputs(), 1);
     // The mesh conductance is a 5-point stencil: the lifted G1 must stay
-    // sparse-first so SparseLu + RCM is the backend the family serves on.
+    // sparse-first so SparseLu, under the minimum-degree order a mesh takes,
+    // is the backend the family serves on.
     EXPECT_TRUE(q.g1_op().is_sparse());
     EXPECT_TRUE(q.has_quadratic());  // clamp lifting stamps G2 rows
 
@@ -78,12 +79,13 @@ TEST(Scenarios, PowerGridLiftsToSparseQldae) {
 
 TEST(Scenarios, PowerGridLargeMeshReducesSparseFirst) {
     // The large-sparse regime at sanitizer-friendly scale: 40x40 = 1600
-    // nodes by default, scaled up by ATMOR_LARGE_MESH (the ASan CI job runs
-    // 72 -> 5184 nodes, the bench_scenarios regime) so the sparse stamping,
-    // RCM-ordered LU and k1-only Krylov path get lifetime/UB coverage at
-    // real mesh sizes. Light pitch RC keeps the far-corner observation
-    // above the noise floor at any of these sizes (the band response decays
-    // like e^{-L sqrt(omega R C)} across L pitches).
+    // nodes by default, scaled up by ATMOR_LARGE_MESH (the ASan and TSan CI
+    // jobs run 72 -> 5184 nodes, the bench_scenarios regime) so the sparse
+    // stamping, the minimum-degree-ordered LU with its concurrent band
+    // factorizations, and the k1-only Krylov path get lifetime, UB and race
+    // coverage at real mesh sizes. Light pitch RC keeps the far-corner
+    // observation above the noise floor at any of these sizes (the band
+    // response decays like e^{-L sqrt(omega R C)} across L pitches).
     int side = 40;
     if (const char* env = std::getenv("ATMOR_LARGE_MESH")) side = std::atoi(env);
     circuits::PowerGridOptions opt;
