@@ -60,11 +60,12 @@ LuFactorization<T>::LuFactorization(DenseMatrix<T> a) : lu_(std::move(a)) {
 }
 
 template <class T>
-std::vector<T> LuFactorization<T>::solve(std::vector<T> b) const {
+void LuFactorization<T>::solve_into(const std::vector<T>& b, std::vector<T>& x) const {
     const int n = dim();
     ATMOR_REQUIRE(static_cast<int>(b.size()) == n, "rhs size mismatch");
+    ATMOR_REQUIRE(&b != &x, "LU solve_into: b and x must be distinct vectors");
+    x.resize(static_cast<std::size_t>(n));
     // Apply permutation.
-    std::vector<T> x(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
         x[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
     // Forward substitution (unit lower).
@@ -81,6 +82,12 @@ std::vector<T> LuFactorization<T>::solve(std::vector<T> b) const {
         for (int j = i + 1; j < n; ++j) acc -= ri[j] * x[static_cast<std::size_t>(j)];
         x[static_cast<std::size_t>(i)] = acc / ri[i];
     }
+}
+
+template <class T>
+std::vector<T> LuFactorization<T>::solve(const std::vector<T>& b) const {
+    std::vector<T> x;
+    solve_into(b, x);
     return x;
 }
 

@@ -18,8 +18,13 @@ public:
     /// Factor a square matrix. Throws util::InternalError on exact singularity.
     explicit LuFactorization(DenseMatrix<T> a);
 
-    /// Solve A x = b.
-    [[nodiscard]] std::vector<T> solve(std::vector<T> b) const;
+    /// Solve A x = b into caller storage: x is resized to dim() and keeps
+    /// its capacity, so a warmed x allocates nothing. b must hold dim()
+    /// entries and must not be x.
+    void solve_into(const std::vector<T>& b, std::vector<T>& x) const;
+
+    /// Solve A x = b; allocating wrapper over solve_into.
+    [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
 
     /// Solve A X = B column-wise.
     [[nodiscard]] DenseMatrix<T> solve(const DenseMatrix<T>& b) const;

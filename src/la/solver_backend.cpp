@@ -32,7 +32,7 @@ class RealShiftFactorization final : public Factorization {
 public:
     explicit RealShiftFactorization(RealFactor f) : f_(std::move(f)) {}
     [[nodiscard]] int dim() const override { return f_.dim(); }
-    [[nodiscard]] Vec solve(const Vec& b) const override { return f_.solve(b); }
+    void solve_into(const Vec& b, Vec& x) const override { f_.solve_into(b, x); }
     [[nodiscard]] ZVec solve(const ZVec& b) const override {
         const Vec re = f_.solve(real_part(b));
         const Vec im = f_.solve(imag_part(b));
@@ -57,7 +57,7 @@ public:
     explicit ComplexShiftFactorization(ComplexFactor f) : f_(std::move(f)) {}
     [[nodiscard]] int dim() const override { return f_.dim(); }
     [[nodiscard]] ZVec solve(const ZVec& b) const override { return f_.solve(b); }
-    [[nodiscard]] Vec solve(const Vec&) const override {
+    void solve_into(const Vec&, Vec&) const override {
         ATMOR_CHECK(false, "Factorization: real solve requires a real shift");
     }
     [[nodiscard]] ZMatrix solve(const ZMatrix& b) const override { return f_.solve(b); }
@@ -78,9 +78,13 @@ public:
     [[nodiscard]] ZVec solve(const ZVec& b) const override {
         return schur_->solve_shifted(shift_, b);
     }
-    [[nodiscard]] Vec solve(const Vec& b) const override {
+    void solve_into(const Vec& b, Vec& x) const override {
         ATMOR_CHECK(shift_.imag() == 0.0, "SchurFactorization: real solve needs real shift");
-        return real_part(schur_->solve_shifted(shift_, complexify(b)));
+        ATMOR_REQUIRE(static_cast<int>(b.size()) == dim(), "SchurFactorization: size mismatch");
+        ATMOR_REQUIRE(&b != &x, "SchurFactorization: b and x must be distinct vectors");
+        const ZVec z = schur_->solve_shifted(shift_, complexify(b));
+        x.resize(z.size());
+        for (std::size_t i = 0; i < z.size(); ++i) x[i] = z[i].real();
     }
     // Block solves use the base column-wise default: the triangular backsolve
     // is already O(n^2) per column with no index traversal to amortise.
@@ -124,6 +128,12 @@ ZMatrix dense_shifted(const LinearOperator& a, Complex s) {
 }
 
 }  // namespace
+
+Vec Factorization::solve(const Vec& b) const {
+    Vec x;
+    solve_into(b, x);
+    return x;
+}
 
 ZMatrix Factorization::solve(const ZMatrix& b) const {
     ZMatrix x(b.rows(), b.cols());

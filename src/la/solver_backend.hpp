@@ -51,8 +51,13 @@ public:
     [[nodiscard]] virtual int dim() const = 0;
     /// Solve (shift*I - A) x = b.
     [[nodiscard]] virtual ZVec solve(const ZVec& b) const = 0;
-    /// Real solve; requires the factorisation's shift to be real.
-    [[nodiscard]] virtual Vec solve(const Vec& b) const = 0;
+    /// Real solve into caller storage; requires the factorisation's shift to
+    /// be real. x is resized to dim() and keeps its capacity, so the LU
+    /// factorisations allocate nothing on a warmed x. b must hold dim()
+    /// entries and must not be x (util::PreconditionError otherwise).
+    virtual void solve_into(const Vec& b, Vec& x) const = 0;
+    /// Real solve; allocating wrapper over solve_into.
+    [[nodiscard]] Vec solve(const Vec& b) const;
     /// Blocked multi-RHS solves (B is n x k). The default forwards column by
     /// column; LU-based factorisations override with a single-pass blocked
     /// backsolve. Column c always equals solve(B.col(c)) bit for bit.

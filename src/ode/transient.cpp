@@ -70,11 +70,12 @@ TransientResult run_rk4(const Qldae& sys, const InputFn& u, const TransientOptio
     const double h = opt.t_end / static_cast<double>(nsteps);
     record(res, sys, 0.0, x);
     for (long s = 0; s < nsteps; ++s) {
-        const double t = h * static_cast<double>(s);
-        x = rk4_step(sys, u, t, h, x);
+        x = rk4_step(sys, u, h * static_cast<double>(s), h, x);
         ++res.steps;
+        // Recorded on the implicit methods' grid t_s = h*s, so their traces
+        // compare sample for sample.
         if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps)
-            record(res, sys, t + h, x);
+            record(res, sys, h * static_cast<double>(s + 1), x);
     }
     res.x_final = std::move(x);
     return res;
@@ -162,6 +163,28 @@ TransientResult run_rkf45(const Qldae& sys, const InputFn& u, const TransientOpt
     return res;
 }
 
+/// Newton residual r = xn - x + c0*f0 + c1*f1 and its and xn's infinity
+/// norms in one pass. Each entry takes the operations of three la::axpy
+/// passes in their order (never fused), and a NaN entry makes its norm NaN,
+/// as la::norm_inf does, so a NaN iterate never converges.
+std::pair<double, double> newton_residual(const Vec& xn, const Vec& x, const Vec& f0,
+                                          const Vec& f1, double c0, double c1, Vec& r) {
+    double rnorm = 0.0;
+    double xnorm = 0.0;
+    for (std::size_t i = 0; i < xn.size(); ++i) {
+        double ri = xn[i];
+        ri += -1.0 * x[i];
+        ri += c0 * f0[i];
+        ri += c1 * f1[i];
+        r[i] = ri;
+        const double ar = std::abs(ri);
+        const double ax = std::abs(xn[i]);
+        rnorm = (std::isnan(ar) || ar > rnorm) ? ar : rnorm;
+        xnorm = (std::isnan(ax) || ax > xnorm) ? ax : xnorm;
+    }
+    return {rnorm, xnorm};
+}
+
 /// The scaled Newton-system operator theta*h*J stamped at a linearisation
 /// point; I - theta*h*J is then (shift*I - A) with shift = 1. Sparse systems
 /// stamp the Jacobian as COO; dense systems materialise it.
@@ -206,15 +229,20 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
         ++res.factorizations;
     };
 
-    // Iterate, rhs values, residual and rhs scratch live across steps and
-    // Newton iterations: a step allocates only what u(t) and the solve return.
+    // One time grid t_s = h*s. The drive is sampled once per step, at t_{s+1},
+    // and the converged f(x_{s+1}, u(t_{s+1})) is the next step's f0: a step
+    // costs one rhs per Newton iteration. Iterate, rhs values, residual,
+    // update and rhs scratch live across steps and Newton iterations, so a
+    // step allocates only the drive sample u(t) returns (and its record).
     const std::size_t n = x.size();
-    Vec xn(n), f0(n), f1(n), r(n), work;
+    Vec xn(n), f0(n), f1(n), r(n), dx(n), work;
+    Vec u1 = u(0.0);
+    sys.rhs_into(x, u1, f0, work);
+    const double c0 = -h * (1.0 - theta);
+    const double c1 = -h * theta;
     for (long s = 0; s < nsteps; ++s) {
-        const double t = h * static_cast<double>(s);
-        const Vec u0 = u(t);
-        const Vec u1 = u(t + h);
-        sys.rhs_into(x, u0, f0, work);
+        const double t1 = h * static_cast<double>(s + 1);
+        u1 = u(t1);
 
         // Predictor: forward Euler.
         xn = x;
@@ -225,15 +253,9 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
         bool finite = true;
         for (int attempt = 0; attempt < 2 && !converged && finite; ++attempt) {
             for (int it = 0; it < opt.newton_max_iter; ++it) {
-                // r = xn - x - h*[(1-theta) f0 + theta f(xn, u1)].
                 sys.rhs_into(xn, u1, f1, work);
-                r = xn;
-                la::axpy(-1.0, x, r);
-                la::axpy(-h * (1.0 - theta), f0, r);
-                la::axpy(-h * theta, f1, r);
                 ++res.newton_iterations;
-                const double rnorm = la::norm_inf(r);
-                const double xnorm = la::norm_inf(xn);
+                const auto [rnorm, xnorm] = newton_residual(xn, x, f0, f1, c0, c1, r);
                 // inf <= tol * (1 + inf) holds: only a finite iterate converges.
                 finite = std::isfinite(rnorm) && std::isfinite(xnorm);
                 if (!finite) break;
@@ -241,19 +263,21 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
                     converged = true;
                     break;
                 }
-                const Vec dx = jac_fact->solve(r);
+                jac_fact->solve_into(r, dx);
                 la::axpy(-1.0, dx, xn);
             }
             // Modified-Newton recovery: refresh the Jacobian at the current
-            // iterate and retry once before giving up.
+            // iterate and retry once before giving up. f1 is always the rhs
+            // at the final iterate, so the reuse below survives a retry.
             if (!converged && finite) refactor(xn, u1);
         }
         ATMOR_CHECK(converged, "implicit integrator: Newton "
                                    << (finite ? "failed" : "diverged to a non-finite iterate")
-                                   << " at t = " << t + h);
+                                   << " at t = " << t1);
         std::swap(x, xn);
+        std::swap(f0, f1);
         ++res.steps;
-        if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps) record(res, sys, t + h, x);
+        if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps) record(res, sys, t1, x);
     }
     res.x_final = std::move(x);
     return res;
@@ -372,18 +396,30 @@ double peak_relative_error(const TransientResult& reference, const TransientResu
 
 std::vector<double> relative_error_trace(const TransientResult& reference,
                                          const TransientResult& test, int output_index) {
-    ATMOR_REQUIRE(reference.t.size() == test.t.size(),
+    const std::size_t records = reference.t.size();
+    ATMOR_REQUIRE(test.t.size() == records,
                   "relative_error_trace: traces must share the time grid ("
-                      << reference.t.size() << " vs " << test.t.size() << ")");
+                      << records << " vs " << test.t.size() << " records)");
+    ATMOR_REQUIRE(reference.y.size() == records && test.y.size() == records,
+                  "relative_error_trace: a trace holds " << reference.y.size() << " and "
+                                                         << test.y.size() << " outputs for "
+                                                         << records << " times");
+    ATMOR_REQUIRE(output_index >= 0, "relative_error_trace: output index " << output_index);
+    const auto k = static_cast<std::size_t>(output_index);
+    for (std::size_t r = 0; r < records; ++r) {
+        ATMOR_REQUIRE(reference.t[r] == test.t[r],
+                      "relative_error_trace: traces must share the time grid (record "
+                          << r << ": t = " << reference.t[r] << " vs " << test.t[r] << ")");
+        ATMOR_REQUIRE(k < reference.y[r].size() && k < test.y[r].size(),
+                      "relative_error_trace: output index " << output_index << " out of range "
+                                                            << "at record " << r);
+    }
     double scale = 0.0;
-    for (std::size_t r = 0; r < reference.t.size(); ++r)
-        scale = std::max(scale, std::abs(reference.output(static_cast<int>(r), output_index)));
+    for (std::size_t r = 0; r < records; ++r) scale = std::max(scale, std::abs(reference.y[r][k]));
     if (scale == 0.0) scale = 1.0;
-    std::vector<double> out(reference.t.size());
-    for (std::size_t r = 0; r < reference.t.size(); ++r)
-        out[r] = std::abs(reference.output(static_cast<int>(r), output_index) -
-                          test.output(static_cast<int>(r), output_index)) /
-                 scale;
+    std::vector<double> out(records);
+    for (std::size_t r = 0; r < records; ++r)
+        out[r] = std::abs(reference.y[r][k] - test.y[r][k]) / scale;
     return out;
 }
 

@@ -111,7 +111,9 @@ std::vector<TransientResult> simulate_batch(const volterra::Qldae& sys,
 double peak_relative_error(const TransientResult& reference, const TransientResult& test,
                            int output_index = 0);
 
-/// Pointwise relative-error trace |y_ref - y_test| / max|y_ref|.
+/// Pointwise relative-error trace |y_ref - y_test| / max|y_ref|. The traces
+/// must record the same times, value for value, and output_index must name
+/// an output of every record of both; otherwise util::PreconditionError.
 std::vector<double> relative_error_trace(const TransientResult& reference,
                                          const TransientResult& test, int output_index = 0);
 

@@ -780,40 +780,43 @@ void SparseLu<T>::factor(const Csc<T>& a) {
 }
 
 template <class T>
-std::vector<T> SparseLu<T>::solve(const std::vector<T>& b) const {
+void SparseLu<T>::solve_into(const std::vector<T>& b, std::vector<T>& x) const {
     ATMOR_REQUIRE(static_cast<int>(b.size()) == n_, "SparseLu::solve: size mismatch");
-    const int n = n_;
-    std::vector<T> x(static_cast<std::size_t>(n));
-    // Compose the fill-reducing order with the pivot permutation on the way
-    // in: permuted row i carries original entry b[q_[i]].
-    for (int i = 0; i < n; ++i)
-        x[static_cast<std::size_t>(pinv_[static_cast<std::size_t>(i)])] =
-            b[static_cast<std::size_t>(q_[static_cast<std::size_t>(i)])];
+    ATMOR_REQUIRE(&b != &x, "SparseLu::solve_into: b and x must be distinct vectors");
+    x.resize(static_cast<std::size_t>(n_));
+    T* xs = x.data();
+    const int* q = q_.data();
+    const int* src = src_.data();
+    const int* lp = lp_.data();
+    const int* li = li_.data();
+    const T* lx = lx_.data();
+    const int* up = up_.data();
+    const int* ui = ui_.data();
+    const T* ux = ux_.data();
+    // Pivot-space row j lives at xs[q[j]] and starts as b[src[j]]: the fill-
+    // reducing order and the pivot permutation are composed on the way in,
+    // and x is the answer once the substitution finishes.
+    for (int j = 0; j < n_; ++j) xs[q[j]] = b[static_cast<std::size_t>(src[j])];
     // L y = P b (unit diagonal stored first in each column).
-    for (int j = 0; j < n; ++j) {
-        const T xj = x[static_cast<std::size_t>(j)];
+    for (int j = 0; j < n_; ++j) {
+        const T xj = xs[q[j]];
         if (xj == T(0)) continue;
-        for (int p = lp_[static_cast<std::size_t>(j)] + 1;
-             p < lp_[static_cast<std::size_t>(j) + 1]; ++p)
-            x[static_cast<std::size_t>(li_[static_cast<std::size_t>(p)])] -=
-                lx_[static_cast<std::size_t>(p)] * xj;
+        for (int p = lp[j] + 1; p < lp[j + 1]; ++p) xs[q[li[p]]] -= lx[p] * xj;
     }
     // U x = y (diagonal stored last in each column).
-    for (int j = n - 1; j >= 0; --j) {
-        x[static_cast<std::size_t>(j)] /= ux_[static_cast<std::size_t>(up_[static_cast<std::size_t>(j) + 1] - 1)];
-        const T xj = x[static_cast<std::size_t>(j)];
+    for (int j = n_ - 1; j >= 0; --j) {
+        xs[q[j]] /= ux[up[j + 1] - 1];
+        const T xj = xs[q[j]];
         if (xj == T(0)) continue;
-        for (int p = up_[static_cast<std::size_t>(j)];
-             p < up_[static_cast<std::size_t>(j) + 1] - 1; ++p)
-            x[static_cast<std::size_t>(ui_[static_cast<std::size_t>(p)])] -=
-                ux_[static_cast<std::size_t>(p)] * xj;
+        for (int p = up[j]; p < up[j + 1] - 1; ++p) xs[q[ui[p]]] -= ux[p] * xj;
     }
-    // Back to the original index space.
-    std::vector<T> out(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k)
-        out[static_cast<std::size_t>(q_[static_cast<std::size_t>(k)])] =
-            x[static_cast<std::size_t>(k)];
-    return out;
+}
+
+template <class T>
+std::vector<T> SparseLu<T>::solve(const std::vector<T>& b) const {
+    std::vector<T> x;
+    solve_into(b, x);
+    return x;
 }
 
 template <class T>

@@ -80,7 +80,14 @@ public:
     /// exact singularity.
     SparseLu(const Csc<T>& a, const std::vector<int>& q);
 
-    /// Solve A x = b.
+    /// Solve A x = b into caller storage: x is resized to dim() and keeps
+    /// its capacity, so a warmed x allocates nothing. The substitution runs
+    /// in output index order, as the blocked solve does, so no pivot-space
+    /// buffer and no final permute pass are needed. b must hold dim()
+    /// entries and must not be x.
+    void solve_into(const std::vector<T>& b, std::vector<T>& x) const;
+
+    /// Solve A x = b; allocating wrapper over solve_into.
     [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
 
     /// Blocked multi-RHS solve A X = B (B is n x k). One pass over the L and
@@ -113,11 +120,11 @@ private:
     std::vector<T> ux_;
     std::vector<int> pinv_;  ///< pinv_[permuted row] = pivot position
     std::vector<int> q_;     ///< fill-reducing order, q_[new] = old
-    /// Blocked-solve row maps: the block solve keeps its working storage in
-    /// OUTPUT index order, so pivot-space row k lives at storage row q_[k]
-    /// and is seeded from b row src_[k] = q_[pinv^-1[k]]. This folds the
-    /// final un-permute into the substitution indexing -- one pass and one
-    /// n x k buffer fewer than permute-solve-permute.
+    /// Solve row maps: both solves keep their working storage in OUTPUT
+    /// index order, so pivot-space row k lives at storage row q_[k] and is
+    /// seeded from b row src_[k] = q_[pinv^-1[k]]. This folds the final
+    /// un-permute into the substitution indexing -- one pass and one buffer
+    /// fewer than permute-solve-permute.
     std::vector<int> src_;
 };
 

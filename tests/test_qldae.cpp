@@ -2,47 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "circuits/nltl.hpp"
 #include "circuits/varistor.hpp"
 #include "la/vector_ops.hpp"
+#include "test_alloc_counter.hpp"
 #include "test_qldae_helpers.hpp"
 #include "volterra/qldae.hpp"
-
-// Every global allocation of this test binary is counted, so the allocation
-// pin below can check that rhs_into on warmed buffers allocates nothing.
-// The replacements are not inlined, so the compiler never pairs an inlined
-// malloc with a new-expression's delete.
-namespace {
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-    throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-    return ::operator new(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept {
-    std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p) noexcept {
-    std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-    std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-    std::free(p);
-}
 
 namespace atmor {
 namespace {
@@ -251,15 +220,15 @@ TEST(Qldae, RhsIntoOnWarmedBuffersAllocatesNothing) {
         Vec work;
         sys->rhs_into(x, u, f, work);
         double sink = 0.0;
-        const long before = g_allocations.load();
+        const long before = test::allocations();
         for (int k = 0; k < 1000; ++k) {
             sys->rhs_into(x, u, f, work);
             sink += f[0];
         }
-        EXPECT_EQ(g_allocations.load() - before, 0) << "order " << sys->order();
+        EXPECT_EQ(test::allocations() - before, 0) << "order " << sys->order();
         EXPECT_TRUE(std::isfinite(sink));
         (void)sys->rhs(x, u);  // the allocating wrapper: proves the counter is live
-        EXPECT_GT(g_allocations.load() - before, 0);
+        EXPECT_GT(test::allocations() - before, 0);
     }
 }
 

@@ -580,6 +580,124 @@ TEST(SparseOrdering, MeshTakesMinimumDegreeAndSolvesAlike) {
     EXPECT_LT(la::dist2(chosen.solve(b), x_rcm), 1e-12 * la::norm2(x_rcm));
 }
 
+// ---------------------------------------------------------------------------
+// In-place backsolves: solve_into is the one real solve, solve() wraps it.
+// ---------------------------------------------------------------------------
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// solve_into equals solve and the one-column blocked solve bit for bit,
+/// into a warmed x (whose storage it keeps), a wrongly sized x and an empty
+/// one; a mis-sized b or b aliasing x is a PreconditionError.
+template <class F, class T>
+void expect_solve_into_matches(const F& f, const std::vector<T>& b, const std::string& what) {
+    const std::vector<T> ref = f.solve(b);
+    la::DenseMatrix<T> block(f.dim(), 1);
+    block.set_col(0, b);
+    EXPECT_TRUE(same_bits(f.solve(block).col(0), ref)) << what << ": blocked";
+
+    std::vector<T> x(b.size(), T(7));
+    const T* storage = x.data();
+    f.solve_into(b, x);
+    EXPECT_TRUE(same_bits(x, ref)) << what << ": warmed x";
+    EXPECT_EQ(x.data(), storage) << what;
+    for (std::vector<T> y : {std::vector<T>{}, std::vector<T>(b.size() + 3, T(1))}) {
+        f.solve_into(b, y);
+        EXPECT_TRUE(same_bits(y, ref)) << what << ": x of size " << y.size();
+    }
+
+    std::vector<T> self = b;
+    EXPECT_THROW(f.solve_into(self, self), util::PreconditionError) << what;
+    const std::vector<T> short_b(b.begin(), b.end() - 1);
+    EXPECT_THROW(f.solve_into(short_b, x), util::PreconditionError) << what;
+}
+
+TEST(SolveInto, LuFactorsMatchSolveBitForBit) {
+    circuits::NltlOptions line;
+    line.stages = 35;
+    const volterra::Qldae nltl = circuits::current_source_line(line).to_qldae();
+    const volterra::Qldae grid = circuits::power_grid(mesh(40)).to_qldae();
+    // The ladder factors under RCM, the mesh under minimum degree (see
+    // LaddersKeepTheirRcmOrder and MeshTakesMinimumDegreeAndSolvesAlike).
+    const sparse::CsrMatrix& ladder = *nltl.g1_csr();
+    const sparse::CsrMatrix& mesh40 = *grid.g1_csr();
+    util::Rng rng(71);
+    const Complex shift(0.0, 1.1);
+    const std::pair<std::string, const sparse::CsrMatrix*> sparse_cases[] = {
+        {"NLTL", &ladder}, {"40x40 mesh", &mesh40}};
+    for (const auto& [name, a] : sparse_cases) {
+        const Vec b = test::random_vector(a->rows(), rng);
+        const ZVec zb = test::random_zvector(a->rows(), rng);
+        expect_solve_into_matches(sparse::splu_shifted(*a, 1.0), b, name + " SpLu");
+        expect_solve_into_matches(sparse::splu_shifted(*a, shift), zb, name + " ZSpLu");
+    }
+    // Dense LU on the ladder and on a mesh small enough to factor densely.
+    const volterra::Qldae small_grid = circuits::power_grid(mesh(12)).to_qldae();
+    const std::pair<std::string, const volterra::Qldae*> dense_cases[] = {
+        {"NLTL", &nltl}, {"12x12 mesh", &small_grid}};
+    for (const auto& [name, q] : dense_cases) {
+        Matrix a = q->g1_op().to_dense();
+        a *= -1.0;
+        la::ZMatrix za = la::complexify(a);
+        for (int i = 0; i < a.rows(); ++i) {
+            a(i, i) += 1.0;
+            za(i, i) += shift;
+        }
+        expect_solve_into_matches(la::Lu(a), test::random_vector(a.rows(), rng), name + " Lu");
+        expect_solve_into_matches(la::ZLu(za), test::random_zvector(a.rows(), rng),
+                                  name + " ZLu");
+    }
+}
+
+TEST(SolveInto, BackendFactorizationsMatchSolveBitForBit) {
+    circuits::NltlOptions line;
+    line.stages = 35;
+    const volterra::Qldae nltl = circuits::current_source_line(line).to_qldae();
+    const volterra::Qldae grid = circuits::power_grid(mesh(40)).to_qldae();
+    util::Rng rng(72);
+    for (int which : {0, 1, 2}) {
+        auto backend = make_backend(which);
+        const auto f = backend->factorization(nltl.g1_op(), Complex(1.0, 0.0));
+        expect_solve_into_matches(*f, test::random_vector(nltl.order(), rng),
+                                  std::string("NLTL ") + backend->name());
+    }
+    la::SparseLuBackend sparse_backend;
+    const auto f = sparse_backend.factorization(grid.g1_op(), Complex(1.0, 0.0));
+    expect_solve_into_matches(*f, test::random_vector(grid.order(), rng), "40x40 mesh sparse-lu");
+}
+
+TEST(SolveInto, ComplexShiftThrowsAsTheRealSolveDoes) {
+    circuits::NltlOptions line;
+    line.stages = 12;
+    const volterra::Qldae nltl = circuits::current_source_line(line).to_qldae();
+    util::Rng rng(73);
+    const Vec b = test::random_vector(nltl.order(), rng);
+    for (int which : {0, 1, 2}) {
+        auto backend = make_backend(which);
+        const auto f = backend->factorization(nltl.g1_op(), Complex(0.3, 0.9));
+        std::string solve_what, into_what;
+        try {
+            (void)f->solve(b);
+        } catch (const util::InternalError& e) {
+            solve_what = e.what();
+        }
+        Vec x;
+        try {
+            f->solve_into(b, x);
+        } catch (const util::InternalError& e) {
+            into_what = e.what();
+        }
+        EXPECT_NE(into_what.find("real"), std::string::npos)
+            << backend->name() << ": " << into_what;
+        EXPECT_EQ(into_what, solve_what) << backend->name();
+        // The real-shift check comes first, as it always has.
+        EXPECT_THROW(f->solve_into(Vec(3, 1.0), x), util::InternalError) << backend->name();
+    }
+}
+
 TEST(SolverCache, ConcurrentShiftsMatchSerialFactors) {
     // The order depends on the pattern only: mesh factors computed on four
     // workers are bytewise those computed serially.

@@ -4,9 +4,16 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "circuits/nltl.hpp"
+#include "circuits/rf_receiver.hpp"
+#include "circuits/varistor.hpp"
+#include "circuits/waveforms.hpp"
+#include "core/atmor.hpp"
 #include "la/vector_ops.hpp"
 #include "ode/transient.hpp"
+#include "test_alloc_counter.hpp"
 #include "test_qldae_helpers.hpp"
 #include "util/thread_pool.hpp"
 
@@ -184,6 +191,43 @@ TEST(Transient, InputArityValidated) {
                  util::PreconditionError);
 }
 
+TEST(Transient, RelativeErrorNeedsOneGridAndAnOutputOfEveryRecord) {
+    const Qldae sys = scalar_decay(1.0);
+    TransientOptions opt;
+    opt.t_end = 1.0;
+    opt.dt = 1e-2;
+    const auto a = ode::simulate(sys, [](double) { return Vec{1.0}; }, opt);
+    ASSERT_EQ(a.y.front().size(), 1u);
+    EXPECT_NO_THROW(ode::relative_error_trace(a, a, 0));
+
+    // An index outside [0, outputs) on either trace.
+    for (const int bad : {-1, 1, std::numeric_limits<int>::min()}) {
+        EXPECT_THROW(ode::relative_error_trace(a, a, bad), util::PreconditionError) << bad;
+        EXPECT_THROW(ode::peak_relative_error(a, a, bad), util::PreconditionError) << bad;
+    }
+    ode::TransientResult two = a;
+    for (Vec& y : two.y) y.push_back(2.0 * y[0]);
+    EXPECT_NO_THROW(ode::peak_relative_error(two, two, 1));
+    EXPECT_THROW(ode::peak_relative_error(two, a, 1), util::PreconditionError);
+    EXPECT_THROW(ode::peak_relative_error(a, two, 1), util::PreconditionError);
+    ode::TransientResult ragged = two;
+    ragged.y[ragged.y.size() / 2].pop_back();
+    EXPECT_THROW(ode::peak_relative_error(two, ragged, 1), util::PreconditionError);
+    EXPECT_EQ(ode::peak_relative_error(two, ragged, 0), 0.0);
+
+    // Fewer outputs than times.
+    ode::TransientResult short_y = a;
+    short_y.y.pop_back();
+    EXPECT_THROW(ode::peak_relative_error(a, short_y), util::PreconditionError);
+    EXPECT_THROW(ode::peak_relative_error(short_y, a), util::PreconditionError);
+
+    // Any differing time, not only a differing count.
+    ode::TransientResult shifted = a;
+    shifted.t[shifted.t.size() / 2] = std::nextafter(shifted.t[shifted.t.size() / 2], 2.0);
+    EXPECT_THROW(ode::relative_error_trace(a, shifted), util::PreconditionError);
+    EXPECT_THROW(ode::peak_relative_error(shifted, a), util::PreconditionError);
+}
+
 TEST(Transient, PeakRelativeErrorOfIdenticalTracesIsZero) {
     const Qldae sys = scalar_decay(1.0);
     TransientOptions opt;
@@ -192,6 +236,163 @@ TEST(Transient, PeakRelativeErrorOfIdenticalTracesIsZero) {
     opt.method = Method::rk4;
     const auto a = ode::simulate(sys, [](double) { return Vec{1.0}; }, opt);
     EXPECT_DOUBLE_EQ(ode::peak_relative_error(a, a), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The implicit Newton loop: one time grid, f reused, no allocation.
+// ---------------------------------------------------------------------------
+
+class ImplicitMethods : public ::testing::TestWithParam<Method> {};
+
+TEST_P(ImplicitMethods, DriveIsSampledOnceAtEachGridPoint) {
+    // The drive is sampled at t_s = h*s for s = 0..nsteps, once each and in
+    // order, after simulate's arity probe at 0. 0.37 / 37 is a step at which
+    // h*(s+1) and h*s + h differ for some s, so the grid is the product form.
+    const Qldae sys = scalar_decay(2.0);
+    TransientOptions opt;
+    opt.t_end = 0.37;
+    opt.dt = 0.37 / 37.0;
+    opt.method = GetParam();
+    std::vector<double> calls;
+    const ode::InputFn u = [&calls](double t) {
+        calls.push_back(t);
+        return Vec{std::cos(t)};
+    };
+    const auto res = ode::simulate(sys, u, opt);
+    ASSERT_EQ(res.steps, 37);
+    const double h = opt.t_end / 37.0;
+    bool sum_differs = false;
+    for (long s = 0; s < 37; ++s)
+        sum_differs = sum_differs || h * static_cast<double>(s) + h != h * (s + 1.0);
+    EXPECT_TRUE(sum_differs) << "choose a step at which the two grids differ";
+
+    ASSERT_EQ(calls.size(), 39u);
+    EXPECT_EQ(calls[0], 0.0);  // the arity probe
+    ASSERT_EQ(res.t.size(), 38u);
+    for (std::size_t s = 0; s <= 37; ++s) {
+        EXPECT_EQ(calls[s + 1], h * static_cast<double>(s)) << "sample " << s;
+        EXPECT_EQ(res.t[s], h * static_cast<double>(s)) << "record " << s;
+    }
+
+    // rk4 records on the same grid, so its trace compares with this one.
+    opt.method = Method::rk4;
+    EXPECT_EQ(ode::simulate(sys, [](double t) { return Vec{std::cos(t)}; }, opt).t, res.t);
+}
+
+INSTANTIATE_TEST_SUITE_P(Newton, ImplicitMethods,
+                         ::testing::Values(Method::trapezoidal, Method::backward_euler));
+
+/// The three paper circuits in the repo benchmark's configuration (Fig. 3
+/// current-driven NLTL, Fig. 5 varistor ladder, Fig. 4 two-input RF
+/// receiver), each with one fixed drive and its reduced model. Built once.
+struct PaperCircuit {
+    std::string name;
+    Qldae full;
+    Qldae rom;
+    TransientOptions opt;
+    ode::InputFn drive;
+};
+
+const std::vector<PaperCircuit>& paper_circuits() {
+    static const std::vector<PaperCircuit> all = [] {
+        std::vector<PaperCircuit> c;
+        const auto add = [&c](std::string name, Qldae full, const core::AtMorOptions& mor,
+                              double t_end, double dt, ode::InputFn drive) {
+            Qldae rom = core::reduce_associated(full, mor).rom;
+            TransientOptions opt;
+            opt.t_end = t_end;
+            opt.dt = dt;
+            c.push_back({std::move(name), std::move(full), std::move(rom), opt, std::move(drive)});
+        };
+        circuits::NltlOptions line;
+        line.stages = 35;
+        core::AtMorOptions mor;
+        mor.k1 = 6;
+        mor.k2 = 3;
+        mor.k3 = 2;
+        mor.expansion_points = {la::Complex(1.0, 0.0)};
+        add("nltl", circuits::current_source_line(line).to_qldae(), mor, 15.0, 2e-3,
+            circuits::pulse_input(0.5, 0.55, 1.0, 5.55, 1.5));
+
+        circuits::VaristorOptions ladder;
+        ladder.sections = 30;
+        mor = {};
+        mor.k1 = 4;
+        mor.k2 = 2;
+        mor.k3 = 2;
+        add("varistor", circuits::varistor_circuit(ladder).system, mor, 15.0, 2e-3,
+            circuits::surge_input(6.8, 1.0, 5.0));
+
+        mor = {};
+        mor.k1 = 4;
+        mor.k2 = 3;
+        mor.k3 = 0;
+        add("rf", circuits::rf_receiver(circuits::RfReceiverOptions{}), mor, 20.0, 5e-3,
+            circuits::combine_inputs(
+                {circuits::sine_input(0.2, 0.05), circuits::sine_input(0.06, 0.12)}));
+        return c;
+    }();
+    return all;
+}
+
+TEST(TransientPaperCircuits, NewtonCountsMatchTheThreeRhsLoop) {
+    // Newton iterations of the loop that evaluated f(x_s, u(t_s)) afresh at
+    // every step and sampled the drive at t + h. Reusing the converged f on
+    // the grid h*s moves the traces by rounding only, and no count changes.
+    struct Pin {
+        long full_trap, rom_trap, full_be, rom_be, steps;
+    };
+    const Pin pins[] = {{14866, 14824, 17012, 15905, 7500},
+                        {16886, 15000, 17604, 16471, 7500},
+                        {9548, 8000, 11173, 9723, 4000}};
+    const auto& circuits = paper_circuits();
+    ASSERT_EQ(circuits.size(), 3u);
+    for (std::size_t k = 0; k < circuits.size(); ++k) {
+        const PaperCircuit& c = circuits[k];
+        for (const Method method : {Method::trapezoidal, Method::backward_euler}) {
+            TransientOptions opt = c.opt;
+            opt.method = method;
+            const bool trap = method == Method::trapezoidal;
+            const auto full = ode::simulate(c.full, c.drive, opt);
+            const auto rom = ode::simulate(c.rom, c.drive, opt);
+            const std::string what = c.name + (trap ? " trapezoidal" : " backward Euler");
+            EXPECT_EQ(full.steps, pins[k].steps) << what;
+            EXPECT_EQ(rom.steps, pins[k].steps) << what;
+            EXPECT_EQ(full.newton_iterations, trap ? pins[k].full_trap : pins[k].full_be) << what;
+            EXPECT_EQ(rom.newton_iterations, trap ? pins[k].rom_trap : pins[k].rom_be) << what;
+            EXPECT_EQ(full.factorizations, 1) << what;
+            EXPECT_EQ(rom.factorizations, 1) << what;
+        }
+    }
+}
+
+TEST(TransientPaperCircuits, NewtonLoopAllocatesOnlyTheDriveSample) {
+    // Twice the steps cost one allocation per extra step on a dense ROM and
+    // on a CSR full model: the Vec the drive returns. Every other buffer is
+    // warmed once, and both runs record only at t = 0 and at the end.
+    const PaperCircuit& nltl = paper_circuits().front();
+    ASSERT_TRUE(nltl.full.is_sparse());
+    ASSERT_FALSE(nltl.rom.is_sparse());
+    const ode::InputFn drive = [](double t) { return Vec{0.5 * std::sin(0.7 * t)}; };
+    for (const Qldae* sys : {&nltl.rom, &nltl.full}) {
+        const auto run = [&](double t_end) {
+            TransientOptions opt = nltl.opt;
+            opt.t_end = t_end;
+            opt.record_stride = 1 << 30;
+            const long before = test::allocations();
+            const auto res = ode::simulate(*sys, drive, opt);
+            return std::make_pair(res, test::allocations() - before);
+        };
+        const auto [once, once_allocs] = run(1.0);
+        const auto [twice, twice_allocs] = run(2.0);
+        ASSERT_EQ(once.t.size(), 2u);
+        ASSERT_EQ(twice.t.size(), 2u);
+        ASSERT_EQ(once.factorizations, twice.factorizations);
+        const long extra_steps = twice.steps - once.steps;
+        ASSERT_GT(extra_steps, 0);
+        EXPECT_LE(twice_allocs - once_allocs, extra_steps) << "order " << sys->order();
+        EXPECT_GT(twice_allocs - once_allocs, 0) << "the counter is live";
+    }
 }
 
 // ---------------------------------------------------------------------------
