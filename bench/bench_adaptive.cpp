@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                 aopt.key().c_str());
 
     // One corrected estimator scores every contender on the same band grid.
-    const mor::ErrorEstimator estimator(sys, nullptr, mor::EstimateMode::corrected, true);
+    const mor::ErrorEstimator estimator(sys, nullptr, true);
     const std::vector<la::Complex> grid = mor::band_grid(aopt);
 
     struct Row {

@@ -26,37 +26,6 @@ SparseOperator::SparseOperator(std::shared_ptr<const sparse::CsrMatrix> m) : m_(
 SparseOperator::SparseOperator(sparse::CsrMatrix m)
     : SparseOperator(std::make_shared<const sparse::CsrMatrix>(std::move(m))) {}
 
-ShiftedOperator::ShiftedOperator(std::shared_ptr<const LinearOperator> a, Complex shift)
-    : a_(std::move(a)), shift_(shift) {
-    ATMOR_REQUIRE(a_ != nullptr, "ShiftedOperator: null operator");
-    ATMOR_REQUIRE(a_->square(), "ShiftedOperator: base operator must be square");
-}
-
-Vec ShiftedOperator::apply(const Vec& x) const {
-    ATMOR_REQUIRE(shift_.imag() == 0.0,
-                  "ShiftedOperator: real apply requires a real shift");
-    Vec y = a_->apply(x);
-    const double s = shift_.real();
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = s * x[i] - y[i];
-    return y;
-}
-
-ZVec ShiftedOperator::apply(const ZVec& x) const {
-    ZVec y = a_->apply(x);
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = shift_ * x[i] - y[i];
-    return y;
-}
-
-Matrix ShiftedOperator::to_dense() const {
-    ATMOR_REQUIRE(shift_.imag() == 0.0,
-                  "ShiftedOperator: dense materialisation requires a real shift");
-    Matrix m = a_->to_dense();
-    for (int i = 0; i < m.rows(); ++i)
-        for (int j = 0; j < m.cols(); ++j) m(i, j) = -m(i, j);
-    for (int i = 0; i < m.rows(); ++i) m(i, i) += shift_.real();
-    return m;
-}
-
 std::shared_ptr<const DenseOperator> make_dense_operator(Matrix m) {
     return std::make_shared<const DenseOperator>(std::move(m));
 }

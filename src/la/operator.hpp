@@ -59,7 +59,6 @@ public:
     [[nodiscard]] Matrix to_dense() const override { return *m_; }
 
     [[nodiscard]] const Matrix& matrix() const { return *m_; }
-    [[nodiscard]] const std::shared_ptr<const Matrix>& shared_matrix() const { return m_; }
 
 private:
     std::shared_ptr<const Matrix> m_;
@@ -78,33 +77,8 @@ public:
     [[nodiscard]] Matrix to_dense() const override { return m_->to_dense(); }
     [[nodiscard]] const sparse::CsrMatrix* csr() const override { return m_.get(); }
 
-    [[nodiscard]] const std::shared_ptr<const sparse::CsrMatrix>& shared_csr() const {
-        return m_;
-    }
-
 private:
     std::shared_ptr<const sparse::CsrMatrix> m_;
-};
-
-/// View of the shifted operator (shift*I - A) -- the resolvent's left-hand
-/// side. apply() composes the shift on the fly; nothing is materialised.
-/// The real-valued apply requires a real shift.
-class ShiftedOperator final : public LinearOperator {
-public:
-    ShiftedOperator(std::shared_ptr<const LinearOperator> a, Complex shift);
-
-    [[nodiscard]] int rows() const override { return a_->rows(); }
-    [[nodiscard]] int cols() const override { return a_->cols(); }
-    [[nodiscard]] Vec apply(const Vec& x) const override;
-    [[nodiscard]] ZVec apply(const ZVec& x) const override;
-    [[nodiscard]] Matrix to_dense() const override;
-
-    [[nodiscard]] Complex shift() const { return shift_; }
-    [[nodiscard]] const LinearOperator& base() const { return *a_; }
-
-private:
-    std::shared_ptr<const LinearOperator> a_;
-    Complex shift_;
 };
 
 std::shared_ptr<const DenseOperator> make_dense_operator(Matrix m);

@@ -13,6 +13,19 @@ namespace atmor::mor {
 
 using la::Complex;
 
+namespace {
+
+/// The first expansion point. Later insertions land at
+/// kInsertReal + j * (worst-error grid frequency).
+constexpr Complex kInitialPoint{1.0, 0.0};
+/// Real part (damping) of inserted points, keeping them clear of the
+/// imaginary-axis spectrum of exactly-lifted systems.
+constexpr double kInsertReal = 1.0;
+/// Basis deflation threshold of every re-reduction (core::AtMorOptions).
+constexpr double kDeflationTol = 1e-8;
+
+}  // namespace
+
 std::string AdaptiveOptions::key() const {
     using util::key_num;
     // FAITHFUL: every option that can change the resulting model appears
@@ -20,15 +33,10 @@ std::string AdaptiveOptions::key() const {
     // has no stable spelling); callers supplying a non-default backend that
     // changes solve semantics must tag their composed key themselves.
     std::string s = "adaptive(tol=" + key_num(tol) + ",band=[" + key_num(omega_min) + "," +
-                    key_num(omega_max) + "]x" + key_num(band_grid) +
-                    ",k=(" + key_num(point_order.k1) + "," + key_num(point_order.k2) + "," +
-                    key_num(point_order.k3) + "),max_pts=" + key_num(max_points) +
-                    ",max_ref=" + key_num(max_refinements) +
-                    ",s0=(" + key_num(initial_point.real()) + "," +
-                    key_num(initial_point.imag()) + "),re=" + key_num(insert_real) +
-                    ",trim=" + (trim_orders ? "1" : "0") +
-                    ",defl=" + key_num(deflation_tol) + ",est=" +
-                    (estimate_mode == EstimateMode::corrected ? "corrected" : "residual") + ")";
+                    key_num(omega_max) + "]x" + key_num(band_grid) + ",k=(" +
+                    key_num(point_order.k1) + "," + key_num(point_order.k2) + "," +
+                    key_num(point_order.k3) + "),max_pts=" + key_num(max_points) + ",trim=" +
+                    (trim_orders ? "1" : "0") + ")";
     return s;
 }
 
@@ -41,11 +49,11 @@ std::vector<Complex> uniform_points(const AdaptiveOptions& opt, int count) {
     std::vector<Complex> pts;
     pts.reserve(static_cast<std::size_t>(count));
     if (count == 1) {
-        pts.emplace_back(opt.insert_real, 0.5 * (opt.omega_min + opt.omega_max));
+        pts.emplace_back(kInsertReal, 0.5 * (opt.omega_min + opt.omega_max));
         return pts;
     }
     const double step = (opt.omega_max - opt.omega_min) / static_cast<double>(count - 1);
-    for (int p = 0; p < count; ++p) pts.emplace_back(opt.insert_real, opt.omega_min + step * p);
+    for (int p = 0; p < count; ++p) pts.emplace_back(kInsertReal, opt.omega_min + step * p);
     return pts;
 }
 
@@ -87,13 +95,13 @@ AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const AdaptiveOptions
     // A2(H2)/A3(H3) directions, so trimming answers to the nonlinear error
     // too (an H1-only estimate would trim every k2/k3 to zero).
     const bool second_order = opt.point_order.k2 > 0 || opt.point_order.k3 > 0;
-    const ErrorEstimator estimator(sys, backend, opt.estimate_mode, second_order);
+    const ErrorEstimator estimator(sys, backend, second_order);
     const std::vector<Complex> grid = band_grid(opt);
     const double grid_spacing =
         (opt.omega_max - opt.omega_min) / static_cast<double>(opt.band_grid - 1);
-    const int max_ref = opt.max_refinements > 0 ? opt.max_refinements : 2 * opt.max_points;
+    const int max_ref = 2 * opt.max_points;
 
-    std::vector<Complex> points{opt.initial_point};
+    std::vector<Complex> points{kInitialPoint};
     std::vector<rom::PointOrder> orders{opt.point_order};
 
     const auto reduce_with = [&](const std::vector<Complex>& pts,
@@ -101,7 +109,7 @@ AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const AdaptiveOptions
         core::AtMorOptions mor;
         mor.expansion_points = pts;
         mor.per_point_orders = ords;
-        mor.deflation_tol = opt.deflation_tol;
+        mor.deflation_tol = kDeflationTol;
         return core::reduce_associated(at, mor);
     };
 
@@ -126,7 +134,7 @@ AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const AdaptiveOptions
         }
         if (nearest_dist > 0.5 * grid_spacing &&
             static_cast<int>(points.size()) < opt.max_points) {
-            points.emplace_back(opt.insert_real, omega_worst);
+            points.emplace_back(kInsertReal, omega_worst);
             orders.push_back(opt.point_order);
         } else if (band.worst_h2 > band.worst_h1 && second_order) {
             // A point already covers that frequency (or the budget is

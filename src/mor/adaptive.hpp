@@ -46,11 +46,8 @@ struct AdaptiveOptions {
 
     // -- Refinement budget. -------------------------------------------------
     /// Expansion-point budget (insertions stop here; enrichment may still
-    /// continue up to max_refinements).
+    /// continue up to 2 * max_points greedy iterations in total).
     int max_points = 6;
-    /// Bound on total greedy iterations (insertions + enrichments);
-    /// 0 picks 2 * max_points.
-    int max_refinements = 0;
 
     // -- Per-point reduction orders. ----------------------------------------
     /// Moment counts every point starts from (trimming lowers them per
@@ -60,18 +57,6 @@ struct AdaptiveOptions {
     /// greedily, re-estimating each trial).
     bool trim_orders = true;
 
-    // -- Expansion-point placement. -----------------------------------------
-    /// First expansion point; later insertions land at
-    /// insert_real + j * (worst-error grid frequency).
-    la::Complex initial_point{1.0, 0.0};
-    /// Real part (damping) of inserted points, keeping them clear of the
-    /// imaginary-axis spectrum of exactly-lifted systems.
-    double insert_real = 1.0;
-
-    double deflation_tol = 1e-8;
-    /// residual = matvec-only surrogate; corrected = exact H1 error through
-    /// the cached full resolvents (default).
-    EstimateMode estimate_mode = EstimateMode::corrected;
     /// Shared resolvent backend (moment chains + estimator). nullptr builds
     /// one sized for band_grid + max_points cached factorisations.
     std::shared_ptr<la::SolverBackend> backend;
@@ -102,9 +87,9 @@ AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const AdaptiveOptions
 /// The band grid the options describe (shared with tests/benches).
 std::vector<la::Complex> band_grid(const AdaptiveOptions& opt);
 
-/// Fixed comparison grid: `count` points at insert_real + j * omega with
-/// omega uniform over the band -- the hand-picked baseline the adaptive loop
-/// is benchmarked against.
+/// Fixed comparison grid: `count` points at 1 + j * omega (the real part
+/// reduce_adaptive inserts at) with omega uniform over the band -- the
+/// hand-picked baseline the adaptive loop is benchmarked against.
 std::vector<la::Complex> uniform_points(const AdaptiveOptions& opt, int count);
 
 }  // namespace atmor::mor

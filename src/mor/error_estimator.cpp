@@ -57,19 +57,13 @@ ZMatrix diag_h2_forcing(const volterra::Qldae& sys, const ZMatrix& x1) {
 }  // namespace
 
 ErrorEstimator::ErrorEstimator(volterra::Qldae full, std::shared_ptr<la::SolverBackend> backend,
-                               EstimateMode mode, bool second_order)
-    : full_(std::move(full)),
-      backend_(std::move(backend)),
-      mode_(mode),
-      second_order_(second_order) {
+                               bool second_order)
+    : full_(std::move(full)), backend_(std::move(backend)), second_order_(second_order) {
     if (!backend_) backend_ = la::make_resolvent_backend(full_.g1_op());
-    double s = 0.0;
-    for (int i = 0; i < full_.inputs(); ++i) {
-        const la::Vec b = full_.b_col(i);
-        for (double v : b) s += v * v;
-    }
-    b_norm_ = std::sqrt(s);
-    ATMOR_CHECK(b_norm_ > 0.0, "ErrorEstimator: zero input matrix B");
+    double b_sq = 0.0;
+    for (int i = 0; i < full_.inputs(); ++i)
+        for (double v : full_.b_col(i)) b_sq += v * v;
+    ATMOR_CHECK(b_sq > 0.0, "ErrorEstimator: zero input matrix B");
 }
 
 ZMatrix ErrorEstimator::residual(const rom::ReducedModel& m, Complex s) const {
@@ -112,7 +106,6 @@ double ErrorEstimator::reference_norm(Complex s) const {
 
 double ErrorEstimator::h1_error(const rom::ReducedModel& m, Complex s) const {
     const ZMatrix r = residual(m, s);
-    if (mode_ == EstimateMode::residual) return la::frobenius_norm(r) / b_norm_;
     const ZMatrix err =
         map_output(full_.c(), backend_->solve_shifted(full_.g1_op(), s, r));
     const double ref = reference_norm(s);
@@ -130,28 +123,8 @@ double ErrorEstimator::h2_error(const rom::ReducedModel& m, Complex s) const {
     const ZMatrix xhat2 = rom_backend_.solve_shifted(m.rom.g1_op(), 2.0 * s,
                                                      diag_h2_forcing(m.rom, xhat1));
 
-    if (mode_ == EstimateMode::residual) {
-        // Lift both reduced states and leave the full-order second-order
-        // defect un-solved: matvecs only, relative to the forcing norm.
-        const int n = full_.order();
-        ZMatrix x1l(n, xhat1.cols()), x2l(n, xhat2.cols());
-        for (int c = 0; c < xhat1.cols(); ++c) x1l.set_col(c, la::matvec_rc(m.v, xhat1.col(c)));
-        for (int c = 0; c < xhat2.cols(); ++c) x2l.set_col(c, la::matvec_rc(m.v, xhat2.col(c)));
-        const ZMatrix g = diag_h2_forcing(full_, x1l);
-        ZMatrix r = g;
-        for (int c = 0; c < r.cols(); ++c) {
-            const ZVec xc = x2l.col(c);
-            ZVec rc = r.col(c);
-            la::axpy(-2.0 * s, xc, rc);
-            la::axpy(Complex(1.0), full_.apply_g1(xc), rc);
-            r.set_col(c, rc);
-        }
-        const double ref = la::frobenius_norm(g);
-        return ref > 0.0 ? la::frobenius_norm(r) / ref : 0.0;
-    }
-
-    // Corrected mode: the exact full-order C H2(s,s), memoised (it is
-    // model-independent), against the reduced output.
+    // The exact full-order C H2(s,s), memoised (it is model-independent),
+    // against the reduced output.
     const auto key = std::make_pair(s.real(), s.imag());
     ZMatrix y2_full;
     bool have = false;

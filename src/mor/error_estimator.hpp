@@ -11,15 +11,14 @@
 //     C (sI - G1)^{-1} B - Chat (sI - Ghat1)^{-1} Bhat = C (sI - G1)^{-1} R(s),
 //
 // so one cached resolvent application per grid frequency turns the residual
-// into the true linear output error. Two estimate modes:
-//  * residual:  eta(s) = ||R(s)||_F / ||B||_F -- matvecs only, no full-order
-//    solve at all; an error surrogate off by the (band-bounded) resolvent
-//    norm, i.e. it tracks the true error within a constant on a fixed band.
-//  * corrected: eta(s) = ||C (sI-G1)^{-1} R(s)||_F / ||C (sI-G1)^{-1} B||_F
-//    -- the exact relative output-H1 error. One full-order factorisation per
-//    DISTINCT grid frequency, built through the shared SolverBackend cache,
-//    so a greedy loop re-estimating the same band every iteration pays the
-//    factorisations once and backsolves ever after.
+// into the true linear output error. The estimate is that corrected error,
+//
+//     eta(s) = ||C (sI-G1)^{-1} R(s)||_F / ||C (sI-G1)^{-1} B||_F,
+//
+// the exact relative output-H1 error. It costs one full-order factorisation
+// per DISTINCT grid frequency, built through the shared SolverBackend cache,
+// so a greedy loop re-estimating the same band every iteration pays the
+// factorisations once and backsolves ever after.
 //
 // Band sweeps fan out across grid points on the work-stealing ThreadPool and
 // fold max/rms in strictly increasing index order, so estimates are
@@ -38,11 +37,6 @@
 
 namespace atmor::mor {
 
-enum class EstimateMode {
-    residual,   ///< matvec-only surrogate (no full-order solves)
-    corrected,  ///< residual pushed through the cached full resolvent (exact H1 error)
-};
-
 /// Band-error summary over a frequency grid.
 struct BandError {
     double max_rel = 0.0;  ///< max over the grid of the relative estimate (H-inf flavour)
@@ -58,27 +52,26 @@ struct BandError {
 class ErrorEstimator {
 public:
     /// @param full the full-order system the ROMs approximate.
-    /// @param backend resolvent solver for the corrected mode; the caller
-    ///        should pass the backend shared with moment generation so the
-    ///        greedy loop's estimator replays the same factorisation cache.
-    ///        nullptr selects la::make_resolvent_backend.
+    /// @param backend resolvent solver; the caller should pass the backend
+    ///        shared with moment generation so the greedy loop's estimator
+    ///        replays the same factorisation cache. nullptr selects
+    ///        la::make_resolvent_backend.
     /// @param second_order also estimate the DIAGONAL second-order kernel
     ///        error ||C H2(s,s) - Chat H2hat(s,s)|| via the harmonic-probing
     ///        formula (first-order resolvents at s and 2s only, all cached);
     ///        without it an estimate-driven trim would silently discard every
     ///        A2(H2) basis direction, since they are invisible to H1.
+    /// A system whose input matrix B is zero is a util::InternalError.
     explicit ErrorEstimator(volterra::Qldae full,
                             std::shared_ptr<la::SolverBackend> backend = nullptr,
-                            EstimateMode mode = EstimateMode::corrected,
                             bool second_order = false);
 
     /// Relative output-H1 error estimate at a single frequency.
     [[nodiscard]] double h1_error(const rom::ReducedModel& m, la::Complex s) const;
 
-    /// Relative diagonal second-order output error estimate at (s, s):
-    /// corrected mode evaluates both kernels through cached resolvents
-    /// (exact); residual mode leaves the second-order defect un-solved
-    /// (matvecs only). Zero for systems without quadratic/bilinear terms.
+    /// Relative diagonal second-order output error estimate at (s, s), both
+    /// kernels evaluated through cached resolvents (exact). Zero for systems
+    /// without quadratic/bilinear terms.
     [[nodiscard]] double h2_error(const rom::ReducedModel& m, la::Complex s) const;
 
     /// The per-frequency estimate band_error folds: h1_error, combined with
@@ -94,8 +87,6 @@ public:
     /// the estimates must track).
     [[nodiscard]] double true_h1_error(const rom::ReducedModel& m, la::Complex s) const;
 
-    [[nodiscard]] EstimateMode mode() const { return mode_; }
-    [[nodiscard]] bool second_order() const { return second_order_; }
     [[nodiscard]] const std::shared_ptr<la::SolverBackend>& backend() const { return backend_; }
 
     /// jw grid: `points` frequencies uniform over [omega_min, omega_max].
@@ -111,9 +102,7 @@ private:
 
     volterra::Qldae full_;
     std::shared_ptr<la::SolverBackend> backend_;
-    EstimateMode mode_;
     bool second_order_;
-    double b_norm_;  ///< ||B||_F, the residual mode's reference scale
 
     /// Dense solver for the q x q reduced responses. Keyed on (ROM operator,
     /// shift), so one greedy iteration's band sweep factors each shift once;

@@ -23,8 +23,7 @@ namespace {
 
 /// Fixed steps covering [0, t_end] at step size at most dt. Every entry
 /// point calls it before any work: a non-finite or non-positive t_end or dt,
-/// or a count past the range of long, is the caller's error (rkf45 does not
-/// use the count, but would never finish an infinite horizon).
+/// or a count past the range of long, is the caller's error.
 long step_count(const TransientOptions& opt) {
     ATMOR_REQUIRE(std::isfinite(opt.t_end) && opt.t_end > 0.0 && std::isfinite(opt.dt) &&
                       opt.dt > 0.0,
@@ -76,88 +75,6 @@ TransientResult run_rk4(const Qldae& sys, const InputFn& u, const TransientOptio
         // compare sample for sample.
         if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps)
             record(res, sys, h * static_cast<double>(s + 1), x);
-    }
-    res.x_final = std::move(x);
-    return res;
-}
-
-TransientResult run_rkf45(const Qldae& sys, const InputFn& u, const TransientOptions& opt,
-                          Vec x) {
-    // Fehlberg 4(5) pair.
-    static constexpr double a2 = 0.25, a3 = 3.0 / 8.0, a4 = 12.0 / 13.0, a5 = 1.0,
-                            a6 = 0.5;
-    static constexpr double b21 = 0.25;
-    static constexpr double b31 = 3.0 / 32.0, b32 = 9.0 / 32.0;
-    static constexpr double b41 = 1932.0 / 2197.0, b42 = -7200.0 / 2197.0,
-                            b43 = 7296.0 / 2197.0;
-    static constexpr double b51 = 439.0 / 216.0, b52 = -8.0, b53 = 3680.0 / 513.0,
-                            b54 = -845.0 / 4104.0;
-    static constexpr double b61 = -8.0 / 27.0, b62 = 2.0, b63 = -3544.0 / 2565.0,
-                            b64 = 1859.0 / 4104.0, b65 = -11.0 / 40.0;
-    static constexpr double c41 = 25.0 / 216.0, c43 = 1408.0 / 2565.0, c44 = 2197.0 / 4104.0,
-                            c45 = -0.2;
-    static constexpr double c51 = 16.0 / 135.0, c53 = 6656.0 / 12825.0,
-                            c54 = 28561.0 / 56430.0, c55 = -9.0 / 50.0, c56 = 2.0 / 55.0;
-
-    TransientResult res;
-    record(res, sys, 0.0, x);
-    double t = 0.0;
-    double h = opt.dt;
-    const double h_max = opt.dt_max > 0.0 ? opt.dt_max : 100.0 * opt.dt;
-    long since_record = 0;
-    const std::size_t n = x.size();
-    while (t < opt.t_end) {
-        h = std::min(h, opt.t_end - t);
-        const Vec k1 = sys.rhs(x, u(t));
-        Vec xs = x;
-        la::axpy(h * b21, k1, xs);
-        const Vec k2 = sys.rhs(xs, u(t + a2 * h));
-        xs = x;
-        la::axpy(h * b31, k1, xs);
-        la::axpy(h * b32, k2, xs);
-        const Vec k3 = sys.rhs(xs, u(t + a3 * h));
-        xs = x;
-        la::axpy(h * b41, k1, xs);
-        la::axpy(h * b42, k2, xs);
-        la::axpy(h * b43, k3, xs);
-        const Vec k4 = sys.rhs(xs, u(t + a4 * h));
-        xs = x;
-        la::axpy(h * b51, k1, xs);
-        la::axpy(h * b52, k2, xs);
-        la::axpy(h * b53, k3, xs);
-        la::axpy(h * b54, k4, xs);
-        const Vec k5 = sys.rhs(xs, u(t + a5 * h));
-        xs = x;
-        la::axpy(h * b61, k1, xs);
-        la::axpy(h * b62, k2, xs);
-        la::axpy(h * b63, k3, xs);
-        la::axpy(h * b64, k4, xs);
-        la::axpy(h * b65, k5, xs);
-        const Vec k6 = sys.rhs(xs, u(t + a6 * h));
-
-        double err = 0.0, scale = 0.0;
-        Vec x5(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double y4 = x[i] + h * (c41 * k1[i] + c43 * k3[i] + c44 * k4[i] + c45 * k5[i]);
-            const double y5 = x[i] + h * (c51 * k1[i] + c53 * k3[i] + c54 * k4[i] +
-                                          c55 * k5[i] + c56 * k6[i]);
-            x5[i] = y5;
-            err = std::max(err, std::abs(y5 - y4));
-            scale = std::max(scale, std::abs(y5));
-        }
-        const double tol = opt.rkf_tol * (1.0 + scale);
-        if (err <= tol || h <= opt.dt_min) {
-            t += h;
-            x = std::move(x5);
-            ++res.steps;
-            if (++since_record >= opt.record_stride || t >= opt.t_end) {
-                record(res, sys, t, x);
-                since_record = 0;
-            }
-        }
-        const double factor = (err > 0.0) ? 0.9 * std::pow(tol / err, 0.2) : 2.0;
-        h = std::clamp(h * std::clamp(factor, 0.1, 4.0), opt.dt_min, h_max);
-        ATMOR_CHECK(res.steps < 100000000L, "rkf45: step explosion");
     }
     res.x_final = std::move(x);
     return res;
@@ -285,6 +202,15 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
 
 }  // namespace
 
+double TransientResult::output(int r, int output_index) const {
+    ATMOR_REQUIRE(r >= 0 && static_cast<std::size_t>(r) < y.size(),
+                  "TransientResult::output: record " << r << " of " << y.size());
+    const la::Vec& sample = y[static_cast<std::size_t>(r)];
+    ATMOR_REQUIRE(output_index >= 0 && static_cast<std::size_t>(output_index) < sample.size(),
+                  "TransientResult::output: output " << output_index << " of " << sample.size());
+    return sample[static_cast<std::size_t>(output_index)];
+}
+
 TransientResult simulate(const Qldae& sys, const InputFn& input, const TransientOptions& opt,
                          const Vec& x0) {
     (void)step_count(opt);
@@ -299,9 +225,6 @@ TransientResult simulate(const Qldae& sys, const InputFn& input, const Transient
     switch (opt.method) {
         case Method::rk4:
             res = run_rk4(sys, input, opt, std::move(x));
-            break;
-        case Method::rkf45:
-            res = run_rkf45(sys, input, opt, std::move(x));
             break;
         case Method::trapezoidal:
             res = run_implicit(sys, input, opt, std::move(x), 0.5);
@@ -372,9 +295,6 @@ std::vector<TransientResult> simulate_batch(const Qldae& sys, const std::vector<
             switch (opt.method) {
                 case Method::rk4:
                     res = run_rk4(sys, u, opt, x);
-                    break;
-                case Method::rkf45:
-                    res = run_rkf45(sys, u, opt, x);
                     break;
                 case Method::trapezoidal:
                 case Method::backward_euler:

@@ -3,9 +3,10 @@
 // The quadratised circuits carry e^{40 v} diode laws in their G2 rows, which
 // makes the dynamics stiff; the default integrator is therefore an implicit
 // trapezoidal rule with a modified Newton corrector (Jacobian frozen until
-// convergence degrades -- factor once, backsolve thousands of times). RK4 and
-// adaptive RKF45 are provided for non-stiff cases and cross-checks. Solve
-// statistics feed the paper's Table 1 "ODE solve" timing comparison.
+// convergence degrades -- factor once, backsolve thousands of times). RK4 is
+// provided for non-stiff cases and cross-checks. Every method takes
+// ceil(t_end / dt) fixed steps. Solve statistics feed the paper's Table 1
+// "ODE solve" timing comparison.
 #pragma once
 
 #include <functional>
@@ -21,18 +22,15 @@ namespace atmor::ode {
 /// Input signal u(t) (length = system inputs).
 using InputFn = std::function<la::Vec(double)>;
 
-enum class Method { rk4, rkf45, trapezoidal, backward_euler };
+enum class Method { rk4, trapezoidal, backward_euler };
 
 struct TransientOptions {
     double t_end = 1.0;
-    double dt = 1e-3;                ///< fixed step (rk4/implicit); initial step (rkf45)
+    double dt = 1e-3;                ///< fixed step
     Method method = Method::trapezoidal;
     int record_stride = 1;           ///< record every k-th step
     double newton_tol = 1e-10;
     int newton_max_iter = 25;
-    double rkf_tol = 1e-8;           ///< local error tolerance for rkf45
-    double dt_min = 1e-12;
-    double dt_max = 0.0;             ///< 0 => 100*dt
     /// Refactor the Newton Jacobian at every implicit step (standard
     /// SPICE-style Newton; the O(n^3)-per-step regime the paper's Table 1
     /// timings live in). Default reuses the factor until convergence
@@ -55,10 +53,9 @@ struct TransientResult {
     long newton_iterations = 0;
     long factorizations = 0;
 
-    /// Output sample (output_index) at record r.
-    [[nodiscard]] double output(int r, int output_index = 0) const {
-        return y[static_cast<std::size_t>(r)][static_cast<std::size_t>(output_index)];
-    }
+    /// Output sample (output_index) at record r. A record or output index
+    /// outside the trace is a util::PreconditionError.
+    [[nodiscard]] double output(int r, int output_index = 0) const;
 };
 
 /// Simulate the QLDAE from x(0) = x0 (zero if empty).

@@ -93,7 +93,7 @@ FamilyBuildResult FamilyBuilder::build() {
             candidate_order[c] = sys.order();
             auto backend = make_estimator_backend(sys, opt_.adaptive.band_grid);
             estimators[c] = std::make_unique<mor::ErrorEstimator>(
-                std::move(sys), std::move(backend), opt_.adaptive.estimate_mode, second_order);
+                std::move(sys), std::move(backend), second_order);
             resident.push_back(c);
             if (opt_.max_resident_estimators > 0 &&
                 resident.size() > static_cast<std::size_t>(opt_.max_resident_estimators)) {
@@ -223,17 +223,6 @@ FamilyBuildResult FamilyBuilder::build() {
     }
 
     result.family = std::move(family);
-
-    if (opt_.compress) {
-        // Offline compression rides the build: union basis per full-order
-        // group, tier-encoded payloads, measured encoding error folded into
-        // the stored certificates (rom/family_codec.hpp).
-        result.compressed =
-            rom::compress_family(result.family, opt_.compress_options, &result.compress_stats);
-        if (opt_.registry && !opt_.registry->options().artifact_dir.empty())
-            result.artifact_path = opt_.registry->put_family(*result.compressed);
-    }
-
     stats.build_seconds = timer.seconds();
     return result;
 }

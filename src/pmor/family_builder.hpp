@@ -35,12 +35,9 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "mor/adaptive.hpp"
 #include "pmor/param_space.hpp"
 #include "rom/family.hpp"
-#include "rom/family_codec.hpp"
 #include "rom/registry.hpp"
 
 namespace atmor::pmor {
@@ -88,24 +85,14 @@ struct FamilyBuildOptions {
     std::vector<Point> initial_points;
     /// Per-member reduction: reduce_adaptive over this band/tolerance at
     /// each sampled point. adaptive.tol must be set explicitly and be
-    /// <= tol (validated): the cross certificates inherit the band and
-    /// estimate mode from here, and a member that cannot certify its own
-    /// point under the family tolerance can never cover a neighbour.
+    /// <= tol (validated): the cross certificates inherit the band from
+    /// here, and a member that cannot certify its own point under the
+    /// family tolerance can never cover a neighbour.
     mor::AdaptiveOptions adaptive;
     /// Optional registry: member builds go through get_or_build (keyed
     /// family_id : system_key | adaptive key), so concurrent family builds
     /// single-flight and members persist in the artifact tier.
     std::shared_ptr<rom::Registry> registry;
-    /// Compress the finished family into the sectioned v4 artifact form
-    /// (rom::compress_family): shared union basis per full-order group via
-    /// the blocked Householder QR, members as coefficient blocks, payloads
-    /// at compress_options.tier with the measured rounding error folded
-    /// into every stored certificate. The result lands in
-    /// FamilyBuildResult::compressed and -- when the registry's disk tier is
-    /// enabled -- is persisted through Registry::put_family (dedup block
-    /// store + mmap-servable artifact).
-    bool compress = false;
-    rom::CompressOptions compress_options;
 };
 
 struct FamilyBuildStats {
@@ -121,16 +108,6 @@ struct FamilyBuildResult {
     /// Worst uncovered training error after each member insertion
     /// (front() = initial members, back() = final).
     std::vector<double> error_history;
-    /// The sectioned-artifact form (set iff FamilyBuildOptions::compress):
-    /// its certificates are the family's inflated by the measured encoding
-    /// errors, so serving from it stays certified at the stored values.
-    std::optional<rom::CompressedFamily> compressed;
-    /// Compression accounting (union-basis rank, measured errors); default
-    /// when compress is off.
-    rom::CompressStats compress_stats;
-    /// Where Registry::put_family persisted the compressed artifact; empty
-    /// without compress + a disk-tier registry.
-    std::string artifact_path;
 };
 
 /// Registry key for the member ROM at point p. Pass it as

@@ -6,8 +6,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <mutex>
 #include <unordered_map>
@@ -32,8 +30,7 @@ constexpr std::size_t kHeaderBytesOffset = 3;
 // -- Directory model (parsed form of the sectioned layout). -----------------
 
 struct BlockRef {
-    std::uint8_t storage = 0;  ///< 0 inline, 1 external
-    std::uint64_t offset = 0;  ///< inline: relative to the block region
+    std::uint64_t offset = 0;  ///< relative to the block region
     std::uint64_t bytes = 0;
     std::uint64_t hash = 0;
 };
@@ -123,13 +120,14 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     const std::uint32_t nblocks = r.u32();
     h.blocks.reserve(nblocks);
     for (std::uint32_t i = 0; i < nblocks; ++i) {
+        // The storage byte is always 0 (inline); blocks never live outside
+        // the artifact.
+        if (r.u8() != 0) fail(IoErrorKind::corrupt, "unknown block storage tag");
         BlockRef b;
-        b.storage = r.u8();
-        if (b.storage > 1) fail(IoErrorKind::corrupt, "unknown block storage tag");
         b.offset = r.u64();
         b.bytes = r.u64();
         b.hash = r.u64();
-        if (b.storage == 0 && (b.offset > region || b.bytes > region - b.offset))
+        if (b.offset > region || b.bytes > region - b.offset)
             fail(IoErrorKind::truncated,
                  "inline block " + std::to_string(i) + " extends past the end of the payload");
         h.blocks.push_back(b);
@@ -190,50 +188,32 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     return h;
 }
 
-/// Fetch a block's bytes and verify its content hash. Inline blocks come
-/// straight out of the mapped payload; external ones from the shared block
-/// store beside the artifact (the registry's cross-artifact dedup store).
-std::string fetch_block(const char* payload, const SectionedHeader& h, std::uint32_t index,
-                        const std::string& artifact_dir) {
+/// Fetch a block's bytes out of the mapped payload and verify its content
+/// hash.
+std::string fetch_block(const char* payload, const SectionedHeader& h, std::uint32_t index) {
     const BlockRef& b = h.blocks[index];
-    std::string bytes;
-    if (b.storage == 0) {
-        bytes.assign(payload + h.header_bytes + b.offset, static_cast<std::size_t>(b.bytes));
-    } else {
-        const std::string path = detail::shared_block_path(artifact_dir, b.hash);
-        std::ifstream in(path, std::ios::binary);
-        if (!in) fail(IoErrorKind::open_failed, "cannot open shared block " + path);
-        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-        if (!in.good() && !in.eof())
-            fail(IoErrorKind::open_failed, "cannot read shared block " + path);
-        if (bytes.size() != b.bytes)
-            fail(IoErrorKind::truncated, "shared block " + path + " has " +
-                                             std::to_string(bytes.size()) + " bytes, expected " +
-                                             std::to_string(b.bytes));
-    }
+    std::string bytes(payload + h.header_bytes + b.offset, static_cast<std::size_t>(b.bytes));
     if (fnv1a(bytes.data(), bytes.size()) != b.hash)
         fail(IoErrorKind::checksum_mismatch,
              "block " + std::to_string(index) + " failed its content hash");
     return bytes;
 }
 
-la::Matrix fetch_basis(const char* payload, const SectionedHeader& h, std::uint32_t group,
-                       const std::string& artifact_dir) {
+la::Matrix fetch_basis(const char* payload, const SectionedHeader& h, std::uint32_t group) {
     const GroupRef& g = h.groups[group];
-    const std::string bytes = fetch_block(payload, h, g.block, artifact_dir);
+    const std::string bytes = fetch_block(payload, h, g.block);
     return decode_matrix_block(bytes.data(), bytes.size(), g.rows, g.cols, h.tier);
 }
 
 /// Decode one member against its (already decoded) union basis.
 FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
-                                std::size_t index, const la::Matrix& basis,
-                                const std::string& artifact_dir) {
+                                std::size_t index, const la::Matrix& basis) {
     const MemberRef& m = h.members[index];
-    const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block, artifact_dir);
+    const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block);
     const la::Matrix coeff = decode_matrix_block(coeff_bytes.data(), coeff_bytes.size(),
                                                  m.coeff_rows, m.coeff_cols, h.tier);
     la::Matrix v = la::matmul(basis, coeff);
-    const std::string meta_bytes = fetch_block(payload, h, m.meta_block, artifact_dir);
+    const std::string meta_bytes = fetch_block(payload, h, m.meta_block);
     ReducedModel model =
         decode_member_meta(meta_bytes.data(), meta_bytes.size(), h.tier, std::move(v));
     return FamilyMember{m.coords, m.certified_error, m.coverage_radius, std::move(model)};
@@ -245,14 +225,11 @@ FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
 // Serialization.
 // ---------------------------------------------------------------------------
 
-std::string serialize_family_artifact(const CompressedFamily& cf,
-                                      const BlockExternalizer& externalize) {
+std::string serialize_family_artifact(const CompressedFamily& cf) {
     ATMOR_REQUIRE(!cf.members.empty(), "serialize_family_artifact: family has no members");
 
     // Content-addressed block interning: identical payloads (e.g. two
-    // members sharing a coefficient block) are stored once per artifact, and
-    // the externalizer can move a block out of the file entirely (the
-    // registry's cross-artifact dedup).
+    // members sharing a coefficient block) are stored once per artifact.
     std::vector<BlockRef> blocks;
     std::vector<const std::string*> block_bytes;
     std::unordered_map<std::uint64_t, std::uint32_t> by_hash;
@@ -268,13 +245,8 @@ std::string serialize_family_artifact(const CompressedFamily& cf,
         BlockRef b;
         b.hash = hash;
         b.bytes = bytes.size();
-        if (externalize && externalize(hash, bytes)) {
-            b.storage = 1;
-        } else {
-            b.storage = 0;
-            b.offset = inline_offset;
-            inline_offset += bytes.size();
-        }
+        b.offset = inline_offset;
+        inline_offset += bytes.size();
         const std::uint32_t index = static_cast<std::uint32_t>(blocks.size());
         blocks.push_back(b);
         block_bytes.push_back(&bytes);
@@ -308,7 +280,7 @@ std::string serialize_family_artifact(const CompressedFamily& cf,
     w.u8(cf.converged ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(blocks.size()));
     for (const BlockRef& b : blocks) {
-        w.u8(b.storage);
+        w.u8(0);  // storage: inline
         w.u64(b.offset);
         w.u64(b.bytes);
         w.u64(b.hash);
@@ -341,18 +313,12 @@ std::string serialize_family_artifact(const CompressedFamily& cf,
     std::memcpy(&payload[kHeaderBytesOffset], &header_bytes, sizeof(header_bytes));
     const std::uint64_t checksum = fnv1a(payload.data(), payload.size());
     payload.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-        if (blocks[i].storage == 0) payload.append(*block_bytes[i]);
+    for (const std::string* bytes : block_bytes) payload.append(*bytes);
     return frame(payload);
 }
 
 void save_family_artifact(const CompressedFamily& cf, const std::string& path) {
     write_file_atomically(serialize_family_artifact(cf), path);
-}
-
-std::string detail::shared_block_path(const std::string& artifact_dir, std::uint64_t hash) {
-    return detail::hashed_path((std::filesystem::path(artifact_dir) / "blocks").string(), hash,
-                               ".blk");
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +330,6 @@ struct FamilyArtifact::Impl {
     std::size_t map_len = 0;
     const char* payload = nullptr;  ///< into the mapping
     std::size_t payload_len = 0;
-    std::string artifact_dir;       ///< where the shared block store lives
     SectionedHeader header;
 
     /// Guards the caches; one thread materializes a given section, everyone
@@ -405,7 +370,6 @@ FamilyArtifact FamilyArtifact::open(const std::string& path) {
     impl->payload = payload.data();
     impl->payload_len = payload.size();
     impl->header = parse_sectioned_header(impl->payload, impl->payload_len);
-    impl->artifact_dir = std::filesystem::path(path).parent_path().string();
     impl->basis_cache.resize(impl->header.groups.size());
     impl->member_cache.resize(impl->header.members.size());
     impl->resident = static_cast<std::size_t>(impl->header.header_bytes);
@@ -448,12 +412,12 @@ std::shared_ptr<const FamilyMember> FamilyArtifact::member(int i) const {
     std::shared_ptr<const la::Matrix>& basis = impl_->basis_cache[m.basis_group];
     if (!basis) {
         basis = std::make_shared<const la::Matrix>(
-            fetch_basis(impl_->payload, impl_->header, m.basis_group, impl_->artifact_dir));
+            fetch_basis(impl_->payload, impl_->header, m.basis_group));
         impl_->resident += static_cast<std::size_t>(basis->rows()) *
                            static_cast<std::size_t>(basis->cols()) * sizeof(double);
     }
     auto member = std::make_shared<const FamilyMember>(
-        materialize_member(impl_->payload, impl_->header, idx, *basis, impl_->artifact_dir));
+        materialize_member(impl_->payload, impl_->header, idx, *basis));
     impl_->resident += atmor::rom::resident_bytes(member->model);
     ++impl_->materialized;
     impl_->member_cache[idx] = member;

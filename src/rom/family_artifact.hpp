@@ -9,9 +9,9 @@
 //   u64 header_bytes              -- at fixed payload offset 3; where the
 //                                    block region begins (patched last)
 //   str family_id | param_space | f64 tol | i32 grid | f64 max_err | u8 conv
-//   block table: u32 count x { u8 storage (0 inline / 1 external),
-//                              u64 offset (inline: relative to the block
-//                              region), u64 bytes, u64 fnv1a hash }
+//   block table: u32 count x { u8 storage (always 0: inline),
+//                              u64 offset (relative to the block region),
+//                              u64 bytes, u64 fnv1a hash }
 //   basis groups: u32 count x { u32 block, i32 rows, i32 cols }
 //   member directory: u32 count x { coords, f64 certified/coverage/encoding/
 //                              basis error, u32 basis_group, u32 coeff_block,
@@ -28,9 +28,8 @@
 // typed IoError at open or at the first materialization that touches it --
 // never a garbage member.
 //
-// Blocks are deduplicated by content hash within an artifact, and an
-// externalizer hook lets rom::Registry share identical blocks ACROSS
-// artifacts (stored once under <artifact_dir>/blocks/<hex16(hash)>.blk).
+// Blocks are deduplicated by content hash within an artifact, so every
+// artifact is one self-contained file.
 //
 // FamilyArtifact::open maps the file read-only (POSIX mmap), parses and
 // verifies only the directory, and decodes basis groups / members on first
@@ -41,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -50,27 +48,13 @@
 
 namespace atmor::rom {
 
-/// Decides where a unique content block lives: return true to store the
-/// block externally (the callee must persist it at
-/// detail::shared_block_path(<artifact dir>, hash), where the loader looks),
-/// false to embed it inline. Called once per unique hash, in deterministic
-/// payload order.
-using BlockExternalizer = std::function<bool(std::uint64_t hash, const std::string& bytes)>;
+/// Frame a CompressedFamily as a family artifact (every block inline).
+std::string serialize_family_artifact(const CompressedFamily& cf);
 
-/// Frame a CompressedFamily as a family artifact. Without an externalizer
-/// every block is embedded inline (self-contained file).
-std::string serialize_family_artifact(const CompressedFamily& cf,
-                                      const BlockExternalizer& externalize = nullptr);
-
-/// Compress-and-save convenience: atomic publication, all blocks inline.
+/// Write a family artifact with atomic publication: the one writer.
+/// Saved at Registry::family_artifact_path(cf.family_id), the registry's
+/// open_family (and so ServeEngine by family id) finds it.
 void save_family_artifact(const CompressedFamily& cf, const std::string& path);
-
-namespace detail {
-/// The shared block store convention's one owner:
-/// <artifact_dir>/blocks/<hex16(hash)>.blk, where the registry writes an
-/// externalized block and the reader of an artifact in artifact_dir finds it.
-std::string shared_block_path(const std::string& artifact_dir, std::uint64_t hash);
-}  // namespace detail
 
 /// Read-only view of a family artifact with lazy member materialization.
 /// Copyable (shared immutable state); thread-safe: concurrent member(i)
@@ -79,8 +63,7 @@ std::string shared_block_path(const std::string& artifact_dir, std::uint64_t has
 class FamilyArtifact {
 public:
     /// Map `path` and verify its envelope and directory (typed IoError
-    /// otherwise; a model artifact is corrupt here). External blocks resolve
-    /// against <dirname(path)>/blocks.
+    /// otherwise; a model artifact is corrupt here).
     static FamilyArtifact open(const std::string& path);
 
     [[nodiscard]] const std::string& family_id() const;

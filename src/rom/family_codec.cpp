@@ -16,6 +16,14 @@ namespace atmor::rom {
 
 namespace {
 
+/// Union-basis deflation threshold (la::BasisBuilder): a member basis column
+/// is dropped when its residual against the union falls below this times its
+/// norm. Tight so U spans every member.
+constexpr double kBasisDeflationTol = 1e-10;
+/// Probe points across the member's certified band for the measured encoding
+/// error.
+constexpr int kProbeGrid = 9;
+
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::family_codec: ") + what);
 }
@@ -74,15 +82,17 @@ sparse::CsrMatrix read_tcsr(Reader& r, EncodingTier tier) {
     const std::uint64_t nnz = r.u64();
     const std::string row_ptr_bytes = r.str();
     const std::string col_idx_bytes = r.str();
+    // nnz is bounded by division against the bytes present: nnz * sizeof(int)
+    // would wrap for a forged count.
     if (row_ptr_bytes.size() != (static_cast<std::size_t>(rows) + 1) * sizeof(int) ||
-        col_idx_bytes.size() != nnz * sizeof(int))
+        col_idx_bytes.size() % sizeof(int) != 0 || col_idx_bytes.size() / sizeof(int) != nnz)
         fail(IoErrorKind::corrupt, "tier-CSR index arrays disagree with the dimensions");
     std::vector<int> row_ptr(static_cast<std::size_t>(rows) + 1);
     std::memcpy(row_ptr.data(), row_ptr_bytes.data(), row_ptr_bytes.size());
     std::vector<int> col_idx(static_cast<std::size_t>(nnz));
     std::memcpy(col_idx.data(), col_idx_bytes.data(), col_idx_bytes.size());
     la::Matrix values_m = read_tmatrix(r, tier);
-    if (values_m.cols() != 1 || values_m.rows() != static_cast<std::int32_t>(nnz))
+    if (values_m.cols() != 1 || static_cast<std::uint64_t>(values_m.rows()) != nnz)
         fail(IoErrorKind::corrupt, "tier-CSR value block disagrees with nnz");
     std::vector<double> values(values_m.data(), values_m.data() + nnz);
     return structurally([&] {
@@ -139,7 +149,8 @@ sparse::SparseTensor3 read_ttensor3(Reader& r, EncodingTier tier) {
         sparse::SparseTensor3 t(rows, n1, n2);
         if (rep == 1) {
             la::Matrix d = read_tmatrix(r, tier);
-            if (d.rows() != n1 * n2 || d.cols() != rows)
+            // In 64 bits: n1 * n2 of a forged header can overflow an int.
+            if (d.rows() != static_cast<std::int64_t>(n1) * n2 || d.cols() != rows)
                 fail(IoErrorKind::corrupt, "dense tensor3 block disagrees with the dimensions");
             for (int idx = 0; idx < d.rows(); ++idx)
                 for (int row = 0; row < rows; ++row)
@@ -276,8 +287,7 @@ volterra::Qldae read_tqldae(Reader& r, EncodingTier tier) {
 /// error folded into every stored certificate. Bit-identical systems (the
 /// f64 tier) measure exactly zero: both sweeps run the same arithmetic on
 /// the same bytes.
-double measured_encoding_error(const ReducedModel& original, const ReducedModel& decoded,
-                               int probe_grid) {
+double measured_encoding_error(const ReducedModel& original, const ReducedModel& decoded) {
     double lo = original.provenance.band_min;
     double hi = original.provenance.band_max;
     if (!(hi > 0.0)) {
@@ -287,9 +297,9 @@ double measured_encoding_error(const ReducedModel& original, const ReducedModel&
         lo = hi / 100.0;
     }
     std::vector<la::Complex> grid;
-    grid.reserve(static_cast<std::size_t>(probe_grid));
-    for (int k = 0; k < probe_grid; ++k)
-        grid.emplace_back(0.0, lo + (hi - lo) * k / (probe_grid - 1));
+    grid.reserve(static_cast<std::size_t>(kProbeGrid));
+    for (int k = 0; k < kProbeGrid; ++k)
+        grid.emplace_back(0.0, lo + (hi - lo) * k / (kProbeGrid - 1));
     const volterra::TransferEvaluator ev_orig(original.rom);
     const volterra::TransferEvaluator ev_dec(decoded.rom);
     const std::vector<la::ZMatrix> resp_orig = ev_orig.output_h1_sweep(grid);
@@ -301,6 +311,14 @@ double measured_encoding_error(const ReducedModel& original, const ReducedModel&
         num = std::max(num, la::max_abs(resp_dec[k] - resp_orig[k]));
     }
     return denom > 0.0 ? num / denom : num;
+}
+
+/// ranges + n * value_bytes, bounded by division before the multiply: a
+/// forged dimension saturates at the maximum size_t, which no block length
+/// equals, instead of wrapping to a small size.
+std::size_t saturated_block_bytes(std::size_t ranges, std::size_t n, std::size_t value_bytes) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    return n > (kMax - ranges) / value_bytes ? kMax : ranges + n * value_bytes;
 }
 
 }  // namespace
@@ -321,17 +339,16 @@ const char* to_string(EncodingTier tier) {
 
 std::size_t encoded_matrix_bytes(int rows, int cols, EncodingTier tier) {
     const std::size_t n = static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+    const std::size_t ranges = static_cast<std::size_t>(cols) * 2 * sizeof(double);
     switch (tier) {
         case EncodingTier::f64:
-            return n * sizeof(double);
+            return saturated_block_bytes(0, n, sizeof(double));
         case EncodingTier::f32:
-            return n * sizeof(float);
+            return saturated_block_bytes(0, n, sizeof(float));
         case EncodingTier::q16:
-            return static_cast<std::size_t>(cols) * 2 * sizeof(double) +
-                   n * sizeof(std::uint16_t);
+            return saturated_block_bytes(ranges, n, sizeof(std::uint16_t));
         case EncodingTier::q8:
-            return static_cast<std::size_t>(cols) * 2 * sizeof(double) +
-                   n * sizeof(std::uint8_t);
+            return saturated_block_bytes(ranges, n, sizeof(std::uint8_t));
     }
     return 0;
 }
@@ -486,9 +503,6 @@ ReducedModel decode_member_meta(const char* data, std::size_t len, EncodingTier 
 CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
                                  CompressStats* stats) {
     ATMOR_REQUIRE(!f.members.empty(), "compress_family: family has no members");
-    ATMOR_REQUIRE(opt.probe_grid >= 2, "compress_family: need probe_grid >= 2");
-    ATMOR_REQUIRE(opt.basis_deflation_tol > 0.0,
-                  "compress_family: need basis_deflation_tol > 0");
     const int member_count = static_cast<int>(f.members.size());
     for (const CoverageCell& cell : f.cells)
         ATMOR_REQUIRE(cell.best >= -1 && cell.best < member_count && cell.second >= -1 &&
@@ -512,7 +526,7 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
 
     std::vector<double> eta(f.members.size(), 0.0);
     for (const auto& [n, idxs] : by_rows) {
-        la::BasisBuilder builder(n, opt.basis_deflation_tol);
+        la::BasisBuilder builder(n, kBasisDeflationTol);
         for (const std::size_t i : idxs) {
             const la::Matrix& v = f.members[i].model.v;
             for (int j = 0; j < v.cols(); ++j) builder.stage(v.col(j));
@@ -547,7 +561,7 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
             std::string meta_bytes = encode_member_meta(tagged, opt.tier);
             const ReducedModel decoded = decode_member_meta(
                 meta_bytes.data(), meta_bytes.size(), opt.tier, std::move(v_dec));
-            const double err = measured_encoding_error(fm.model, decoded, opt.probe_grid);
+            const double err = measured_encoding_error(fm.model, decoded);
             eta[i] = err;
 
             CompressedMember& cm = out.members[i];

@@ -51,13 +51,6 @@ const char* to_string(EncodingTier tier);
 
 struct CompressOptions {
     EncodingTier tier = EncodingTier::q16;
-    /// Union-basis deflation threshold (la::BasisBuilder): a member basis
-    /// column is dropped when its residual against the union falls below
-    /// this times its norm. Tight by default so U spans every member.
-    double basis_deflation_tol = 1e-10;
-    /// Probe points across the member's certified band for the measured
-    /// encoding error (>= 2).
-    int probe_grid = 9;
 };
 
 /// One shared orthonormal basis per full-order size group (families with a
@@ -114,7 +107,7 @@ struct CompressStats {
 };
 
 /// Compress a family (see file comment). Throws util::PreconditionError on
-/// an empty family or invalid options.
+/// an empty family or a coverage cell naming a missing member.
 CompressedFamily compress_family(const Family& f, const CompressOptions& opt = {},
                                  CompressStats* stats = nullptr);
 
@@ -124,7 +117,9 @@ Family decode_family(const CompressedFamily& cf);
 
 // -- Block codec (used by the artifact layer and pinned by tests). ----------
 
-/// Exact byte size of an encoded rows x cols matrix block at `tier`.
+/// Exact byte size of an encoded rows x cols matrix block at `tier`. A size
+/// past the range of std::size_t saturates at its maximum, which no block
+/// length equals.
 std::size_t encoded_matrix_bytes(int rows, int cols, EncodingTier tier);
 
 /// Encode a matrix block: f64/f32 store values row-major; q16 stores

@@ -518,15 +518,6 @@ std::string unframe(const std::string& bytes) {
     return std::string(payload);
 }
 
-std::string detail::hashed_path(const std::string& dir, std::uint64_t hash, const char* ext) {
-    std::string name(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        name[static_cast<std::size_t>(i)] = "0123456789abcdef"[hash & 0xf];
-        hash >>= 4;
-    }
-    return (std::filesystem::path(dir) / (name + ext)).string();
-}
-
 std::string serialize_model(const ReducedModel& m) {
     Writer w;
     w.kind(PayloadKind::model);

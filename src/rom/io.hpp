@@ -184,10 +184,6 @@ namespace detail {
 /// payload checksum is left to the caller: unframe verifies it, the lazy
 /// family reader relies on its directory checksum and block hashes instead.
 std::string_view envelope_payload(std::string_view bytes);
-
-/// `<dir>/<16 lowercase hex digits of hash><ext>`: how the registry names
-/// its artifacts and the shared block store its blocks.
-std::string hashed_path(const std::string& dir, std::uint64_t hash, const char* ext);
 }  // namespace detail
 
 /// Full artifact in memory: framed model payload.

@@ -11,6 +11,17 @@ namespace atmor::rom {
 
 namespace {
 
+/// `<dir>/<16 lowercase hex digits of hash><ext>`: how the registry names
+/// its model and family artifacts.
+std::string hashed_path(const std::string& dir, std::uint64_t hash, const char* ext) {
+    std::string name(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        name[static_cast<std::size_t>(i)] = "0123456789abcdef"[hash & 0xf];
+        hash >>= 4;
+    }
+    return (std::filesystem::path(dir) / (name + ext)).string();
+}
+
 // The registry's artifact payload is the FULL key followed by the model, so
 // a load is accepted only when the stored key matches the requested one --
 // a filename-hash collision or a foreign/stale file at the hashed name is
@@ -52,42 +63,13 @@ Registry::Registry(RegistryOptions opt) : opt_(std::move(opt)) {
 
 std::string Registry::artifact_path(const std::string& key) const {
     if (opt_.artifact_dir.empty()) return {};
-    return detail::hashed_path(opt_.artifact_dir, fnv1a(key.data(), key.size()),
-                               kArtifactExtension);
+    return hashed_path(opt_.artifact_dir, fnv1a(key.data(), key.size()), kArtifactExtension);
 }
 
 std::string Registry::family_artifact_path(const std::string& family_id) const {
     if (opt_.artifact_dir.empty()) return {};
-    return detail::hashed_path(opt_.artifact_dir, fnv1a(family_id.data(), family_id.size()),
-                               kFamilyExtension);
-}
-
-std::string Registry::put_family(const CompressedFamily& cf) {
-    const std::string path = family_artifact_path(cf.family_id);
-    if (path.empty())
-        throw IoError(IoErrorKind::open_failed,
-                      "registry: family artifacts require the disk tier (artifact_dir)");
-    long written = 0;
-    long shared = 0;
-    const std::string bytes = serialize_family_artifact(
-        cf, [&](std::uint64_t hash, const std::string& block) {
-            if (block.size() < kExternalBlockBytes) return false;
-            const std::string block_path = detail::shared_block_path(opt_.artifact_dir, hash);
-            if (std::filesystem::exists(block_path)) {
-                ++shared;  // identical content already stored by some artifact
-            } else {
-                std::filesystem::create_directories(
-                    std::filesystem::path(block_path).parent_path());
-                write_file_atomically(block, block_path);
-                ++written;
-            }
-            return true;
-        });
-    write_file_atomically(bytes, path);
-    stats_.family_saves.fetch_add(1, std::memory_order_relaxed);
-    stats_.blocks_written.fetch_add(written, std::memory_order_relaxed);
-    stats_.blocks_shared.fetch_add(shared, std::memory_order_relaxed);
-    return path;
+    return hashed_path(opt_.artifact_dir, fnv1a(family_id.data(), family_id.size()),
+                       kFamilyExtension);
 }
 
 FamilyArtifact Registry::open_family(const std::string& family_id) {
@@ -196,10 +178,7 @@ RegistryStats Registry::stats() const {
     s.builds = stats_.builds.load(std::memory_order_relaxed);
     s.evictions = stats_.evictions.load(std::memory_order_relaxed);
     s.disk_errors = stats_.disk_errors.load(std::memory_order_relaxed);
-    s.family_saves = stats_.family_saves.load(std::memory_order_relaxed);
     s.family_loads = stats_.family_loads.load(std::memory_order_relaxed);
-    s.blocks_written = stats_.blocks_written.load(std::memory_order_relaxed);
-    s.blocks_shared = stats_.blocks_shared.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -47,11 +47,8 @@ struct RegistryStats {
     long builds = 0;       ///< builder invocations (the expensive path)
     long evictions = 0;    ///< LRU slots reclaimed
     long disk_errors = 0;  ///< unreadable/corrupt artifacts (fell back to build)
-    // -- Family artifact tier (sectioned v4 + shared block store). ----------
-    long family_saves = 0;    ///< put_family calls that persisted an artifact
-    long family_loads = 0;    ///< open_family calls that mapped an artifact
-    long blocks_written = 0;  ///< content blocks newly added to the store
-    long blocks_shared = 0;   ///< externalized blocks already present (dedup)
+    // -- Family artifact tier (sectioned v4). ---------------------------------
+    long family_loads = 0;  ///< open_family calls that mapped an artifact
 };
 
 class Registry {
@@ -76,25 +73,14 @@ public:
     [[nodiscard]] std::string artifact_path(const std::string& key) const;
 
     /// Sectioned family artifact path for `family_id` (empty when the disk
-    /// tier is off).
+    /// tier is off): where rom::save_family_artifact must write a family for
+    /// open_family to find it.
     [[nodiscard]] std::string family_artifact_path(const std::string& family_id) const;
-
-    /// Persist a compressed family as a sectioned v4 artifact. Content
-    /// blocks at or above `kExternalBlockBytes` are externalized into the
-    /// shared <artifact_dir>/blocks store -- written once per content hash,
-    /// so identical blocks across families (a shared union basis, repeated
-    /// member payloads) occupy disk once. Returns the artifact path.
-    /// Requires the disk tier (throws IoError{open_failed} otherwise).
-    std::string put_family(const CompressedFamily& cf);
 
     /// mmap the family artifact saved under `family_id` (lazy member
     /// materialization; see rom::FamilyArtifact). Typed IoError on a
     /// missing/damaged artifact or a disabled disk tier.
     [[nodiscard]] FamilyArtifact open_family(const std::string& family_id);
-
-    /// Blocks smaller than this stay inline (a tiny file per coefficient
-    /// block would cost more in metadata than the dedup saves).
-    static constexpr std::size_t kExternalBlockBytes = 4096;
 
     /// Per-field consistent snapshot (each field one relaxed atomic load);
     /// takes no lock, so stats polling never contends with lookups or an
@@ -121,10 +107,7 @@ private:
         std::atomic<long> builds{0};
         std::atomic<long> evictions{0};
         std::atomic<long> disk_errors{0};
-        std::atomic<long> family_saves{0};
         std::atomic<long> family_loads{0};
-        std::atomic<long> blocks_written{0};
-        std::atomic<long> blocks_shared{0};
     };
 
     RegistryOptions opt_;

@@ -227,9 +227,6 @@ ode::TransientOptions TransientSpec::to_options() const {
     opt.record_stride = record_stride;
     opt.newton_tol = newton_tol;
     opt.newton_max_iter = newton_max_iter;
-    opt.rkf_tol = rkf_tol;
-    opt.dt_min = dt_min;
-    opt.dt_max = dt_max;
     opt.refactor_every_step = refactor_every_step;
     return opt;
 }
@@ -329,9 +326,6 @@ void write_transient_spec(Writer& w, const TransientSpec& s) {
     w.i32(s.record_stride);
     w.f64(s.newton_tol);
     w.i32(s.newton_max_iter);
-    w.f64(s.rkf_tol);
-    w.f64(s.dt_min);
-    w.f64(s.dt_max);
     w.u8(s.refactor_every_step ? 1 : 0);
 }
 
@@ -346,9 +340,6 @@ TransientSpec read_transient_spec(Reader& r) {
     s.record_stride = r.i32();
     s.newton_tol = r.f64();
     s.newton_max_iter = r.i32();
-    s.rkf_tol = r.f64();
-    s.dt_min = r.f64();
-    s.dt_max = r.f64();
     s.refactor_every_step = r.u8() != 0;
     return s;
 }

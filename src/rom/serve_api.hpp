@@ -171,9 +171,6 @@ struct TransientSpec {
     int record_stride = 1;
     double newton_tol = 1e-10;
     int newton_max_iter = 25;
-    double rkf_tol = 1e-8;
-    double dt_min = 1e-12;
-    double dt_max = 0.0;
     bool refactor_every_step = false;
 
     [[nodiscard]] ode::TransientOptions to_options() const;

@@ -61,9 +61,6 @@ public:
 
     // -- Operator views (the hot-path API; never densifies). ---------------
     [[nodiscard]] const la::LinearOperator& g1_op() const { return *g1_op_; }
-    [[nodiscard]] const std::shared_ptr<const la::LinearOperator>& g1_op_ptr() const {
-        return g1_op_;
-    }
     /// CSR stamp of G1 (nullptr for dense-constructed systems).
     [[nodiscard]] const sparse::CsrMatrix* g1_csr() const { return g1_csr_.get(); }
     /// CSR stamps of B / C (nullptr for dense-constructed systems); together

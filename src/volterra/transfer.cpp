@@ -137,17 +137,6 @@ std::vector<ZMatrix> TransferEvaluator::output_h2_diagonal_sweep(
         });
 }
 
-std::vector<ZMatrix> TransferEvaluator::output_h2_mixed_sweep(
-    const std::vector<Complex>& grid_a, const std::vector<Complex>& grid_b) const {
-    const long nb = static_cast<long>(grid_b.size());
-    return util::ThreadPool::global().parallel_map<ZMatrix>(
-        0, static_cast<long>(grid_a.size()) * nb, [&](long flat) {
-            const Complex sa = grid_a[static_cast<std::size_t>(flat / nb)];
-            const Complex sb = grid_b[static_cast<std::size_t>(flat % nb)];
-            return output_h2(sa, sb);
-        });
-}
-
 ZMatrix TransferEvaluator::output_h2(Complex s1, Complex s2) const {
     return map_output(sys_.c(), h2(s1, s2));
 }

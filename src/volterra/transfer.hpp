@@ -51,12 +51,6 @@ public:
     /// Diagonal H2 sweep: H2(s, s) at each grid point.
     [[nodiscard]] std::vector<la::ZMatrix> output_h2_diagonal_sweep(
         const std::vector<la::Complex>& grid) const;
-    /// Mixed (off-diagonal) H2 sweep over the full grid_a x grid_b product:
-    /// output_h2(grid_a[p], grid_b[q]) at flat index p * grid_b.size() + q
-    /// (row-major, a-index major), parallelised across all pairs. The
-    /// intermodulation map multi-tone excitation analysis reads.
-    [[nodiscard]] std::vector<la::ZMatrix> output_h2_mixed_sweep(
-        const std::vector<la::Complex>& grid_a, const std::vector<la::Complex>& grid_b) const;
 
     [[nodiscard]] const Qldae& system() const { return sys_; }
     [[nodiscard]] const std::shared_ptr<la::SolverBackend>& backend() const {

@@ -1,9 +1,11 @@
 // The family artifact stack: tier block codec, union-basis compression with
 // measured-and-folded encoding certificates, save/open, the mmap lazy reader
 // (answers identical to decode_family, O(touched members) materialization,
-// concurrent safety), and the registry's cross-artifact block dedup.
+// concurrent safety), and serving a saved artifact through the registry's
+// family tier.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -131,6 +133,77 @@ TEST(FamilyCodec, WrongBlockLengthIsTypedCorrupt) {
         FAIL() << "short block must throw";
     } catch (const rom::IoError& e) {
         EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
+    }
+    // rows * cols * 8 of these dimensions wraps to 32 in 64 bits: a 32-byte
+    // block must not pass for a matrix of that size.
+    const std::string block(32, '\0');
+    try {
+        (void)rom::decode_matrix_block(block.data(), block.size(), 1824726041, 1263665316,
+                                       rom::EncodingTier::f64);
+        FAIL() << "wrapped block size must throw";
+    } catch (const rom::IoError& e) {
+        EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
+    }
+}
+
+/// A member meta block up to its reduced system: default provenance, build
+/// seconds, raw vector count and order.
+rom::Writer member_meta_prefix() {
+    rom::Writer w;
+    w.provenance(rom::Provenance{});
+    w.f64(0.0);
+    w.i32(1);
+    w.i32(1);
+    return w;
+}
+
+/// A 1 x 1 f64-tier matrix record (rows, cols, encoded block).
+void write_unit_tmatrix(rom::Writer& w) {
+    w.i32(1);
+    w.i32(1);
+    w.str(rom::encode_matrix_block(la::Matrix{{1.0}}, rom::EncodingTier::f64));
+}
+
+void expect_meta_corrupt(const rom::Writer& w, const char* what) {
+    const std::string& bytes = w.bytes();
+    try {
+        (void)rom::decode_member_meta(bytes.data(), bytes.size(), rom::EncodingTier::f64,
+                                      la::Matrix(1, 1));
+        FAIL() << what << " decoded";
+    } catch (const rom::IoError& e) {
+        EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << what << ": " << e.what();
+    }
+}
+
+TEST(FamilyCodec, ForgedMemberMetaSizesAreTypedCorrupt) {
+    {
+        // Sparse G1 announcing nnz = 2^62 over an empty column index array:
+        // nnz * sizeof(int) wraps to 0.
+        rom::Writer w = member_meta_prefix();
+        w.u8(1);  // sparse Qldae
+        w.i32(1);
+        w.i32(1);
+        w.u64(std::uint64_t{1} << 62);
+        const int row_ptr[2] = {0, 0};
+        w.str(std::string(reinterpret_cast<const char*>(row_ptr), sizeof(row_ptr)));
+        w.str(std::string());
+        expect_meta_corrupt(w, "nnz = 2^62 with an empty col_idx");
+    }
+    {
+        // Dense G2 of 65536 x 65536 lifted columns over a valid 1 x 1 block:
+        // n1 * n2 overflows an int.
+        rom::Writer w = member_meta_prefix();
+        w.u8(0);                // dense Qldae
+        write_unit_tmatrix(w);  // G1
+        write_unit_tmatrix(w);  // B
+        write_unit_tmatrix(w);  // C
+        w.u32(0);               // no D1 blocks
+        w.i32(1);
+        w.i32(65536);
+        w.i32(65536);
+        w.u8(1);  // dense tensor3
+        write_unit_tmatrix(w);
+        expect_meta_corrupt(w, "dense tensor3 with n1 = n2 = 65536");
     }
 }
 
@@ -368,70 +441,77 @@ TEST(FamilyArtifact, DamagedSectionsAreTypedErrorsOnWhicheverPathTouchesThem) {
     std::filesystem::remove_all(dir);
 }
 
-// ---------------------------------------------------------------------------
-// Registry family tier + cross-artifact block dedup.
-// ---------------------------------------------------------------------------
+TEST(FamilyArtifact, BlockStorageOtherThanInlineIsTypedCorrupt) {
+    // Every block lives inside the artifact: the block table's storage byte
+    // is always 0, and the reader refuses any other value at open, even
+    // behind a re-hashed directory and a re-minted frame.
+    const std::string dir = temp_dir("storage");
+    const rom::CompressedFamily cf = rom::compress_family(test_family());
+    const std::string payload = rom::unframe(rom::serialize_family_artifact(cf));
 
-TEST(FamilyArtifact, RegistryDedupsSharedBlocksAcrossArtifacts) {
-    const std::string dir = temp_dir("registry");
-    rom::RegistryOptions ropt;
-    ropt.artifact_dir = dir;
-    rom::Registry registry(ropt);
+    // The directory up to the block table, then its u32 block count.
+    rom::Writer prefix;
+    prefix.kind(rom::PayloadKind::family);
+    prefix.u8(static_cast<std::uint8_t>(rom::FamilyLayout::sectioned));
+    prefix.u8(static_cast<std::uint8_t>(cf.tier));
+    prefix.u64(0);
+    prefix.str(cf.family_id);
+    prefix.param_space(cf.space);
+    prefix.f64(cf.tol);
+    prefix.i32(cf.training_grid_per_dim);
+    prefix.f64(cf.max_training_error);
+    prefix.u8(cf.converged ? 1 : 0);
+    const std::size_t storage_at = prefix.bytes().size() + sizeof(std::uint32_t);
+    ASSERT_EQ(payload[storage_at], '\0');
 
-    rom::CompressedFamily cf = rom::compress_family(test_family());
-    const std::string path = registry.put_family(cf);
-    EXPECT_TRUE(std::filesystem::exists(path));
-    const rom::RegistryStats first = registry.stats();
-    EXPECT_EQ(first.family_saves, 1);
-    EXPECT_GT(first.blocks_written, 0);
-    EXPECT_EQ(first.blocks_shared, 0);
-
-    // A second family with identical payload blocks (a re-build of the same
-    // design under a new id) shares every externalized block on disk.
-    rom::CompressedFamily clone = cf;
-    clone.family_id = cf.family_id + ":clone";
-    (void)registry.put_family(clone);
-    const rom::RegistryStats second = registry.stats();
-    EXPECT_EQ(second.family_saves, 2);
-    EXPECT_EQ(second.blocks_written, first.blocks_written);  // nothing new hit disk
-    EXPECT_GT(second.blocks_shared, 0);
-
-    // Externalized artifacts load back through the shared block store, lazy.
-    const rom::FamilyArtifact art = registry.open_family(clone.family_id);
-    const rom::Family direct = rom::decode_family(cf);
-    for (int i = 0; i < art.member_count(); ++i)
-        EXPECT_EQ(la::max_abs(art.member(i)->model.v -
-                              direct.members[static_cast<std::size_t>(i)].model.v),
-                  0.0);
-    EXPECT_GT(registry.stats().family_loads, 0);
+    std::uint64_t header_bytes = 0;
+    std::memcpy(&header_bytes, payload.data() + 3, sizeof(header_bytes));
+    const std::size_t dir_len = static_cast<std::size_t>(header_bytes) - sizeof(std::uint64_t);
+    const std::string path = dir + "/forged" + rom::kFamilyExtension;
+    for (const int storage : {1, 2, 0xff}) {
+        std::string forged = payload;
+        forged[storage_at] = static_cast<char>(storage);
+        const std::uint64_t sum = rom::fnv1a(forged.data(), dir_len);
+        std::memcpy(&forged[dir_len], &sum, sizeof(sum));
+        rom::write_file_atomically(rom::frame(forged), path);
+        try {
+            (void)rom::FamilyArtifact::open(path);
+            FAIL() << "storage byte " << storage << " opened";
+        } catch (const rom::IoError& e) {
+            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << "storage byte " << storage;
+        }
+    }
     std::filesystem::remove_all(dir);
 }
 
-TEST(FamilyArtifact, BuilderCompressOptionProducesServableArtifact) {
-    const std::string dir = temp_dir("builder");
+// ---------------------------------------------------------------------------
+// Registry family tier.
+// ---------------------------------------------------------------------------
+
+TEST(FamilyArtifact, SavedAtTheRegistryPathServesCertifiedByFamilyId) {
+    // The path a served family takes: compress, save at the registry's
+    // family path, and let serve() find it by family id.
+    const std::string dir = temp_dir("registry");
     rom::RegistryOptions ropt;
     ropt.artifact_dir = dir;
-    pmor::FamilyBuildOptions opt = family_options();
-    opt.registry = std::make_shared<rom::Registry>(ropt);
-    opt.compress = true;
-    opt.compress_options.tier = rom::EncodingTier::q16;
-    const pmor::FamilyBuildResult result = core::build_family(nltl_design(), opt);
+    const auto registry = std::make_shared<rom::Registry>(ropt);
+    rom::CompressOptions copt;
+    copt.tier = rom::EncodingTier::q16;
+    const rom::CompressedFamily cf = rom::compress_family(test_family(), copt);
+    ASSERT_TRUE(cf.converged);
+    const std::string path = registry->family_artifact_path(cf.family_id);
+    ASSERT_FALSE(path.empty());
+    rom::save_family_artifact(cf, path);
+    EXPECT_EQ(registry->stats().family_loads, 0);
 
-    ASSERT_TRUE(result.compressed.has_value());
-    EXPECT_FALSE(result.artifact_path.empty());
-    EXPECT_TRUE(std::filesystem::exists(result.artifact_path));
-    EXPECT_EQ(result.compressed->members.size(), result.family.members.size());
-    EXPECT_LE(result.compress_stats.basis_columns_union,
-              result.compress_stats.basis_columns_in);
-
-    // The persisted artifact serves certified answers end to end, found by
-    // family id through the registry's artifact tier.
-    rom::ServeEngine engine(opt.registry);
-    const rom::ServeResponse ans = test::parametric(engine, result.family.family_id,
-                                                    result.family.space.center(), probe_grid());
+    rom::ServeEngine engine(registry);
+    const rom::ServeResponse ans = test::parametric(engine, cf.family_id, cf.space.center(),
+                                                    probe_grid());
     ASSERT_TRUE(ans.ok()) << ans.error.message;
     EXPECT_FALSE(ans.fallback);
+    EXPECT_TRUE(ans.certificate.certified());
     EXPECT_LE(ans.certificate.estimated_error, ans.certificate.tol);
+    EXPECT_EQ(registry->stats().family_loads, 1);
     std::filesystem::remove_all(dir);
 }
 

@@ -52,9 +52,6 @@ rom::ServeRequest transient_request() {
     body.options.record_stride = 25;
     body.options.newton_tol = 1e-11;
     body.options.newton_max_iter = 17;
-    body.options.rkf_tol = 1e-7;
-    body.options.dt_min = 1e-6;
-    body.options.dt_max = 0.5;
     body.options.refactor_every_step = true;
     req.body = body;
     return req;
@@ -141,9 +138,6 @@ TEST(ServeProtocol, TransientFieldsSurviveTheWire) {
     EXPECT_EQ(body.options.method, ode::Method::trapezoidal);
     EXPECT_EQ(body.options.newton_tol, 1e-11);
     EXPECT_EQ(body.options.newton_max_iter, 17);
-    EXPECT_EQ(body.options.rkf_tol, 1e-7);
-    EXPECT_EQ(body.options.dt_min, 1e-6);
-    EXPECT_EQ(body.options.dt_max, 0.5);
     EXPECT_TRUE(body.options.refactor_every_step);
     EXPECT_TRUE(body.raw_inputs.empty());
     // The spec instantiates to the exact circuits:: closed forms.
@@ -260,6 +254,35 @@ TEST(ServeProtocol, PayloadTruncationAtEveryBoundaryIsTyped) {
         }
         EXPECT_THROW((void)rom::decode_request(bytes + '\0'), rom::IoError)
             << "trailing byte accepted";
+    }
+}
+
+TEST(ServeProtocol, MethodByteNamingNoIntegratorIsTypedCorrupt) {
+    // The method byte is the one byte in which a trapezoidal and a backward
+    // Euler request differ; any value past backward_euler names no
+    // integrator.
+    rom::ServeRequest euler = transient_request();
+    std::get<rom::TransientBatchRequest>(euler.body).options.method = ode::Method::backward_euler;
+    const std::string trap_bytes = rom::encode_request(transient_request());
+    const std::string euler_bytes = rom::encode_request(euler);
+    ASSERT_EQ(trap_bytes.size(), euler_bytes.size());
+    std::vector<std::size_t> differ;
+    for (std::size_t i = 0; i < trap_bytes.size(); ++i)
+        if (trap_bytes[i] != euler_bytes[i]) differ.push_back(i);
+    ASSERT_EQ(differ.size(), 1u);
+    const std::size_t at = differ[0];
+    ASSERT_EQ(static_cast<std::uint8_t>(euler_bytes[at]),
+              static_cast<std::uint8_t>(ode::Method::backward_euler));
+
+    for (const int method : {static_cast<int>(ode::Method::backward_euler) + 1, 0x7f, 0xff}) {
+        std::string forged = euler_bytes;
+        forged[at] = static_cast<char>(method);
+        try {
+            (void)rom::decode_request(forged);
+            FAIL() << "method byte " << method << " decoded";
+        } catch (const rom::IoError& e) {
+            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << "method byte " << method;
+        }
     }
 }
 

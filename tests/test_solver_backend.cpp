@@ -133,18 +133,6 @@ TEST(Operator, DenseAndSparseAgree) {
     EXPECT_NE(dop.id(), sop.id());
 }
 
-TEST(Operator, ShiftedViewAppliesResolventLhs) {
-    util::Rng rng(46);
-    const Matrix a = test::random_stable_matrix(8, rng);
-    auto base = la::make_dense_operator(a);
-    const Complex s(0.5, 0.25);
-    const la::ShiftedOperator shifted(base, s);
-    const ZVec x = test::random_zvector(8, rng);
-    ZVec ref = la::matvec_rc(a, x);
-    for (std::size_t i = 0; i < ref.size(); ++i) ref[i] = s * x[i] - ref[i];
-    EXPECT_LT(la::dist2(shifted.apply(x), ref), 1e-13);
-}
-
 class BackendCase : public ::testing::TestWithParam<int> {};
 
 std::shared_ptr<la::SolverBackend> make_backend(int which) {
