@@ -23,12 +23,6 @@ struct AdaptiveOptions;
 struct AdaptiveResult;
 }  // namespace atmor::mor
 
-namespace atmor::pmor {
-struct FamilyDesign;
-struct FamilyBuildOptions;
-struct FamilyBuildResult;
-}  // namespace atmor::pmor
-
 namespace atmor::core {
 
 /// Largest order for which the MOR front-ends run the dense eigenvalue sweep
@@ -92,14 +86,5 @@ MorResult reduce_linear(const volterra::Qldae& sys, int k1,
 /// side; implemented in mor/adaptive.cpp (include mor/adaptive.hpp for the
 /// option/result types).
 mor::AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const mor::AdaptiveOptions& opt);
-
-/// Parametric family: greedy parameter-space sampling over a FamilyDesign
-/// (typed descriptors on circuits::*Options) with per-point reduce_adaptive
-/// members, producing a certified rom::Family ready for rom::compress_family
-/// and serving as a hosted family artifact. Declared here so the reduce/build
-/// front-ends live side by side; implemented in pmor/family_builder.cpp
-/// (include pmor/family_builder.hpp for the option/result types).
-pmor::FamilyBuildResult build_family(const pmor::FamilyDesign& design,
-                                     const pmor::FamilyBuildOptions& opt);
 
 }  // namespace atmor::core

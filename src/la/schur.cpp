@@ -393,6 +393,4 @@ double spectral_abscissa(const Matrix& a) {
     return m;
 }
 
-bool is_hurwitz(const Matrix& a, double margin) { return spectral_abscissa(a) < -margin; }
-
 }  // namespace atmor::la

@@ -81,7 +81,4 @@ ZVec eigenvalues(const Matrix& a);
 /// Spectral abscissa max_i Re(lambda_i); < 0 means Hurwitz-stable.
 double spectral_abscissa(const Matrix& a);
 
-/// True if all eigenvalues have real part < -margin.
-bool is_hurwitz(const Matrix& a, double margin = 0.0);
-
 }  // namespace atmor::la

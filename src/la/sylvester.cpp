@@ -53,36 +53,4 @@ ZVec resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const 
     return y;
 }
 
-Matrix solve_lyapunov(const Matrix& a, const Matrix& q) {
-    ATMOR_REQUIRE(a.square() && q.rows() == a.rows() && q.cols() == a.cols(),
-                  "solve_lyapunov: shape mismatch");
-    const int n = a.rows();
-    const ComplexSchur sa(a);
-    // A P + P A^T = Q is the sigma = 0 case of the kron-sum resolvent with
-    // C = -Q; vec(C) row j is column j of C.
-    ZVec c(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j)
-        for (int i = 0; i < n; ++i)
-            c[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)] =
-                Complex(q(i, j), 0.0) * Complex(-1.0, 0.0);
-    const ZVec x = resolvent_kron_sum_solve(sa, Complex(0), c);
-    Matrix p(n, n);
-    for (int j = 0; j < n; ++j)
-        for (int i = 0; i < n; ++i)
-            p(i, j) = x[static_cast<std::size_t>(j) * n + static_cast<std::size_t>(i)].real();
-    return p;
-}
-
-Matrix controllability_gramian(const Matrix& a, const Matrix& b) {
-    ATMOR_REQUIRE(b.rows() == a.rows(), "controllability_gramian: B rows mismatch");
-    Matrix q(a.rows(), a.rows());
-    for (int i = 0; i < a.rows(); ++i)
-        for (int j = 0; j < a.rows(); ++j) {
-            double s = 0.0;
-            for (int k = 0; k < b.cols(); ++k) s += b(i, k) * b(j, k);
-            q(i, j) = -s;
-        }
-    return solve_lyapunov(a, q);
-}
-
 }  // namespace atmor::la

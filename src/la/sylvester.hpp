@@ -1,5 +1,5 @@
-// Lyapunov solvers and the Kronecker-sum resolvent (Bartels-Stewart) built on
-// the complex Schur form.
+// The Kronecker-sum resolvent (Bartels-Stewart) built on the complex Schur
+// form.
 //
 // The central primitive is `resolvent_kron_sum_solve`, which evaluates
 //     (sigma*I - A (+) A)^{-1} vec(C)  as the matrix equation
@@ -29,11 +29,5 @@ void tri_sylvester_shifted(const ZMatrix& t1, const ZMatrix& t2, Complex sigma, 
 /// vec(X) = (sigma*I - A (+) A)^{-1} vec(C), i.e. sigma*X - A X - X A^T = C,
 /// given the complex Schur form of A; vec_c has n^2 entries.
 ZVec resolvent_kron_sum_solve(const ComplexSchur& schur_a, Complex sigma, const ZVec& vec_c);
-
-/// Dense real Lyapunov A P + P A^T = Q.
-Matrix solve_lyapunov(const Matrix& a, const Matrix& q);
-
-/// Controllability gramian P solving A P + P A^T + B B^T = 0 (A Hurwitz).
-Matrix controllability_gramian(const Matrix& a, const Matrix& b);
 
 }  // namespace atmor::la

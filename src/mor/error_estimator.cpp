@@ -7,50 +7,25 @@
 #include "la/vector_ops.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
+#include "volterra/transfer.hpp"
 
 namespace atmor::mor {
 
 using la::Complex;
 using la::ZMatrix;
 using la::ZVec;
+using volterra::map_output;
 
 namespace {
 
-/// Output map Y = C X column by column (C real, X complex).
-ZMatrix map_output(const la::Matrix& c, const ZMatrix& x) {
-    ZMatrix y(c.rows(), x.cols());
-    for (int col = 0; col < x.cols(); ++col) y.set_col(col, la::matvec_rc(c, x.col(col)));
-    return y;
-}
-
-}  // namespace
-
-namespace {
-
-/// Diagonal second-order forcing of the harmonic-probing formula (the
-/// bracket of TransferEvaluator::h2_col at s1 = s2): column (i*m + j) is
-/// 0.5 * (G2(x_i, x_j) + G2(x_j, x_i) + D1_i x_j + D1_j x_i) for the given
-/// first-order states X (n x m). Matvecs/tensor applies only.
-ZMatrix diag_h2_forcing(const volterra::Qldae& sys, const ZMatrix& x1) {
-    const int n = sys.order(), m = sys.inputs();
-    ZMatrix g(n, m * m);
-    for (int i = 0; i < m; ++i) {
-        const ZVec xi = x1.col(i);
-        for (int j = 0; j < m; ++j) {
-            const ZVec xj = x1.col(j);
-            ZVec gij(static_cast<std::size_t>(n), Complex(0));
-            if (sys.has_quadratic()) {
-                la::axpy(Complex(1.0), sys.g2().apply(xi, xj), gij);
-                la::axpy(Complex(1.0), sys.g2().apply(xj, xi), gij);
-            }
-            if (sys.has_bilinear()) {
-                la::axpy(Complex(1.0), sys.apply_d1(i, xj), gij);
-                la::axpy(Complex(1.0), sys.apply_d1(j, xi), gij);
-            }
-            la::scale(Complex(0.5), gij);
-            g.set_col(i * m + j, gij);
-        }
-    }
+/// Diagonal second-order forcing block at s1 = s2: column (i*m + j) is
+/// volterra::h2_forcing of the first-order states X (n x m).
+ZMatrix diagonal_forcing(const volterra::Qldae& sys, const ZMatrix& x1) {
+    const int m = sys.inputs();
+    ZMatrix g(sys.order(), m * m);
+    for (int i = 0; i < m; ++i)
+        for (int j = 0; j < m; ++j)
+            g.set_col(i * m + j, volterra::h2_forcing(sys, x1.col(i), x1.col(j), i, j));
     return g;
 }
 
@@ -121,7 +96,7 @@ double ErrorEstimator::h2_error(const rom::ReducedModel& m, Complex s) const {
     for (int i = 0; i < mcols; ++i) bhat.set_col(i, la::complexify(m.rom.b_col(i)));
     const ZMatrix xhat1 = rom_backend_.solve_shifted(m.rom.g1_op(), s, bhat);
     const ZMatrix xhat2 = rom_backend_.solve_shifted(m.rom.g1_op(), 2.0 * s,
-                                                     diag_h2_forcing(m.rom, xhat1));
+                                                     diagonal_forcing(m.rom, xhat1));
 
     // The exact full-order C H2(s,s), memoised (it is model-independent),
     // against the reduced output.
@@ -142,7 +117,7 @@ double ErrorEstimator::h2_error(const rom::ReducedModel& m, Complex s) const {
         for (int i = 0; i < mcols; ++i) b.set_col(i, la::complexify(full_.b_col(i)));
         const ZMatrix x1 = backend_->solve_shifted(full_.g1_op(), s, b);
         const ZMatrix x2 =
-            backend_->solve_shifted(full_.g1_op(), 2.0 * s, diag_h2_forcing(full_, x1));
+            backend_->solve_shifted(full_.g1_op(), 2.0 * s, diagonal_forcing(full_, x1));
         y2_full = map_output(full_.c(), x2);
         std::lock_guard<std::mutex> lock(ref_mutex_);
         full_y2_.emplace(key, y2_full);

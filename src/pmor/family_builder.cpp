@@ -105,16 +105,10 @@ FamilyBuildResult FamilyBuilder::build() {
     };
 
     const auto build_member = [&](const Point& p) {
-        const std::string key = member_key(design_, opt_.adaptive, p);
-        const auto builder = [&]() {
-            mor::AdaptiveResult r = mor::reduce_adaptive(design_.build_system(p), opt_.adaptive);
-            r.model.provenance.source = key;
-            return std::move(r.model);
-        };
+        mor::AdaptiveResult r = mor::reduce_adaptive(design_.build_system(p), opt_.adaptive);
+        r.model.provenance.source = member_key(design_, opt_.adaptive, p);
         ++stats.members_built;
-        rom::ReducedModel model =
-            opt_.registry ? *opt_.registry->get_or_build(key, builder) : builder();
-        return rom::FamilyMember{p, 0.0, 0.0, std::move(model)};
+        return rom::FamilyMember{p, 0.0, 0.0, std::move(r.model)};
     };
 
     const auto cross_error = [&](const rom::FamilyMember& m, std::size_t c) {
@@ -228,12 +222,3 @@ FamilyBuildResult FamilyBuilder::build() {
 }
 
 }  // namespace atmor::pmor
-
-namespace atmor::core {
-
-pmor::FamilyBuildResult build_family(const pmor::FamilyDesign& design,
-                                     const pmor::FamilyBuildOptions& opt) {
-    return pmor::FamilyBuilder(design, opt).build();
-}
-
-}  // namespace atmor::core

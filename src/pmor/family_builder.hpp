@@ -9,9 +9,8 @@
 // expansion frequencies:
 //
 //   1. Build a member at the box center (or the caller's initial points),
-//      each through rom::Registry (single-flight, disk-tier) with a
-//      per-point reduce_adaptive so every member is itself certified over
-//      the frequency band.
+//      each by a per-point reduce_adaptive so every member is itself
+//      certified over the frequency band.
 //   2. For every training-grid point, take the best (smallest) certified
 //      cross error over the current members.
 //   3. While the worst training point exceeds tol and the member budget
@@ -38,7 +37,6 @@
 #include "mor/adaptive.hpp"
 #include "pmor/param_space.hpp"
 #include "rom/family.hpp"
-#include "rom/registry.hpp"
 
 namespace atmor::pmor {
 
@@ -89,14 +87,10 @@ struct FamilyBuildOptions {
     /// here, and a member that cannot certify its own point under the
     /// family tolerance can never cover a neighbour.
     mor::AdaptiveOptions adaptive;
-    /// Optional registry: member builds go through get_or_build (keyed
-    /// family_id : system_key | adaptive key), so concurrent family builds
-    /// single-flight and members persist in the artifact tier.
-    std::shared_ptr<rom::Registry> registry;
 };
 
 struct FamilyBuildStats {
-    int members_built = 0;     ///< reduce_adaptive invocations (or registry hits)
+    int members_built = 0;     ///< reduce_adaptive invocations
     int candidates = 0;        ///< training-grid size
     long cross_estimates = 0;  ///< member x candidate band-error sweeps
     double build_seconds = 0.0;
@@ -110,10 +104,11 @@ struct FamilyBuildResult {
     std::vector<double> error_history;
 };
 
-/// Registry key for the member ROM at point p. Pass it as
-/// rom::ParametricOptions::fallback_key (with the same adaptive options) to
-/// make the serving layer's on-demand builds coalesce with family-member
-/// artifacts of the same accuracy.
+/// Stable key for the member ROM at point p; the builder writes it into the
+/// member's provenance source. Pass it as rom::ParametricOptions::fallback_key
+/// (with the same adaptive options) to key the serving layer's on-demand
+/// builds the same way, so they share one registry entry per point across
+/// query tolerances.
 std::string member_key(const FamilyDesign& design, const mor::AdaptiveOptions& adaptive,
                        const Point& p);
 
@@ -133,11 +128,3 @@ private:
 };
 
 }  // namespace atmor::pmor
-
-namespace atmor::core {
-
-/// Front-end spelling alongside reduce_associated / reduce_adaptive.
-pmor::FamilyBuildResult build_family(const pmor::FamilyDesign& design,
-                                     const pmor::FamilyBuildOptions& opt);
-
-}  // namespace atmor::core

@@ -23,6 +23,15 @@ namespace {
 /// precede it); patched after the directory length is known.
 constexpr std::size_t kHeaderBytesOffset = 3;
 
+// Smallest encoded size of each directory record a count announces; the
+// parser bounds every count by it through Reader::count before it reserves
+// or loops. Block: storage u8, then offset, length and hash u64s. Group:
+// block, rows and cols, 4 bytes each. Member: coordinate count u64, four
+// f64 errors and five 4-byte indices or dimensions, then its coordinates.
+constexpr std::size_t kBlockRecordBytes = 1 + 3 * 8;
+constexpr std::size_t kGroupRecordBytes = 3 * 4;
+constexpr std::size_t kMemberRecordBytes = 8 + 4 * 8 + 5 * 4;
+
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::family_artifact: ") + what);
 }
@@ -117,9 +126,9 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     h.converged = conv == 1;
 
     const std::size_t region = payload_len - static_cast<std::size_t>(header_bytes);
-    const std::uint32_t nblocks = r.u32();
+    const std::size_t nblocks = r.count(r.u32(), kBlockRecordBytes);
     h.blocks.reserve(nblocks);
-    for (std::uint32_t i = 0; i < nblocks; ++i) {
+    for (std::size_t i = 0; i < nblocks; ++i) {
         // The storage byte is always 0 (inline); blocks never live outside
         // the artifact.
         if (r.u8() != 0) fail(IoErrorKind::corrupt, "unknown block storage tag");
@@ -133,9 +142,9 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
         h.blocks.push_back(b);
     }
 
-    const std::uint32_t ngroups = r.u32();
+    const std::size_t ngroups = r.count(r.u32(), kGroupRecordBytes);
     h.groups.reserve(ngroups);
-    for (std::uint32_t i = 0; i < ngroups; ++i) {
+    for (std::size_t i = 0; i < ngroups; ++i) {
         GroupRef g;
         g.block = r.u32();
         g.rows = r.i32();
@@ -150,9 +159,9 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     }
 
     const std::size_t ndims = static_cast<std::size_t>(h.space.dims());
-    const std::uint32_t nmembers = r.u32();
+    const std::size_t nmembers = r.count(r.u32(), kMemberRecordBytes + ndims * sizeof(double));
     h.members.reserve(nmembers);
-    for (std::uint32_t i = 0; i < nmembers; ++i) {
+    for (std::size_t i = 0; i < nmembers; ++i) {
         MemberRef m;
         const std::uint64_t nc = r.u64();
         if (nc != ndims)

@@ -23,6 +23,9 @@ constexpr double kBasisDeflationTol = 1e-10;
 /// Probe points across the member's certified band for the measured encoding
 /// error.
 constexpr int kProbeGrid = 9;
+/// Smallest encoded tier-matrix record: rows and cols i32, then the
+/// block's u64 length; Reader::count bounds the D1 count by it.
+constexpr std::size_t kTMatrixHeaderBytes = 2 * 4 + 8;
 
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::family_codec: ") + what);
@@ -60,45 +63,6 @@ la::Matrix read_tmatrix(Reader& r, EncodingTier tier) {
     if (rows < 0 || cols < 0) fail(IoErrorKind::corrupt, "negative tier-matrix dimension");
     const std::string bytes = r.str();
     return decode_matrix_block(bytes.data(), bytes.size(), rows, cols, tier);
-}
-
-void write_tcsr(Writer& w, const sparse::CsrMatrix& m, EncodingTier tier) {
-    w.i32(m.rows());
-    w.i32(m.cols());
-    w.u64(m.values().size());
-    w.str(std::string(reinterpret_cast<const char*>(m.row_ptr().data()),
-                      m.row_ptr().size() * sizeof(int)));
-    w.str(std::string(reinterpret_cast<const char*>(m.col_idx().data()),
-                      m.col_idx().size() * sizeof(int)));
-    la::Matrix values(static_cast<int>(m.values().size()), 1);
-    std::copy(m.values().begin(), m.values().end(), values.data());
-    write_tmatrix(w, values, tier);
-}
-
-sparse::CsrMatrix read_tcsr(Reader& r, EncodingTier tier) {
-    const std::int32_t rows = r.i32();
-    const std::int32_t cols = r.i32();
-    if (rows < 0 || cols < 0) fail(IoErrorKind::corrupt, "negative tier-CSR dimension");
-    const std::uint64_t nnz = r.u64();
-    const std::string row_ptr_bytes = r.str();
-    const std::string col_idx_bytes = r.str();
-    // nnz is bounded by division against the bytes present: nnz * sizeof(int)
-    // would wrap for a forged count.
-    if (row_ptr_bytes.size() != (static_cast<std::size_t>(rows) + 1) * sizeof(int) ||
-        col_idx_bytes.size() % sizeof(int) != 0 || col_idx_bytes.size() / sizeof(int) != nnz)
-        fail(IoErrorKind::corrupt, "tier-CSR index arrays disagree with the dimensions");
-    std::vector<int> row_ptr(static_cast<std::size_t>(rows) + 1);
-    std::memcpy(row_ptr.data(), row_ptr_bytes.data(), row_ptr_bytes.size());
-    std::vector<int> col_idx(static_cast<std::size_t>(nnz));
-    std::memcpy(col_idx.data(), col_idx_bytes.data(), col_idx_bytes.size());
-    la::Matrix values_m = read_tmatrix(r, tier);
-    if (values_m.cols() != 1 || static_cast<std::uint64_t>(values_m.rows()) != nnz)
-        fail(IoErrorKind::corrupt, "tier-CSR value block disagrees with nnz");
-    std::vector<double> values(values_m.data(), values_m.data() + nnz);
-    return structurally([&] {
-        return sparse::CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
-                                             std::move(col_idx), std::move(values));
-    });
 }
 
 /// Sparse triplet byte cost of `count` tensor3/tensor4 entries.
@@ -156,8 +120,8 @@ sparse::SparseTensor3 read_ttensor3(Reader& r, EncodingTier tier) {
                 for (int row = 0; row < rows; ++row)
                     if (d(idx, row) != 0.0) t.add(row, idx / n2, idx % n2, d(idx, row));
         } else {
-            const std::uint64_t count = r.u64();
-            for (std::uint64_t e = 0; e < count; ++e) {
+            const std::size_t count = r.count(r.u64(), 3 * sizeof(std::int32_t) + sizeof(double));
+            for (std::size_t e = 0; e < count; ++e) {
                 const std::int32_t row = r.i32();
                 const std::int32_t i = r.i32();
                 const std::int32_t j = r.i32();
@@ -213,8 +177,8 @@ sparse::SparseTensor4 read_ttensor4(Reader& r, EncodingTier tier) {
                     if (d(idx, row) != 0.0)
                         t.add(row, idx / (n * n), (idx / n) % n, idx % n, d(idx, row));
         } else {
-            const std::uint64_t count = r.u64();
-            for (std::uint64_t e = 0; e < count; ++e) {
+            const std::size_t count = r.count(r.u64(), 4 * sizeof(std::int32_t) + sizeof(double));
+            for (std::size_t e = 0; e < count; ++e) {
                 const std::int32_t row = r.i32();
                 const std::int32_t i = r.i32();
                 const std::int32_t j = r.i32();
@@ -227,53 +191,27 @@ sparse::SparseTensor4 read_ttensor4(Reader& r, EncodingTier tier) {
 }
 
 void write_tqldae(Writer& w, const volterra::Qldae& sys, EncodingTier tier) {
-    w.u8(sys.is_sparse() ? 1 : 0);
+    w.u8(0);  // storage byte: dense G1/B/C/D1, as in rom::Writer::qldae
     const std::uint32_t nd1 =
         sys.has_bilinear() ? static_cast<std::uint32_t>(sys.inputs()) : 0;
-    if (sys.is_sparse()) {
-        write_tcsr(w, *sys.g1_csr(), tier);
-        write_tcsr(w, *sys.b_csr(), tier);
-        write_tcsr(w, *sys.c_csr(), tier);
-        w.u32(nd1);
-        for (std::uint32_t i = 0; i < nd1; ++i)
-            write_tcsr(w, sys.d1_csr_blocks()[static_cast<std::size_t>(i)], tier);
-    } else {
-        write_tmatrix(w, sys.g1(), tier);
-        write_tmatrix(w, sys.b(), tier);
-        write_tmatrix(w, sys.c(), tier);
-        w.u32(nd1);
-        for (std::uint32_t i = 0; i < nd1; ++i)
-            write_tmatrix(w, sys.d1(static_cast<int>(i)), tier);
-    }
+    write_tmatrix(w, sys.g1(), tier);
+    write_tmatrix(w, sys.b(), tier);
+    write_tmatrix(w, sys.c(), tier);
+    w.u32(nd1);
+    for (std::uint32_t i = 0; i < nd1; ++i) write_tmatrix(w, sys.d1(static_cast<int>(i)), tier);
     write_ttensor3(w, sys.g2(), tier);
     write_ttensor4(w, sys.g3(), tier);
 }
 
 volterra::Qldae read_tqldae(Reader& r, EncodingTier tier) {
-    const std::uint8_t tag = r.u8();
-    if (tag > 1) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
-    if (tag == 1) {
-        sparse::CsrMatrix g1 = read_tcsr(r, tier);
-        sparse::CsrMatrix b = read_tcsr(r, tier);
-        sparse::CsrMatrix c = read_tcsr(r, tier);
-        const std::uint32_t nd1 = r.u32();
-        std::vector<sparse::CsrMatrix> d1;
-        d1.reserve(nd1);
-        for (std::uint32_t i = 0; i < nd1; ++i) d1.push_back(read_tcsr(r, tier));
-        sparse::SparseTensor3 g2 = read_ttensor3(r, tier);
-        sparse::SparseTensor4 g3 = read_ttensor4(r, tier);
-        return structurally([&] {
-            return volterra::Qldae(std::move(g1), std::move(g2), std::move(g3), std::move(d1),
-                                   std::move(b), std::move(c));
-        });
-    }
+    if (r.u8() != 0) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
     la::Matrix g1 = read_tmatrix(r, tier);
     la::Matrix b = read_tmatrix(r, tier);
     la::Matrix c = read_tmatrix(r, tier);
-    const std::uint32_t nd1 = r.u32();
+    const std::size_t nd1 = r.count(r.u32(), kTMatrixHeaderBytes);
     std::vector<la::Matrix> d1;
     d1.reserve(nd1);
-    for (std::uint32_t i = 0; i < nd1; ++i) d1.push_back(read_tmatrix(r, tier));
+    for (std::size_t i = 0; i < nd1; ++i) d1.push_back(read_tmatrix(r, tier));
     sparse::SparseTensor3 g2 = read_ttensor3(r, tier);
     sparse::SparseTensor4 g3 = read_ttensor4(r, tier);
     return structurally([&] {

@@ -16,6 +16,15 @@ constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t) +
                                      sizeof(std::uint64_t);
 constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
 
+// Smallest encoded size of each record a count announces; Reader::count
+// bounds the count by it before anything is reserved. Matrix: rows and cols
+// i32. Parameter descriptor: name length u64, min and max f64, scale u8.
+// Coverage cell: coordinate count u64, then best and runner-up as an i32
+// member index and an f64 error each.
+constexpr std::size_t kMatrixHeaderBytes = 2 * 4;
+constexpr std::size_t kDescriptorBytes = 8 + 2 * 8 + 1;
+constexpr std::size_t kCellBytes = 8 + 2 * (4 + 8);
+
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::io: ") + what);
 }
@@ -94,15 +103,6 @@ void Writer::vec(const la::Vec& v) {
     raw(v.data(), v.size() * sizeof(double));
 }
 
-void Writer::csr(const sparse::CsrMatrix& m) {
-    i32(m.rows());
-    i32(m.cols());
-    u64(m.values().size());
-    raw(m.row_ptr().data(), m.row_ptr().size() * sizeof(int));
-    raw(m.col_idx().data(), m.col_idx().size() * sizeof(int));
-    raw(m.values().data(), m.values().size() * sizeof(double));
-}
-
 void Writer::tensor3(const sparse::SparseTensor3& t) {
     i32(t.rows());
     i32(t.n1());
@@ -129,23 +129,14 @@ void Writer::tensor4(const sparse::SparseTensor4& t) {
 }
 
 void Writer::qldae(const volterra::Qldae& sys) {
-    u8(sys.is_sparse() ? 1 : 0);
+    u8(0);  // storage byte: dense G1/B/C/D1, the only stored form
     const std::uint32_t nd1 =
         sys.has_bilinear() ? static_cast<std::uint32_t>(sys.inputs()) : 0;
-    if (sys.is_sparse()) {
-        csr(*sys.g1_csr());
-        csr(*sys.b_csr());
-        csr(*sys.c_csr());
-        u32(nd1);
-        for (std::uint32_t i = 0; i < nd1; ++i)
-            csr(sys.d1_csr_blocks()[static_cast<std::size_t>(i)]);
-    } else {
-        matrix(sys.g1());
-        matrix(sys.b());
-        matrix(sys.c());
-        u32(nd1);
-        for (std::uint32_t i = 0; i < nd1; ++i) matrix(sys.d1(static_cast<int>(i)));
-    }
+    matrix(sys.g1());
+    matrix(sys.b());
+    matrix(sys.c());
+    u32(nd1);
+    for (std::uint32_t i = 0; i < nd1; ++i) matrix(sys.d1(static_cast<int>(i)));
     tensor3(sys.g2());
     tensor4(sys.g3());
 }
@@ -300,23 +291,6 @@ la::Vec Reader::vec() {
     return v;
 }
 
-sparse::CsrMatrix Reader::csr() {
-    const std::int32_t rows = i32();
-    const std::int32_t cols = i32();
-    if (rows < 0 || cols < 0) fail(IoErrorKind::corrupt, "negative CSR dimension");
-    const std::uint64_t nnz64 = u64();
-    std::vector<int> row_ptr(count(static_cast<std::uint64_t>(rows) + 1, sizeof(int)));
-    raw(row_ptr.data(), row_ptr.size() * sizeof(int));
-    std::vector<int> col_idx(count(nnz64, sizeof(int)));
-    raw(col_idx.data(), col_idx.size() * sizeof(int));
-    std::vector<double> values(count(nnz64, sizeof(double)));
-    raw(values.data(), values.size() * sizeof(double));
-    return structurally([&] {
-        return sparse::CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
-                                             std::move(col_idx), std::move(values));
-    });
-}
-
 sparse::SparseTensor3 Reader::tensor3() {
     const std::int32_t rows = i32();
     const std::int32_t n1 = i32();
@@ -353,27 +327,11 @@ sparse::SparseTensor4 Reader::tensor4() {
 }
 
 volterra::Qldae Reader::qldae() {
-    const std::uint8_t tag = u8();
-    if (tag > 1) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
-    if (tag == 1) {
-        sparse::CsrMatrix g1 = csr();
-        sparse::CsrMatrix b = csr();
-        sparse::CsrMatrix c = csr();
-        const std::size_t nd1 = count(u32(), 1);
-        std::vector<sparse::CsrMatrix> d1;
-        d1.reserve(nd1);
-        for (std::size_t i = 0; i < nd1; ++i) d1.push_back(csr());
-        sparse::SparseTensor3 g2 = tensor3();
-        sparse::SparseTensor4 g3 = tensor4();
-        return structurally([&] {
-            return volterra::Qldae(std::move(g1), std::move(g2), std::move(g3), std::move(d1),
-                                   std::move(b), std::move(c));
-        });
-    }
+    if (u8() != 0) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
     la::Matrix g1 = matrix();
     la::Matrix b = matrix();
     la::Matrix c = matrix();
-    const std::size_t nd1 = count(u32(), 1);
+    const std::size_t nd1 = count(u32(), kMatrixHeaderBytes);
     std::vector<la::Matrix> d1;
     d1.reserve(nd1);
     for (std::size_t i = 0; i < nd1; ++i) d1.push_back(matrix());
@@ -435,7 +393,7 @@ void Reader::expect_kind(PayloadKind k) {
 }
 
 pmor::ParamSpace Reader::param_space() {
-    const std::size_t ndims = count(u64(), 1);
+    const std::size_t ndims = count(u64(), kDescriptorBytes);
     std::vector<pmor::ParamDescriptor> dims;
     dims.reserve(ndims);
     for (std::size_t d = 0; d < ndims; ++d) {
@@ -452,7 +410,7 @@ pmor::ParamSpace Reader::param_space() {
 }
 
 std::vector<CoverageCell> Reader::coverage_cells(std::size_t ndims, int member_count) {
-    const std::size_t ncells = count(u64(), 1);
+    const std::size_t ncells = count(u64(), kCellBytes);
     std::vector<CoverageCell> cells;
     cells.reserve(ncells);
     for (std::size_t i = 0; i < ncells; ++i) {

@@ -1,5 +1,5 @@
 // Versioned binary save/load for ReducedModel artifacts (and the underlying
-// Qldae / Matrix / CSR / tensor blocks).
+// Qldae / Matrix / tensor blocks).
 //
 // File layout:  "ATMORROM" magic | u32 version | u64 payload size | payload |
 // u64 FNV-1a checksum of the payload. The payload leads with a PayloadKind
@@ -22,7 +22,6 @@
 
 #include "rom/family.hpp"
 #include "rom/reduced_model.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/tensor3.hpp"
 #include "sparse/tensor4.hpp"
 #include "util/error_codes.hpp"
@@ -104,9 +103,11 @@ public:
     void matrix(const la::Matrix& m);
     void zmatrix(const la::ZMatrix& m);
     void vec(const la::Vec& v);
-    void csr(const sparse::CsrMatrix& m);
     void tensor3(const sparse::SparseTensor3& t);
     void tensor4(const sparse::SparseTensor4& t);
+    /// Storage byte 0, then dense G1/B/C/D1 and the G2/G3 triplets, for
+    /// every system: a sparse-stamped one is written through its dense
+    /// mirrors.
     void qldae(const volterra::Qldae& sys);
     void model(const ReducedModel& m);
     /// The shared sub-records model() and the sectioned family layout
@@ -127,7 +128,8 @@ private:
 
 /// Payload parser over a byte buffer (not owned). Reading past the end
 /// throws IoError{truncated}; structurally invalid data (negative dims,
-/// inconsistent CSR arrays, ...) throws IoError{corrupt}.
+/// out-of-range tensor indices, a storage byte other than 0, ...) throws
+/// IoError{corrupt}.
 class Reader {
 public:
     explicit Reader(const std::string& bytes) : buf_(bytes) {}
@@ -142,7 +144,6 @@ public:
     la::Matrix matrix();
     la::ZMatrix zmatrix();
     la::Vec vec();
-    sparse::CsrMatrix csr();
     sparse::SparseTensor3 tensor3();
     sparse::SparseTensor4 tensor4();
     volterra::Qldae qldae();
@@ -158,13 +159,16 @@ public:
     /// as a model.
     void expect_kind(PayloadKind k);
 
+    /// Bounded count for upcoming element reads: `n` elements must fit in
+    /// the remaining bytes at `elem_size` (their smallest encoded size)
+    /// each, else IoError{truncated}. Every decoder checks a count here
+    /// before it reserves or loops on it.
+    std::size_t count(std::uint64_t n, std::size_t elem_size);
+
     [[nodiscard]] bool at_end() const { return pos_ == buf_.size(); }
 
 private:
     void raw(void* out, std::size_t n);
-    /// Bounded count for upcoming element reads: must fit in the remaining
-    /// bytes at `elem_size` each (rejects absurd counts before allocating).
-    std::size_t count(std::uint64_t n, std::size_t elem_size);
 
     const std::string& buf_;
     std::size_t pos_ = 0;

@@ -2,34 +2,19 @@
 
 namespace atmor::rom {
 
-namespace {
-
-std::size_t matrix_bytes(const la::Matrix& m) {
-    return static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols()) *
-           sizeof(double);
-}
-
-std::size_t csr_bytes(const sparse::CsrMatrix& m) {
-    return m.row_ptr().size() * sizeof(int) + m.col_idx().size() * sizeof(int) +
-           m.values().size() * sizeof(double);
-}
-
-}  // namespace
-
 std::size_t resident_bytes(const ReducedModel& m) {
-    std::size_t bytes = matrix_bytes(m.v);
     const volterra::Qldae& sys = m.rom;
-    if (sys.is_sparse()) {
-        bytes += csr_bytes(*sys.g1_csr()) + csr_bytes(*sys.b_csr()) + csr_bytes(*sys.c_csr());
-        for (const sparse::CsrMatrix& d : sys.d1_csr_blocks()) bytes += csr_bytes(d);
-    } else {
-        bytes += matrix_bytes(sys.g1()) + matrix_bytes(sys.b()) + matrix_bytes(sys.c());
-        if (sys.has_bilinear())
-            for (int i = 0; i < sys.inputs(); ++i) bytes += matrix_bytes(sys.d1(i));
-    }
+    const std::size_t n = static_cast<std::size_t>(sys.order());
+    const std::size_t inputs = static_cast<std::size_t>(sys.inputs());
+    // Dense G1 (n x n), B (n x m), C (l x n) and one n x n D1 per input, as
+    // rom::io stores them, counted from the dimensions.
+    std::size_t doubles = n * (n + inputs + static_cast<std::size_t>(sys.outputs()));
+    if (sys.has_bilinear()) doubles += inputs * n * n;
+    doubles += static_cast<std::size_t>(m.v.rows()) * static_cast<std::size_t>(m.v.cols());
+    doubles += sys.packed_coefficients();
+    std::size_t bytes = doubles * sizeof(double);
     bytes += sys.g2().entry_count() * sizeof(sparse::SparseTensor3::Entry);
     bytes += sys.g3().entry_count() * sizeof(sparse::SparseTensor4::Entry);
-    bytes += sys.packed_coefficients() * sizeof(double);
     return bytes;
 }
 

@@ -71,10 +71,10 @@ struct ReducedModel {
     Provenance provenance;
 };
 
-/// Approximate heap footprint of a materialized model (basis + reduced
-/// system payload arrays, including the packed tensor copies at 8 B per
-/// coefficient; bookkeeping overhead excluded). The serving benches report
-/// it as resident_bytes_after_load.
+/// Approximate heap footprint of a materialized model: the basis, dense
+/// G1/B/C/D1 counted from the dimensions, the tensor triplets and their
+/// packed copies at 8 B per coefficient (bookkeeping overhead excluded). The
+/// serving benches report it as resident_bytes_after_load.
 std::size_t resident_bytes(const ReducedModel& m);
 
 /// FNV-1a 64-bit over a byte range; the shared hash for basis provenance,

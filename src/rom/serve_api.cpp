@@ -1,8 +1,8 @@
 #include "rom/serve_api.hpp"
 
-#include <cmath>
 #include <utility>
 
+#include "circuits/waveforms.hpp"
 #include "rom/io.hpp"
 #include "util/check.hpp"
 #include "util/key_format.hpp"
@@ -14,6 +14,18 @@ namespace {
 [[noreturn]] void fail_corrupt(const std::string& what) {
     throw IoError(IoErrorKind::corrupt, "serve_api: " + what);
 }
+
+// Smallest encoded size of each record a decoded count announces; the
+// decoders bound every count by it through Reader::count before they
+// reserve or loop. Vec: its u64 length. Grid point: two f64. ZMatrix: rows
+// and cols i32. WaveformSpec: kind u8, arity i32 and eight f64 fields.
+// TransientResult: t, row count and x_final (8 bytes each when empty),
+// solve_seconds f64 and three u64 counters.
+constexpr std::size_t kVecBytes = 8;
+constexpr std::size_t kComplexBytes = 2 * 8;
+constexpr std::size_t kZMatrixBytes = 2 * 4;
+constexpr std::size_t kWaveformBytes = 1 + 4 + 8 * 8;
+constexpr std::size_t kTransientBytes = 3 * 8 + 8 + 3 * 8;
 
 }  // namespace
 
@@ -62,9 +74,7 @@ std::string ModelRef::cache_key() const {
 }
 
 // ---------------------------------------------------------------------------
-// WaveformSpec -- same closed forms as the circuits::*_input factories, kept
-// here (not by calling circuits/) so the rom layer stays below circuits in
-// the layer map. Parameter preconditions mirror the factories exactly.
+// WaveformSpec
 // ---------------------------------------------------------------------------
 
 WaveformSpec WaveformSpec::zero(int arity) {
@@ -134,82 +144,21 @@ WaveformSpec WaveformSpec::am(double amplitude, double carrier_hz, double mod_hz
 }
 
 ode::InputFn WaveformSpec::instantiate() const {
-    using la::Vec;
     switch (kind) {
-        case Kind::zero: {
-            ATMOR_REQUIRE(arity >= 1, "WaveformSpec: zero arity >= 1");
-            const int n = arity;
-            return [n](double) { return Vec(static_cast<std::size_t>(n), 0.0); };
-        }
-        case Kind::step: {
-            const double a = amplitude, on = t_on;
-            return [a, on](double t) { return Vec{t >= on ? a : 0.0}; };
-        }
-        case Kind::pulse: {
-            ATMOR_REQUIRE(rise > 0.0 && fall > 0.0 && t_off >= t_on + rise,
-                          "WaveformSpec: inconsistent pulse timing");
-            const double a = amplitude, on = t_on, r = rise, off = t_off, f = fall;
-            return [a, on, r, off, f](double t) {
-                double v = 0.0;
-                if (t >= on && t < on + r)
-                    v = a * (t - on) / r;
-                else if (t >= on + r && t < off)
-                    v = a;
-                else if (t >= off && t < off + f)
-                    v = a * (1.0 - (t - off) / f);
-                return Vec{v};
-            };
-        }
-        case Kind::sine: {
-            const double a = amplitude;
-            const double w = 2.0 * M_PI * frequency_hz;
-            return [a, w](double t) { return Vec{a * std::sin(w * t)}; };
-        }
-        case Kind::surge: {
-            ATMOR_REQUIRE(tau_decay > tau_rise && tau_rise > 0.0,
-                          "WaveformSpec: need tau_decay > tau_rise > 0");
-            const double tr = tau_rise, td = tau_decay;
-            const double t_peak = std::log(td / tr) * tr * td / (td - tr);
-            const double peak = std::exp(-t_peak / td) - std::exp(-t_peak / tr);
-            const double scale = amplitude / peak;
-            return [scale, tr, td](double t) {
-                if (t <= 0.0) return Vec{0.0};
-                return Vec{scale * (std::exp(-t / td) - std::exp(-t / tr))};
-            };
-        }
-        case Kind::multi_tone: {
-            ATMOR_REQUIRE(!tone_amplitudes.empty(),
-                          "WaveformSpec: multi_tone needs at least one tone");
-            ATMOR_REQUIRE(tones_hz.size() == tone_amplitudes.size(),
-                          "WaveformSpec: multi_tone amplitude/frequency length mismatch");
-            ATMOR_REQUIRE(tone_phases.empty() ||
-                              tone_phases.size() == tone_amplitudes.size(),
-                          "WaveformSpec: multi_tone phase length mismatch");
-            std::vector<double> omegas(tones_hz.size());
-            for (std::size_t k = 0; k < tones_hz.size(); ++k)
-                omegas[k] = 2.0 * M_PI * tones_hz[k];
-            std::vector<double> phases = tone_phases;
-            if (phases.empty()) phases.assign(tone_amplitudes.size(), 0.0);
-            return [amps = tone_amplitudes, omegas = std::move(omegas),
-                    phases = std::move(phases)](double t) {
-                double v = 0.0;
-                for (std::size_t k = 0; k < amps.size(); ++k)
-                    v += amps[k] * std::sin(omegas[k] * t + phases[k]);
-                return Vec{v};
-            };
-        }
-        case Kind::am: {
-            ATMOR_REQUIRE(mod_depth >= 0.0 && mod_depth <= 1.0,
-                          "WaveformSpec: am depth must be in [0, 1]");
-            ATMOR_REQUIRE(frequency_hz > 0.0,
-                          "WaveformSpec: am carrier frequency must be positive");
-            const double a = amplitude, depth = mod_depth;
-            const double wc = 2.0 * M_PI * frequency_hz;
-            const double wm = 2.0 * M_PI * mod_hz;
-            return [a, depth, wc, wm](double t) {
-                return Vec{a * (1.0 + depth * std::sin(wm * t)) * std::sin(wc * t)};
-            };
-        }
+        case Kind::zero:
+            return circuits::zero_input(arity);
+        case Kind::step:
+            return circuits::step_input(amplitude, t_on);
+        case Kind::pulse:
+            return circuits::pulse_input(amplitude, t_on, rise, t_off, fall);
+        case Kind::sine:
+            return circuits::sine_input(amplitude, frequency_hz);
+        case Kind::surge:
+            return circuits::surge_input(amplitude, tau_rise, tau_decay);
+        case Kind::multi_tone:
+            return circuits::multi_tone_input(tone_amplitudes, tones_hz, tone_phases);
+        case Kind::am:
+            return circuits::am_input(amplitude, frequency_hz, mod_hz, mod_depth);
     }
     ATMOR_REQUIRE(false, "WaveformSpec: unknown kind");
     return {};
@@ -350,10 +299,10 @@ void write_zgrid(Writer& w, const std::vector<la::Complex>& grid) {
 }
 
 std::vector<la::Complex> read_zgrid(Reader& r) {
-    const std::uint64_t n = r.u64();
+    const std::size_t n = r.count(r.u64(), kComplexBytes);
     std::vector<la::Complex> grid;
-    grid.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) grid.push_back(r.complex());
+    grid.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) grid.push_back(r.complex());
     return grid;
 }
 
@@ -396,9 +345,9 @@ void write_transient_result(Writer& w, const ode::TransientResult& res) {
 ode::TransientResult read_transient_result(Reader& r) {
     ode::TransientResult res;
     res.t = r.vec();
-    const std::uint64_t ny = r.u64();
-    res.y.reserve(static_cast<std::size_t>(ny));
-    for (std::uint64_t i = 0; i < ny; ++i) res.y.push_back(r.vec());
+    const std::size_t ny = r.count(r.u64(), kVecBytes);
+    res.y.reserve(ny);
+    for (std::size_t i = 0; i < ny; ++i) res.y.push_back(r.vec());
     res.x_final = r.vec();
     res.solve_seconds = r.f64();
     res.steps = static_cast<long>(r.u64());
@@ -481,9 +430,9 @@ ServeRequest decode_request(const std::string& payload) {
         case static_cast<std::uint8_t>(RequestKind::transient_batch): {
             TransientBatchRequest body;
             body.model = read_model_ref(r);
-            const std::uint64_t n = r.u64();
-            body.inputs.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) body.inputs.push_back(read_waveform(r));
+            const std::size_t n = r.count(r.u64(), kWaveformBytes);
+            body.inputs.reserve(n);
+            for (std::size_t i = 0; i < n; ++i) body.inputs.push_back(read_waveform(r));
             body.options = read_transient_spec(r);
             req.body = std::move(body);
             break;
@@ -508,9 +457,9 @@ ServeRequest decode_request(const std::string& payload) {
         case static_cast<std::uint8_t>(RequestKind::parametric_batch): {
             ParametricBatchRequest body;
             body.family_id = r.str();
-            const std::uint64_t n = r.u64();
-            body.coords.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) body.coords.push_back(r.vec());
+            const std::size_t n = r.count(r.u64(), kVecBytes);
+            body.coords.reserve(n);
+            for (std::size_t i = 0; i < n; ++i) body.coords.push_back(r.vec());
             body.grid = read_zgrid(r);
             body.tol = r.f64();
             body.blend = r.u8() != 0;
@@ -565,24 +514,23 @@ ServeResponse decode_response(const std::string& payload) {
     resp.error.code = static_cast<util::ErrorCode>(r.i32());
     resp.error.message = r.str();
     resp.certificate = read_certificate(r);
-    const std::uint64_t nresp = r.u64();
-    resp.response.reserve(static_cast<std::size_t>(nresp));
-    for (std::uint64_t i = 0; i < nresp; ++i) resp.response.push_back(r.zmatrix());
-    const std::uint64_t ntrans = r.u64();
-    resp.transients.reserve(static_cast<std::size_t>(ntrans));
-    for (std::uint64_t i = 0; i < ntrans; ++i)
-        resp.transients.push_back(read_transient_result(r));
+    const std::size_t nresp = r.count(r.u64(), kZMatrixBytes);
+    resp.response.reserve(nresp);
+    for (std::size_t i = 0; i < nresp; ++i) resp.response.push_back(r.zmatrix());
+    const std::size_t ntrans = r.count(r.u64(), kTransientBytes);
+    resp.transients.reserve(ntrans);
+    for (std::size_t i = 0; i < ntrans; ++i) resp.transients.push_back(read_transient_result(r));
     resp.member = r.i32();
     resp.blended_with = r.i32();
     resp.blend_weight = r.f64();
     resp.fallback = r.u8() != 0;
-    const std::uint64_t nbm = r.u64();
-    resp.batch_member.reserve(static_cast<std::size_t>(nbm));
-    for (std::uint64_t i = 0; i < nbm; ++i) resp.batch_member.push_back(r.i32());
+    const std::size_t nbm = r.count(r.u64(), sizeof(std::int32_t));
+    resp.batch_member.reserve(nbm);
+    for (std::size_t i = 0; i < nbm; ++i) resp.batch_member.push_back(r.i32());
     resp.batch_error = r.vec();
-    const std::uint64_t nbf = r.u64();
-    resp.batch_fallback.reserve(static_cast<std::size_t>(nbf));
-    for (std::uint64_t i = 0; i < nbf; ++i) resp.batch_fallback.push_back(r.u8());
+    const std::size_t nbf = r.count(r.u64(), sizeof(std::uint8_t));
+    resp.batch_fallback.reserve(nbf);
+    for (std::size_t i = 0; i < nbf; ++i) resp.batch_fallback.push_back(r.u8());
     if (!r.at_end()) fail_corrupt("trailing bytes after ServeResponse");
     return resp;
 }

@@ -58,9 +58,9 @@ struct ParametricOptions {
     /// Registry key for the fallback model at a point. Defaults to a key
     /// composed from the family id, the point and the EFFECTIVE tolerance,
     /// so queries demanding different accuracies never share a cached
-    /// fallback. Supply pmor::member_key(design, adaptive, p) here to make
-    /// on-demand builds coalesce with family-member artifacts of the same
-    /// accuracy.
+    /// fallback. Supply pmor::member_key(design, adaptive, p) here when the
+    /// fallback build's accuracy is fixed, so on-demand builds at one point
+    /// share one registry entry across query tolerances.
     std::function<std::string(const pmor::Point&)> fallback_key;
 };
 
@@ -93,7 +93,9 @@ struct BuildSpec {
 struct ModelRef {
     enum class Kind : std::uint8_t {
         registry_key = 0,   ///< must already be resolvable by the registry
-        artifact_path = 1,  ///< .atmor-rom file loaded (and cached) server-side
+        artifact_path = 1,  ///< .atmor-rom file served from the file itself
+                            ///< (loaded once per engine, never copied into
+                            ///< the registry)
         build_spec = 2,     ///< built server-side through the spec resolver
     };
 
@@ -155,9 +157,9 @@ struct WaveformSpec {
     [[nodiscard]] static WaveformSpec am(double amplitude, double carrier_hz, double mod_hz,
                                          double depth);
 
-    /// The waveform as an ode::InputFn (same closed forms as the
-    /// circuits::*_input factories). Typed PreconditionError on inconsistent
-    /// parameters (e.g. a pulse whose hold ends before its rise).
+    /// The waveform as an ode::InputFn: the circuits::*_input factory of
+    /// its kind. Typed PreconditionError on inconsistent parameters (e.g. a
+    /// pulse whose hold ends before its rise).
     [[nodiscard]] ode::InputFn instantiate() const;
 };
 

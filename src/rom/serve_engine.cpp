@@ -162,11 +162,8 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::state_for(const std::strin
     return out;
 }
 
-std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::string& family_id,
-                                                                   int member,
-                                                                   const FamilyMember& fm) {
-    const std::string key = "family:" + family_id + "#" + std::to_string(member) + ":" +
-                            std::to_string(fm.model.provenance.basis_hash);
+std::shared_ptr<ServeEngine::ModelState> ServeEngine::keyed_state(const std::string& key,
+                                                                  const Registry::Builder& load) {
     Shard& shard = shard_for(key);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
@@ -176,8 +173,7 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::st
             return it->second;
         }
     }
-    std::shared_ptr<ModelState> fresh =
-        make_state(std::make_shared<const ReducedModel>(fm.model));
+    std::shared_ptr<ModelState> fresh = make_state(std::make_shared<const ReducedModel>(load()));
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::shared_ptr<ModelState>& st = shard.states[key];
     if (!st) st = std::move(fresh);
@@ -185,6 +181,14 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::st
     std::shared_ptr<ModelState> out = st;
     bound_shard_locked(shard, key);
     return out;
+}
+
+std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::string& family_id,
+                                                                   int member,
+                                                                   const FamilyMember& fm) {
+    const std::string key = "family:" + family_id + "#" + std::to_string(member) + ":" +
+                            std::to_string(fm.model.provenance.basis_hash);
+    return keyed_state(key, [&fm] { return fm.model; });
 }
 
 std::vector<la::ZMatrix> ServeEngine::coalesced_sweep(ModelState& st,
@@ -440,11 +444,12 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::resolve(const ModelRef& re
             });
         }
         case ModelRef::Kind::artifact_path: {
-            // Cached under "artifact:<path>" so repeated wire queries load
-            // the file once; IoError (missing/damaged artifact) propagates
-            // typed.
+            // Served from the file itself, never through the registry (whose
+            // disk tier would keep a copy that outlives a replaced file), and
+            // cached under "artifact:<path>" so repeated wire queries load it
+            // once; IoError (missing/damaged artifact) propagates typed.
             const std::string& path = ref.path;
-            return state_for(ref.cache_key(), [&path] { return load_model(path); });
+            return keyed_state(ref.cache_key(), [&path] { return load_model(path); });
         }
         case ModelRef::Kind::build_spec: {
             SpecResolver resolver;

@@ -234,11 +234,18 @@ private:
     [[nodiscard]] std::shared_ptr<ModelState> state_for(const std::string& key,
                                                         const Registry::Builder& build);
 
+    /// The state cached under `key` in its shard, or on a miss one built
+    /// from `load()`: the load and the state construction run OUTSIDE the
+    /// shard lock, and on a race the first insertion wins. Family members
+    /// and artifact files take this path; it never touches the registry.
+    [[nodiscard]] std::shared_ptr<ModelState> keyed_state(const std::string& key,
+                                                          const Registry::Builder& load);
+
     /// THE model-resolution path every ModelRef funnels through.
     /// registry_key refs resolve through state_for with a probe that throws
-    /// UnresolvedError on a full miss; artifact_path refs load-and-cache
-    /// under "artifact:<path>"; build_spec refs run the registered
-    /// SpecResolver under the spec's stable key.
+    /// UnresolvedError on a full miss; artifact_path refs load the file
+    /// through keyed_state under "artifact:<path>"; build_spec refs run the
+    /// registered SpecResolver under the spec's stable key.
     [[nodiscard]] std::shared_ptr<ModelState> resolve(const ModelRef& ref);
 
     /// Throwing core behind serve(): dispatch on the request kind, fill the
@@ -264,9 +271,9 @@ private:
                                             const std::vector<la::Complex>& grid,
                                             const ParametricOptions& opt, bool blend);
 
-    /// Serving state for a family member (already-built artifact, no
-    /// registry resolution); keyed by family id + member index + basis hash
-    /// so a reloaded family with identical members reuses the caches.
+    /// Serving state for a family member (keyed_state, no registry
+    /// resolution); keyed by family id + member index + basis hash so a
+    /// reloaded family with identical members reuses the caches.
     [[nodiscard]] std::shared_ptr<ModelState> member_state(const std::string& family_id,
                                                            int member,
                                                            const FamilyMember& fm);

@@ -11,9 +11,9 @@
 // Storage is SPARSE-FIRST: G1, B, C and the D1 blocks live behind
 // la::LinearOperator (CSR when the builder stamped COO entries, dense row-
 // major otherwise), so the MOR and transient layers solve/apply through
-// la::SolverBackend without densifying. The legacy dense accessors g1()/b()/
-// c()/d1() materialise (and cache) a dense mirror on first use -- tests,
-// diagnostics and genuinely dense paths keep working unchanged.
+// la::SolverBackend without densifying. The dense accessors g1()/b()/c()/
+// d1() materialise (and cache) a dense mirror on first use; rom::io stores
+// every system through them, so a stored model is always dense.
 //
 // G2 and G3 are stored as triplets (sparse::SparseTensor3/4), the canonical
 // form for rom::io, the moment chains and the H2/H3 evaluators. A tensor
@@ -63,15 +63,6 @@ public:
     [[nodiscard]] const la::LinearOperator& g1_op() const { return *g1_op_; }
     /// CSR stamp of G1 (nullptr for dense-constructed systems).
     [[nodiscard]] const sparse::CsrMatrix* g1_csr() const { return g1_csr_.get(); }
-    /// CSR stamps of B / C (nullptr for dense-constructed systems); together
-    /// with d1_csr_blocks() these are the rom::io serialization hooks that
-    /// let sparse-first systems round-trip without densifying.
-    [[nodiscard]] const sparse::CsrMatrix* b_csr() const { return b_csr_.get(); }
-    [[nodiscard]] const sparse::CsrMatrix* c_csr() const { return c_csr_.get(); }
-    /// Sparse-first D1 stamps (empty for dense systems or D1 = 0).
-    [[nodiscard]] const std::vector<sparse::CsrMatrix>& d1_csr_blocks() const {
-        return d1_csr_;
-    }
 
     [[nodiscard]] la::Vec apply_g1(const la::Vec& x) const { return g1_op_->apply(x); }
     [[nodiscard]] la::ZVec apply_g1(const la::ZVec& x) const { return g1_op_->apply(x); }

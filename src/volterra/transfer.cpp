@@ -10,6 +10,26 @@ using la::Complex;
 using la::ZMatrix;
 using la::ZVec;
 
+ZVec h2_forcing(const Qldae& sys, const ZVec& xi, const ZVec& xj, int i, int j) {
+    ZVec v(static_cast<std::size_t>(sys.order()), Complex(0));
+    if (sys.has_quadratic()) {
+        la::axpy(Complex(1), sys.g2().apply(xi, xj), v);
+        la::axpy(Complex(1), sys.g2().apply(xj, xi), v);
+    }
+    if (sys.has_bilinear()) {
+        la::axpy(Complex(1), sys.apply_d1(i, xj), v);
+        la::axpy(Complex(1), sys.apply_d1(j, xi), v);
+    }
+    la::scale(Complex(0.5), v);
+    return v;
+}
+
+ZMatrix map_output(const la::Matrix& c, const ZMatrix& x) {
+    ZMatrix y(c.rows(), x.cols());
+    for (int col = 0; col < x.cols(); ++col) y.set_col(col, la::matvec_rc(c, x.col(col)));
+    return y;
+}
+
 TransferEvaluator::TransferEvaluator(Qldae sys, std::shared_ptr<la::SolverBackend> backend)
     : sys_(std::move(sys)), backend_(std::move(backend)) {
     if (!backend_) backend_ = la::make_resolvent_backend(sys_.g1_op());
@@ -34,17 +54,7 @@ ZMatrix TransferEvaluator::h1(Complex s) const {
 ZVec TransferEvaluator::h2_col(Complex s1, Complex s2, int i, int j) const {
     const ZVec hi = h1_col(s1, i);
     const ZVec hj = h1_col(s2, j);
-    ZVec v(static_cast<std::size_t>(sys_.order()), Complex(0));
-    if (sys_.has_quadratic()) {
-        la::axpy(Complex(1), sys_.g2().apply(hi, hj), v);
-        la::axpy(Complex(1), sys_.g2().apply(hj, hi), v);
-    }
-    if (sys_.has_bilinear()) {
-        la::axpy(Complex(1), sys_.apply_d1(i, hj), v);
-        la::axpy(Complex(1), sys_.apply_d1(j, hi), v);
-    }
-    la::scale(Complex(0.5), v);
-    return resolvent(s1 + s2, v);
+    return resolvent(s1 + s2, h2_forcing(sys_, hi, hj, i, j));
 }
 
 ZMatrix TransferEvaluator::h2(Complex s1, Complex s2) const {
@@ -105,14 +115,6 @@ ZMatrix TransferEvaluator::h3(Complex s1, Complex s2, Complex s3) const {
     }
     return out;
 }
-
-namespace {
-ZMatrix map_output(const la::Matrix& c, const ZMatrix& x) {
-    ZMatrix y(c.rows(), x.cols());
-    for (int col = 0; col < x.cols(); ++col) y.set_col(col, la::matvec_rc(c, x.col(col)));
-    return y;
-}
-}  // namespace
 
 ZMatrix TransferEvaluator::output_h1(Complex s) const { return map_output(sys_.c(), h1(s)); }
 

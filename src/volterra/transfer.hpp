@@ -18,6 +18,15 @@
 
 namespace atmor::volterra {
 
+/// Symmetrized second-order forcing of the harmonic-probing formula (the
+/// sym(.) terms of paper eq. 17): 0.5 * (G2(x_i (x) x_j) + G2(x_j (x) x_i) +
+/// D1_i x_j + D1_j x_i) for the first-order states x_i of input i and x_j of
+/// input j. H2's column (i, j) is the resolvent at s1 + s2 applied to it.
+la::ZVec h2_forcing(const Qldae& sys, const la::ZVec& xi, const la::ZVec& xj, int i, int j);
+
+/// Output map Y = C X, column by column (C real, X complex).
+la::ZMatrix map_output(const la::Matrix& c, const la::ZMatrix& x);
+
 class TransferEvaluator {
 public:
     /// @param backend resolvent solver; defaults to sparse LU for sparse

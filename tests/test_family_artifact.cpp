@@ -68,7 +68,7 @@ pmor::FamilyBuildOptions family_options() {
 /// expensive part; the codec and artifact paths under test are cheap).
 const rom::Family& test_family() {
     static const rom::Family fam =
-        core::build_family(nltl_design(), family_options()).family;
+        pmor::FamilyBuilder(nltl_design(), family_options()).build().family;
     return fam;
 }
 
@@ -177,17 +177,17 @@ void expect_meta_corrupt(const rom::Writer& w, const char* what) {
 
 TEST(FamilyCodec, ForgedMemberMetaSizesAreTypedCorrupt) {
     {
-        // Sparse G1 announcing nnz = 2^62 over an empty column index array:
-        // nnz * sizeof(int) wraps to 0.
+        // Storage byte 1 (a CSR-form system, which no writer produces) ahead
+        // of a G1 announcing nnz = 2^62: only storage byte 0 is read.
         rom::Writer w = member_meta_prefix();
-        w.u8(1);  // sparse Qldae
+        w.u8(1);
         w.i32(1);
         w.i32(1);
         w.u64(std::uint64_t{1} << 62);
         const int row_ptr[2] = {0, 0};
         w.str(std::string(reinterpret_cast<const char*>(row_ptr), sizeof(row_ptr)));
         w.str(std::string());
-        expect_meta_corrupt(w, "nnz = 2^62 with an empty col_idx");
+        expect_meta_corrupt(w, "storage byte 1");
     }
     {
         // Dense G2 of 65536 x 65536 lifted columns over a valid 1 x 1 block:
@@ -441,15 +441,9 @@ TEST(FamilyArtifact, DamagedSectionsAreTypedErrorsOnWhicheverPathTouchesThem) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(FamilyArtifact, BlockStorageOtherThanInlineIsTypedCorrupt) {
-    // Every block lives inside the artifact: the block table's storage byte
-    // is always 0, and the reader refuses any other value at open, even
-    // behind a re-hashed directory and a re-minted frame.
-    const std::string dir = temp_dir("storage");
-    const rom::CompressedFamily cf = rom::compress_family(test_family());
-    const std::string payload = rom::unframe(rom::serialize_family_artifact(cf));
-
-    // The directory up to the block table, then its u32 block count.
+/// Payload offset of the directory's u32 block count: everything before it
+/// is the family header.
+std::size_t block_count_offset(const rom::CompressedFamily& cf) {
     rom::Writer prefix;
     prefix.kind(rom::PayloadKind::family);
     prefix.u8(static_cast<std::uint8_t>(rom::FamilyLayout::sectioned));
@@ -461,25 +455,74 @@ TEST(FamilyArtifact, BlockStorageOtherThanInlineIsTypedCorrupt) {
     prefix.i32(cf.training_grid_per_dim);
     prefix.f64(cf.max_training_error);
     prefix.u8(cf.converged ? 1 : 0);
-    const std::size_t storage_at = prefix.bytes().size() + sizeof(std::uint32_t);
+    return prefix.bytes().size();
+}
+
+/// Re-hash the directory of a forged family payload, re-mint its frame,
+/// save it at `path` and require open to fail with an IoError of `kind`.
+void expect_open_fails(std::string forged, const std::string& path, rom::IoErrorKind kind,
+                       const std::string& what) {
+    std::uint64_t header_bytes = 0;
+    std::memcpy(&header_bytes, forged.data() + 3, sizeof(header_bytes));
+    const std::size_t dir_len = static_cast<std::size_t>(header_bytes) - sizeof(std::uint64_t);
+    const std::uint64_t sum = rom::fnv1a(forged.data(), dir_len);
+    std::memcpy(&forged[dir_len], &sum, sizeof(sum));
+    rom::write_file_atomically(rom::frame(forged), path);
+    try {
+        (void)rom::FamilyArtifact::open(path);
+        FAIL() << what << " opened";
+    } catch (const rom::IoError& e) {
+        EXPECT_EQ(e.kind(), kind) << what << ": " << e.what();
+    }
+}
+
+TEST(FamilyArtifact, BlockStorageOtherThanInlineIsTypedCorrupt) {
+    // Every block lives inside the artifact: the block table's storage byte
+    // is always 0, and the reader refuses any other value at open, even
+    // behind a re-hashed directory and a re-minted frame.
+    const std::string dir = temp_dir("storage");
+    const rom::CompressedFamily cf = rom::compress_family(test_family());
+    const std::string payload = rom::unframe(rom::serialize_family_artifact(cf));
+    const std::size_t storage_at = block_count_offset(cf) + sizeof(std::uint32_t);
     ASSERT_EQ(payload[storage_at], '\0');
 
-    std::uint64_t header_bytes = 0;
-    std::memcpy(&header_bytes, payload.data() + 3, sizeof(header_bytes));
-    const std::size_t dir_len = static_cast<std::size_t>(header_bytes) - sizeof(std::uint64_t);
     const std::string path = dir + "/forged" + rom::kFamilyExtension;
     for (const int storage : {1, 2, 0xff}) {
         std::string forged = payload;
         forged[storage_at] = static_cast<char>(storage);
-        const std::uint64_t sum = rom::fnv1a(forged.data(), dir_len);
-        std::memcpy(&forged[dir_len], &sum, sizeof(sum));
-        rom::write_file_atomically(rom::frame(forged), path);
-        try {
-            (void)rom::FamilyArtifact::open(path);
-            FAIL() << "storage byte " << storage << " opened";
-        } catch (const rom::IoError& e) {
-            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << "storage byte " << storage;
-        }
+        expect_open_fails(forged, path, rom::IoErrorKind::corrupt,
+                          "storage byte " + std::to_string(storage));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FamilyArtifact, ForgedDirectoryCountsAreTypedTruncated) {
+    // The block, group and member counts are bounded by the directory bytes
+    // left before anything is reserved: a re-hashed directory announcing
+    // 2^32 - 1 records fails open as a typed truncation, never bad_alloc.
+    const std::string dir = temp_dir("counts");
+    const rom::CompressedFamily cf = rom::compress_family(test_family());
+    const std::string payload = rom::unframe(rom::serialize_family_artifact(cf));
+    const auto u32_at = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, payload.data() + at, sizeof(v));
+        return static_cast<std::size_t>(v);
+    };
+    // Block records are 25 bytes (storage, offset, bytes, hash) and group
+    // records 12 (block, rows, cols).
+    const std::size_t blocks_at = block_count_offset(cf);
+    const std::size_t groups_at = blocks_at + sizeof(std::uint32_t) + 25 * u32_at(blocks_at);
+    const std::size_t members_at = groups_at + sizeof(std::uint32_t) + 12 * u32_at(groups_at);
+    ASSERT_EQ(u32_at(groups_at), cf.basis_groups.size());
+    ASSERT_EQ(u32_at(members_at), cf.members.size());
+
+    const std::string path = dir + "/forged" + rom::kFamilyExtension;
+    const std::uint32_t forged_count = 0xffffffffu;
+    for (const std::size_t at : {blocks_at, groups_at, members_at}) {
+        std::string forged = payload;
+        std::memcpy(&forged[at], &forged_count, sizeof(forged_count));
+        expect_open_fails(forged, path, rom::IoErrorKind::truncated,
+                          "count at offset " + std::to_string(at));
     }
     std::filesystem::remove_all(dir);
 }

@@ -197,7 +197,7 @@ TEST(FamilyBuilder, CoversTheTrainingGridWithinBudget) {
     opt.tol = 1e-2;
     opt.training_grid_per_dim = 5;
     opt.max_members = 5;  // one per training point at worst: convergence guaranteed
-    const pmor::FamilyBuildResult result = core::build_family(nltl_design(), opt);
+    const pmor::FamilyBuildResult result = pmor::FamilyBuilder(nltl_design(), opt).build();
     const rom::Family& fam = result.family;
 
     EXPECT_TRUE(fam.converged);
@@ -225,39 +225,13 @@ TEST(FamilyBuilder, CoversTheTrainingGridWithinBudget) {
     // possible bound.
     pmor::FamilyBuildOptions bounded = opt;
     bounded.max_resident_estimators = 1;
-    const rom::Family refam = core::build_family(nltl_design(), bounded).family;
+    const rom::Family refam = pmor::FamilyBuilder(nltl_design(), bounded).build().family;
     ASSERT_EQ(refam.members.size(), fam.members.size());
     EXPECT_EQ(refam.max_training_error, fam.max_training_error);
     for (std::size_t c = 0; c < fam.cells.size(); ++c) {
         EXPECT_EQ(refam.cells[c].best, fam.cells[c].best);
         EXPECT_EQ(refam.cells[c].best_error, fam.cells[c].best_error);
     }
-}
-
-TEST(FamilyBuilder, BuildsThroughTheRegistrySingleFlight) {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "atmor_pmor_registry").string();
-    std::filesystem::remove_all(dir);
-    rom::RegistryOptions ropt;
-    ropt.artifact_dir = dir;
-    auto registry = std::make_shared<rom::Registry>(ropt);
-
-    pmor::FamilyBuildOptions opt;
-    opt.adaptive = fast_adaptive();
-    opt.tol = 1e-2;
-    opt.training_grid_per_dim = 3;
-    opt.max_members = 3;
-    opt.registry = registry;
-    const pmor::FamilyBuildResult first = core::build_family(nltl_design(), opt);
-    const long builds_after_first = registry->stats().builds;
-    EXPECT_EQ(builds_after_first, static_cast<long>(first.family.members.size()));
-
-    // A second identical family build resolves every member from the
-    // registry (memory tier) instead of reducing again.
-    const pmor::FamilyBuildResult second = core::build_family(nltl_design(), opt);
-    EXPECT_EQ(registry->stats().builds, builds_after_first);
-    EXPECT_EQ(second.family.members.size(), first.family.members.size());
-    std::filesystem::remove_all(dir);
 }
 
 TEST(FamilyBuilder, MemberKeyIsStableAndAccuracyTagged) {
@@ -282,7 +256,7 @@ rom::Family build_small_family(double tol = 1e-2) {
     opt.tol = tol;
     opt.training_grid_per_dim = 3;
     opt.max_members = 3;
-    return core::build_family(nltl_design(), opt).family;
+    return pmor::FamilyBuilder(nltl_design(), opt).build().family;
 }
 
 std::string save_f64(const rom::Family& fam, const std::string& name) {
@@ -436,7 +410,7 @@ TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
     opt.training_grid_per_dim = 3;
     opt.max_members = 2;
     opt.initial_points = {Point{20.0}, Point{60.0}};
-    const rom::Family fam = core::build_family(nltl_design(), opt).family;
+    const rom::Family fam = pmor::FamilyBuilder(nltl_design(), opt).build().family;
     ASSERT_EQ(fam.members.size(), 2u);
 
     auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
@@ -483,7 +457,7 @@ TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {
     opt.tol = 1e-13;
     opt.training_grid_per_dim = 3;
     opt.max_members = 1;
-    const rom::Family fam = core::build_family(nltl_design(), opt).family;
+    const rom::Family fam = pmor::FamilyBuilder(nltl_design(), opt).build().family;
     ASSERT_FALSE(fam.converged);
 
     auto registry = std::make_shared<rom::Registry>();

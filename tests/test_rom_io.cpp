@@ -102,7 +102,9 @@ TEST(RomIo, ModelRoundTripIsBitExact) {
         EXPECT_EQ(y_mem.y[r][0], y_load.y[r][0]) << "trace diverges at record " << r;
 }
 
-TEST(RomIo, SparseQldaeRoundTripsWithoutDensifying) {
+TEST(RomIo, SparseQldaeIsStoredDense) {
+    // One stored form: a sparse-stamped system is written through its dense
+    // mirrors under storage byte 0 and reads back as the same dense system.
     circuits::NltlOptions copt;
     copt.stages = 8;
     const volterra::Qldae sys = circuits::current_source_line(copt).to_qldae();
@@ -110,24 +112,40 @@ TEST(RomIo, SparseQldaeRoundTripsWithoutDensifying) {
 
     rom::Writer w;
     w.qldae(sys);
+    ASSERT_EQ(w.bytes()[0], '\0');
     rom::Reader r(w.bytes());
     const volterra::Qldae back = r.qldae();
     EXPECT_TRUE(r.at_end());
 
-    ASSERT_TRUE(back.is_sparse());
+    EXPECT_FALSE(back.is_sparse());
     ASSERT_EQ(back.order(), sys.order());
-    EXPECT_EQ(back.g1_csr()->row_ptr(), sys.g1_csr()->row_ptr());
-    EXPECT_EQ(back.g1_csr()->col_idx(), sys.g1_csr()->col_idx());
-    EXPECT_EQ(back.g1_csr()->values(), sys.g1_csr()->values());
-    EXPECT_EQ(back.b_csr()->values(), sys.b_csr()->values());
-    EXPECT_EQ(back.c_csr()->values(), sys.c_csr()->values());
+    const auto same = [](const la::Matrix& a, const la::Matrix& b) {
+        ASSERT_EQ(a.rows(), b.rows());
+        ASSERT_EQ(a.cols(), b.cols());
+        for (int i = 0; i < a.rows(); ++i)
+            for (int j = 0; j < a.cols(); ++j) EXPECT_EQ(a(i, j), b(i, j)) << i << "," << j;
+    };
+    same(back.g1(), sys.g1());
+    same(back.b(), sys.b());
+    same(back.c(), sys.c());
+    EXPECT_EQ(back.g2().entry_count(), sys.g2().entry_count());
+    EXPECT_EQ(back.g3().entry_count(), sys.g3().entry_count());
+}
 
-    util::Rng rng(3);
-    const la::Vec x = test::random_vector(sys.order(), rng);
-    const la::Vec u(static_cast<std::size_t>(sys.inputs()), 0.25);
-    const la::Vec f_a = sys.rhs(x, u);
-    const la::Vec f_b = back.rhs(x, u);
-    for (std::size_t i = 0; i < f_a.size(); ++i) EXPECT_EQ(f_a[i], f_b[i]);
+TEST(RomIo, StorageByteOtherThanZeroIsCorrupt) {
+    rom::Writer w;
+    w.qldae(make_model().rom);
+    for (const char storage : {'\x01', '\x02', '\xff'}) {
+        std::string payload = w.bytes();
+        payload[0] = storage;
+        rom::Reader r(payload);
+        try {
+            (void)r.qldae();
+            FAIL() << "storage byte " << int(static_cast<unsigned char>(storage)) << " read";
+        } catch (const rom::IoError& e) {
+            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
+        }
+    }
 }
 
 TEST(RomIo, VersionMismatchIsRejected) {
@@ -171,24 +189,24 @@ TEST(RomIo, CorruptPayloadIsRejected) {
     }
 }
 
-TEST(RomIo, StructurallyInvalidCsrIsCorrupt) {
-    sparse::CooBuilder coo(2, 2);
-    coo.add(0, 0, 1.0);
-    coo.add(1, 1, 2.0);
+TEST(RomIo, StructurallyInvalidTensorIsCorrupt) {
+    sparse::SparseTensor3 t(2, 2, 2);
+    t.add(0, 0, 1, 1.0);
+    t.add(1, 1, 0, 2.0);
     rom::Writer w;
-    w.csr(sparse::CsrMatrix(coo));
+    w.tensor3(t);
     std::string payload = w.bytes();
-    // Layout: i32 rows, i32 cols, u64 nnz, (rows+1) x i32 row_ptr, col_idx...
-    // Patch the first column index out of range; the checksum would pass (we
-    // parse the payload directly), so the READER's structural validation is
-    // what must catch it.
-    const std::size_t col_idx_offset = 4 + 4 + 8 + 3 * 4;
+    // Layout: i32 rows, i32 n1, i32 n2, u64 count, then (i32 row, i32 i,
+    // i32 j, f64 value) per entry. Patch the first entry's row out of range;
+    // the checksum would pass (we parse the payload directly), so the
+    // READER's structural validation is what must catch it.
+    const std::size_t row_offset = 4 + 4 + 4 + 8;
     const int bad = 99;
-    payload.replace(col_idx_offset, sizeof(bad),
+    payload.replace(row_offset, sizeof(bad),
                     std::string(reinterpret_cast<const char*>(&bad), sizeof(bad)));
     rom::Reader r(payload);
     try {
-        (void)r.csr();
+        (void)r.tensor3();
         FAIL() << "expected IoError";
     } catch (const rom::IoError& e) {
         EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "circuits/nltl.hpp"
 #include "circuits/waveforms.hpp"
 #include "core/atmor.hpp"
 #include "ode/transient.hpp"
@@ -239,6 +241,56 @@ TEST(RomServe, DivergingTransientIsAnInternalError) {
     ASSERT_EQ(after.transients.size(), 1u);
     EXPECT_EQ(after.transients[0].t, before.transients[0].t);
     EXPECT_EQ(after.transients[0].y, before.transients[0].y);
+}
+
+/// An 8-stage NLTL ROM with k1 first-order moments at s0 = 1.
+rom::ReducedModel nltl_rom(int k1) {
+    circuits::NltlOptions copt;
+    copt.stages = 8;
+    core::AtMorOptions mor;
+    mor.k1 = k1;
+    mor.k2 = 2;
+    mor.k3 = 0;
+    mor.expansion_points = {la::Complex(1.0, 0.0)};
+    return core::reduce_associated(circuits::current_source_line(copt).to_qldae(), mor);
+}
+
+TEST(RomServe, ReplacedArtifactIsServedFromItsFile) {
+    // An artifact ref is served from its file. An engine whose registry has
+    // a disk tier must not copy the model it loaded into that directory, or
+    // a later engine over the same directory would keep serving the copy
+    // after the file is replaced.
+    const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+    const std::string dir = (tmp / "atmor_serve_stale_registry").string();
+    const std::string path = (tmp / "atmor_serve_stale_plant.atmor-rom").string();
+    std::filesystem::remove_all(dir);
+    rom::RegistryOptions ropt;
+    ropt.artifact_dir = dir;
+    const rom::ModelRef ref = rom::ModelRef::from_artifact(path);
+    const std::vector<la::Complex> grid = {la::Complex(0.0, 0.7)};
+    const auto h1 = [&](rom::ServeEngine& engine) {
+        const rom::ServeResponse resp = test::sweep(engine, ref, grid);
+        EXPECT_EQ(resp.error.code, util::ErrorCode::ok) << resp.error.message;
+        return resp.response.empty() ? la::Complex(0.0) : resp.response[0](0, 0);
+    };
+
+    rom::save_model(nltl_rom(3), path);
+    rom::ServeEngine first(std::make_shared<rom::Registry>(ropt));
+    const la::Complex old_h1 = h1(first);
+    rom::save_model(nltl_rom(6), path);
+
+    rom::ServeEngine later(std::make_shared<rom::Registry>(ropt));
+    rom::ServeEngine memory_only(std::make_shared<rom::Registry>());
+    const la::Complex new_h1 = h1(memory_only);
+    EXPECT_NE(new_h1, old_h1);
+    const la::Complex served = h1(later);
+    EXPECT_EQ(served.real(), new_h1.real());
+    EXPECT_EQ(served.imag(), new_h1.imag());
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    EXPECT_EQ(first.stats().registry.lookups, 0);
+
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -480,7 +480,7 @@ TEST(Scenarios, FamilyBuilderConsumesSparseGridCandidates) {
     opt.sampling = pmor::TrainingSampling::sparse_grid;
     opt.sparse_grid_level = 2;
     opt.max_members = 5;
-    const pmor::FamilyBuildResult result = core::build_family(mixer_design(), opt);
+    const pmor::FamilyBuildResult result = pmor::FamilyBuilder(mixer_design(), opt).build();
 
     // 1-D Smolyak level 2 = the 5-point nested hierarchy {0.5, 0, 1, 0.25,
     // 0.75}; each candidate becomes a coverage cell.
@@ -496,7 +496,7 @@ TEST(Scenarios, FamilyBuilderConsumesSparseGridCandidates) {
 
     pmor::FamilyBuildOptions bad = opt;
     bad.sparse_grid_level = 0;
-    EXPECT_THROW((void)core::build_family(mixer_design(), bad), util::PreconditionError);
+    EXPECT_THROW((void)pmor::FamilyBuilder(mixer_design(), bad).build(), util::PreconditionError);
 }
 
 TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {
@@ -505,7 +505,7 @@ TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {
     opt.tol = 1e-2;
     opt.training_grid_per_dim = 3;
     opt.max_members = 3;
-    const rom::Family fam = core::build_family(mixer_design(), opt).family;
+    const rom::Family fam = pmor::FamilyBuilder(mixer_design(), opt).build().family;
     ASSERT_TRUE(fam.converged);
 
     std::vector<Complex> grid;
@@ -547,7 +547,7 @@ TEST(Scenarios, BatchWireFormServesHostedFamilyAndRejectsEmptyBatch) {
     opt.tol = 1e-2;
     opt.training_grid_per_dim = 3;
     opt.max_members = 3;
-    const rom::Family fam = core::build_family(mixer_design(), opt).family;
+    const rom::Family fam = pmor::FamilyBuilder(mixer_design(), opt).build().family;
     ASSERT_TRUE(fam.converged);
     const std::vector<Point> queries = fam.space.monte_carlo(4, 9);
 

@@ -286,6 +286,104 @@ TEST(ServeProtocol, MethodByteNamingNoIntegratorIsTypedCorrupt) {
     }
 }
 
+TEST(ServeProtocol, ForgedCountsAreTypedTruncated) {
+    // Every decoded count is bounded by the bytes left, at its element's
+    // smallest encoded size, before anything is reserved: a short payload
+    // announcing 2^30, 2^40 or 2^62 elements is a typed truncation (the
+    // daemon answers io_truncated), never std::bad_alloc or
+    // std::length_error.
+    const auto model_ref = [](rom::Writer& w) {
+        w.u8(static_cast<std::uint8_t>(rom::ModelRef::Kind::registry_key));
+        w.str("plant");
+        w.str("");
+        w.str("");
+        w.vec({});
+    };
+    const auto request = [](rom::RequestKind kind) {
+        rom::Writer w;
+        w.str("tenant");
+        w.u8(static_cast<std::uint8_t>(kind));
+        return w;
+    };
+    // A response up to its first count: kind, code, message, certificate.
+    const auto response = [] {
+        rom::Writer w;
+        w.u8(0);
+        w.i32(0);
+        w.str("");
+        w.str("");
+        for (int k = 0; k < 4; ++k) w.f64(0.0);
+        w.i32(0);
+        w.i32(0);
+        return w;
+    };
+
+    struct Forgery {
+        const char* count;
+        rom::Writer prefix;  ///< every byte up to the forged u64 count
+        bool is_request;
+    };
+    std::vector<Forgery> forgeries;
+    {
+        rom::Writer w = request(rom::RequestKind::frequency_sweep);
+        model_ref(w);
+        forgeries.push_back({"grid", w, true});
+    }
+    {
+        rom::Writer w = request(rom::RequestKind::transient_batch);
+        model_ref(w);
+        forgeries.push_back({"inputs", w, true});
+    }
+    {
+        rom::Writer w = request(rom::RequestKind::parametric_batch);
+        w.str("family");
+        forgeries.push_back({"coords", w, true});
+    }
+    forgeries.push_back({"response", response(), false});
+    {
+        rom::Writer w = response();
+        w.u64(0);  // no response matrices
+        forgeries.push_back({"transients", w, false});
+    }
+    {
+        rom::Writer w = response();
+        w.u64(0);
+        w.u64(1);   // one transient result
+        w.vec({});  // its time vector
+        forgeries.push_back({"y rows", w, false});
+    }
+    rom::Writer tail = response();
+    tail.u64(0);
+    tail.u64(0);
+    tail.i32(-1);   // member
+    tail.i32(-1);   // blended_with
+    tail.f64(0.0);  // blend_weight
+    tail.u8(0);     // fallback
+    forgeries.push_back({"batch_member", tail, false});
+    tail.u64(0);
+    tail.vec({});  // batch_error
+    forgeries.push_back({"batch_fallback", tail, false});
+
+    for (const Forgery& f : forgeries)
+        for (const int log2 : {30, 40, 62}) {
+            rom::Writer w = f.prefix;
+            w.u64(std::uint64_t{1} << log2);
+            for (int k = 0; k < 6; ++k) w.f64(0.25);  // a few bytes of payload
+            try {
+                if (f.is_request)
+                    (void)rom::decode_request(w.bytes());
+                else
+                    (void)rom::decode_response(w.bytes());
+                FAIL() << f.count << " = 2^" << log2 << " decoded";
+            } catch (const rom::IoError& e) {
+                EXPECT_EQ(e.kind(), rom::IoErrorKind::truncated)
+                    << f.count << " = 2^" << log2 << ": " << e.what();
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << f.count << " = 2^" << log2 << " threw " << e.what();
+            }
+        }
+}
+
 // ---------------------------------------------------------------------------
 // Frame envelope.
 // ---------------------------------------------------------------------------

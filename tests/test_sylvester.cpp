@@ -14,30 +14,6 @@ using la::Complex;
 using la::Matrix;
 using la::ZMatrix;
 
-TEST(Lyapunov, ResidualSmall) {
-    util::Rng rng(701);
-    const int n = 20;
-    const Matrix a = test::random_stable_matrix(n, rng);
-    const Matrix q = test::random_matrix(n, n, rng);
-    const Matrix p = la::solve_lyapunov(a, q);
-    const Matrix residual = la::matmul(a, p) + la::matmul(p, la::transpose(a)) - q;
-    EXPECT_LT(la::max_abs(residual), 1e-8 * (1.0 + la::max_abs(p)));
-}
-
-TEST(Lyapunov, GramianIsSymmetricPositive) {
-    util::Rng rng(702);
-    const int n = 12;
-    const Matrix a = test::random_stable_matrix(n, rng);
-    const Matrix b = test::random_matrix(n, 2, rng);
-    const Matrix p = la::controllability_gramian(a, b);
-    EXPECT_LT(la::max_abs(p - la::transpose(p)), 1e-9 * (1.0 + la::max_abs(p)));
-    // x^T P x >= 0 for random probes.
-    for (int trial = 0; trial < 5; ++trial) {
-        const la::Vec x = test::random_vector(n, rng);
-        EXPECT_GE(la::dot(x, la::matvec(p, x)), -1e-9);
-    }
-}
-
 /// vec(C): column-stacked, i.e. C^T row-major.
 la::ZVec vec_complex(const Matrix& c) {
     la::ZVec v(static_cast<std::size_t>(c.rows()) * static_cast<std::size_t>(c.cols()));
@@ -101,21 +77,25 @@ TEST(TriSylvester, ShiftedSingularPencilThrows) {
                  util::InternalError);
 }
 
-TEST(Lyapunov, BitIdenticalToColumnForm) {
-    // solve_lyapunov runs the vec-form resolvent; its P must equal, bit for
-    // bit, the column-layout formulation of tests/kron_reference.hpp.
+TEST(KronSumResolvent, BitIdenticalToColumnForm) {
+    // The vec-form resolvent at shift 0 (the Lyapunov equation A X + X A^T =
+    // -C) must equal, bit for bit, the column-layout formulation of
+    // tests/kron_reference.hpp.
     util::Rng rng(706);
     const int n = 48;  // 48^3 multiply-adds: the products split across the pool
     const Matrix a = test::random_stable_matrix(n, rng);
-    const Matrix q = test::random_matrix(n, n, rng);
-    ZMatrix c = la::complexify(q);
-    c *= Complex(-1.0, 0.0);
+    const Matrix c = test::random_matrix(n, n, rng);
     const la::ComplexSchur cs(a);
-    const Matrix want =
-        la::real_part(test::ref_resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), c));
-    const Matrix got = la::solve_lyapunov(a, q);
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j) EXPECT_EQ(got(i, j), want(i, j)) << i << "," << j;
+    const ZMatrix want =
+        test::ref_resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), la::complexify(c));
+    const la::ZVec got = la::resolvent_kron_sum_solve(cs, Complex(0.0, 0.0), vec_complex(c));
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    for (int col = 0; col < n; ++col)
+        for (int row = 0; row < n; ++row) {
+            const Complex g = got[static_cast<std::size_t>(col * n + row)];
+            EXPECT_EQ(g.real(), want(row, col).real()) << row << "," << col;
+            EXPECT_EQ(g.imag(), want(row, col).imag()) << row << "," << col;
+        }
 }
 
 }  // namespace

@@ -16,8 +16,10 @@
 //     Issues one of every request kind through net::ServeClient and
 //     compares the raw response bytes against a LOCAL reference engine
 //     running the same catalog -- the wire answer must be bit-identical to
-//     the in-process answer. Exits nonzero on any mismatch (the CI daemon
-//     smoke step).
+//     the in-process answer. Models are named by build spec and by artifact
+//     path: the demo model is saved to an absolute path in the working
+//     directory, which the daemon must reach on the same host. Exits
+//     nonzero on any mismatch (the CI daemon smoke step).
 //
 // The spec catalog ("nltl" recipe) is registered HERE, not in the library:
 // the serving layers stay circuit-agnostic, and a deployment exposes
@@ -151,6 +153,11 @@ int run_smoke(const std::string& endpoint, bool demo_family) {
     std::vector<la::Complex> grid;
     for (int j = 0; j < 16; ++j) grid.emplace_back(0.0, 0.1 * (j + 1));
 
+    // The artifact-path refs: both engines load this file.
+    std::string artifact = std::filesystem::current_path().string();
+    artifact += std::string("/atmor-served-smoke") + rom::kArtifactExtension;
+    rom::save_model(build_from_spec(demo_spec(1.0)), artifact);
+
     std::vector<rom::ServeRequest> requests;
     {
         rom::ServeRequest req;
@@ -158,6 +165,10 @@ int run_smoke(const std::string& endpoint, bool demo_family) {
         req.body = rom::CertificateRequest{rom::ModelRef::from_spec(demo_spec(1.0))};
         requests.push_back(req);
         req.body = rom::FrequencySweepRequest{rom::ModelRef::from_spec(demo_spec(1.0)), grid};
+        requests.push_back(req);
+        req.body = rom::CertificateRequest{rom::ModelRef::from_artifact(artifact)};
+        requests.push_back(req);
+        req.body = rom::FrequencySweepRequest{rom::ModelRef::from_artifact(artifact), grid};
         requests.push_back(req);
         rom::TransientBatchRequest tb;
         tb.model = rom::ModelRef::from_spec(demo_spec(1.3));
@@ -203,6 +214,7 @@ int run_smoke(const std::string& endpoint, bool demo_family) {
                     match ? "MATCH" : "MISMATCH");
         if (!match) ++mismatches;
     }
+    std::filesystem::remove(artifact);
     if (mismatches)
         std::fprintf(stderr, "smoke: %d response(s) differ from the in-process answer\n",
                      mismatches);
