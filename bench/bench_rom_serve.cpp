@@ -101,8 +101,9 @@ int main(int argc, char** argv) {
     // ---------------------------------------------------------------------
     // 3. WARM: repeated online queries against the resident model.
     // ---------------------------------------------------------------------
-    // The model is resident in `registry`, so a by-key ref resolves it from
-    // the memory tier on every request.
+    // The model is resident in `registry`: the engine's first by-key request
+    // resolves it from the memory tier, and later requests reuse the
+    // engine's own state without asking the registry.
     rom::ServeEngine engine(registry);
     std::vector<la::Complex> grid;
     for (int g = 0; g < 32; ++g) grid.emplace_back(0.0, 0.05 * (g + 1));

@@ -190,7 +190,6 @@ int main(int argc, char** argv) {
 
     pmor::FamilyBuildOptions smolyak = mfam;
     smolyak.sampling = pmor::TrainingSampling::sparse_grid;
-    smolyak.sparse_grid_level = 2;
     util::Timer sparse_timer;
     const pmor::FamilyBuildResult sparse_built =
         pmor::FamilyBuilder(mixer_design, smolyak).build();

@@ -311,14 +311,16 @@ double shift_pivot_ratio(SolverBackend& backend, const LinearOperator& a, Comple
     }
 }
 
-std::shared_ptr<SolverBackend> make_default_backend(const LinearOperator& a) {
-    if (a.is_sparse()) return std::make_shared<SparseLuBackend>();
-    return std::make_shared<DenseLuBackend>();
+std::shared_ptr<SolverBackend> make_default_backend(const LinearOperator& a,
+                                                    std::size_t max_cached) {
+    if (a.is_sparse()) return std::make_shared<SparseLuBackend>(max_cached);
+    return std::make_shared<DenseLuBackend>(max_cached);
 }
 
-std::shared_ptr<SolverBackend> make_resolvent_backend(const LinearOperator& a) {
-    if (a.is_sparse()) return std::make_shared<SparseLuBackend>();
-    return std::make_shared<SchurBackend>();
+std::shared_ptr<SolverBackend> make_resolvent_backend(const LinearOperator& a,
+                                                      std::size_t max_cached) {
+    if (a.is_sparse()) return std::make_shared<SparseLuBackend>(max_cached);
+    return std::make_shared<SchurBackend>(max_cached);
 }
 
 }  // namespace atmor::la

@@ -211,11 +211,14 @@ private:
 double shift_pivot_ratio(SolverBackend& backend, const LinearOperator& a, Complex shift);
 
 /// Heuristic default for factor-and-solve workloads (Newton Jacobians,
-/// resolvent chains): sparse LU when a CSR view exists, dense LU otherwise.
-std::shared_ptr<SolverBackend> make_default_backend(const LinearOperator& a);
+/// resolvent chains): sparse LU when a CSR view exists, dense LU otherwise,
+/// caching `max_cached` factorisations.
+std::shared_ptr<SolverBackend> make_default_backend(const LinearOperator& a,
+                                                    std::size_t max_cached = 16);
 
 /// Heuristic default for many-shift resolvent workloads: sparse LU when a CSR
-/// view exists, Schur otherwise.
-std::shared_ptr<SolverBackend> make_resolvent_backend(const LinearOperator& a);
+/// view exists, Schur otherwise, caching `max_cached` factorisations.
+std::shared_ptr<SolverBackend> make_resolvent_backend(const LinearOperator& a,
+                                                      std::size_t max_cached = 16);
 
 }  // namespace atmor::la

@@ -69,25 +69,19 @@ void validate(const AdaptiveOptions& opt) {
                   "reduce_adaptive: invalid starting point_order");
 }
 
-/// Backend sized so a full adaptive run's factorisations (every grid shift
-/// plus every expansion point) stay cached end to end.
-std::shared_ptr<la::SolverBackend> make_adaptive_backend(const volterra::Qldae& sys,
-                                                         const AdaptiveOptions& opt) {
-    // Grid shifts (plus their doubles for the second-order estimate) and
-    // every expansion point must stay resident for the whole run.
-    const std::size_t slots = 2 * static_cast<std::size_t>(opt.band_grid) +
-                              static_cast<std::size_t>(opt.max_points) + 16;
-    if (sys.g1_op().is_sparse()) return std::make_shared<la::SparseLuBackend>(slots);
-    return std::make_shared<la::SchurBackend>(slots);
-}
-
 }  // namespace
 
 AdaptiveResult reduce_adaptive(const volterra::Qldae& sys, const AdaptiveOptions& opt) {
     validate(opt);
     util::Timer timer;
+    // The default backend is sized so a full run's factorisations stay
+    // cached end to end: every grid shift (plus its double for the
+    // second-order estimate) and every expansion point.
     std::shared_ptr<la::SolverBackend> backend =
-        opt.backend ? opt.backend : make_adaptive_backend(sys, opt);
+        opt.backend ? opt.backend
+                    : la::make_resolvent_backend(
+                          sys.g1_op(), 2 * static_cast<std::size_t>(opt.band_grid) +
+                                           static_cast<std::size_t>(opt.max_points) + 16);
     // One transform (shared Schur/Kronecker factors) and one estimator for
     // the whole run: every re-reduction and re-estimate replays the cache.
     const volterra::AssociatedTransform at(sys, backend);

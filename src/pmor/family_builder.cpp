@@ -16,6 +16,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Smolyak level of TrainingSampling::sparse_grid: every axis is covered to
+/// the 5-point nested 1-D hierarchy while the total level budget across axes
+/// stays 2.
+constexpr int kSparseGridLevel = 2;
+
 void validate(const FamilyDesign& design, const FamilyBuildOptions& opt) {
     ATMOR_REQUIRE(!design.family_id.empty(), "FamilyBuilder: empty family_id");
     ATMOR_REQUIRE(!design.space.empty(),
@@ -34,21 +39,6 @@ void validate(const FamilyDesign& design, const FamilyBuildOptions& opt) {
     if (opt.sampling == TrainingSampling::factorial_grid)
         ATMOR_REQUIRE(opt.training_grid_per_dim >= 2,
                       "FamilyBuilder: need training_grid_per_dim >= 2");
-    else
-        ATMOR_REQUIRE(opt.sparse_grid_level >= 1,
-                      "FamilyBuilder: need sparse_grid_level >= 1");
-    for (const Point& p : opt.initial_points)
-        design.space.require_inside(p, "FamilyBuilder: initial point");
-}
-
-/// Resolvent backend sized so one candidate's whole band (plus doubled
-/// shifts for the second-order estimate) stays cached across every member
-/// evaluated against it.
-std::shared_ptr<la::SolverBackend> make_estimator_backend(const volterra::Qldae& sys,
-                                                          int band_grid) {
-    const std::size_t slots = 2 * static_cast<std::size_t>(band_grid) + 8;
-    if (sys.g1_op().is_sparse()) return std::make_shared<la::SparseLuBackend>(slots);
-    return std::make_shared<la::SchurBackend>(slots);
 }
 
 }  // namespace
@@ -70,7 +60,7 @@ FamilyBuildResult FamilyBuilder::build() {
 
     const std::vector<Point> candidates =
         opt_.sampling == TrainingSampling::sparse_grid
-            ? design_.space.sparse_grid(opt_.sparse_grid_level)
+            ? design_.space.sparse_grid(kSparseGridLevel)
             : design_.space.grid(opt_.training_grid_per_dim);
     stats.candidates = static_cast<int>(candidates.size());
     const std::vector<la::Complex> band = mor::band_grid(opt_.adaptive);
@@ -91,7 +81,11 @@ FamilyBuildResult FamilyBuilder::build() {
         if (!estimators[c]) {
             volterra::Qldae sys = design_.build_system(candidates[c]);
             candidate_order[c] = sys.order();
-            auto backend = make_estimator_backend(sys, opt_.adaptive.band_grid);
+            // Sized so the candidate's whole band (plus doubled shifts for
+            // the second-order estimate) stays cached across every member
+            // evaluated against it.
+            auto backend = la::make_resolvent_backend(
+                sys.g1_op(), 2 * static_cast<std::size_t>(opt_.adaptive.band_grid) + 8);
             estimators[c] = std::make_unique<mor::ErrorEstimator>(
                 std::move(sys), std::move(backend), second_order);
             resident.push_back(c);
@@ -120,14 +114,6 @@ FamilyBuildResult FamilyBuilder::build() {
         return estimator.band_error(m.model, band).max_rel;
     };
 
-    // -- Seed members. ------------------------------------------------------
-    const std::vector<Point> requested =
-        opt_.initial_points.empty() ? std::vector<Point>{design_.space.center()}
-                                    : opt_.initial_points;
-    std::vector<Point> seeds;
-    for (const Point& p : requested)
-        if (std::find(seeds.begin(), seeds.end(), p) == seeds.end()) seeds.push_back(p);
-
     rom::Family family;
     family.family_id = design_.family_id;
     family.space = design_.space;
@@ -137,12 +123,10 @@ FamilyBuildResult FamilyBuilder::build() {
     family.training_grid_per_dim =
         opt_.sampling == TrainingSampling::factorial_grid ? opt_.training_grid_per_dim : 0;
 
-    // Per-candidate best/runner-up member errors, updated incrementally: a
-    // new member only adds its own column of estimates.
+    // Per-candidate best member errors, updated incrementally: a new member
+    // only adds its own column of estimates.
     std::vector<double> best_err(candidates.size(), kInf);
     std::vector<int> best_member(candidates.size(), -1);
-    std::vector<double> second_err(candidates.size(), kInf);
-    std::vector<int> second_member(candidates.size(), -1);
 
     const auto add_member = [&](const Point& p) {
         family.members.push_back(build_member(p));
@@ -150,13 +134,8 @@ FamilyBuildResult FamilyBuilder::build() {
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             const double e = cross_error(family.members.back(), c);
             if (e < best_err[c]) {
-                second_err[c] = best_err[c];
-                second_member[c] = best_member[c];
                 best_err[c] = e;
                 best_member[c] = m;
-            } else if (e < second_err[c]) {
-                second_err[c] = e;
-                second_member[c] = m;
             }
         }
     };
@@ -183,7 +162,8 @@ FamilyBuildResult FamilyBuilder::build() {
         return worst;
     };
 
-    for (const Point& p : seeds) add_member(p);
+    // -- Seed member at the box center. -------------------------------------
+    add_member(design_.space.center());
     const auto max_err = [&] { return *std::max_element(best_err.begin(), best_err.end()); };
     result.error_history.push_back(max_err());
 
@@ -205,8 +185,6 @@ FamilyBuildResult FamilyBuilder::build() {
         cell.coords = candidates[c];
         cell.best = best_member[c];
         cell.best_error = best_err[c];
-        cell.second = second_member[c];
-        cell.second_error = second_err[c];
         family.cells.push_back(std::move(cell));
         if (best_member[c] >= 0 && best_err[c] <= opt_.tol) {
             rom::FamilyMember& m = family.members[static_cast<std::size_t>(best_member[c])];

@@ -8,18 +8,18 @@
 // greedy worst-first insertion, applied to parameter points instead of
 // expansion frequencies:
 //
-//   1. Build a member at the box center (or the caller's initial points),
-//      each by a per-point reduce_adaptive so every member is itself
-//      certified over the frequency band.
+//   1. Build a member at the box center, by a per-point reduce_adaptive so
+//      every member is itself certified over the frequency band.
 //   2. For every training-grid point, take the best (smallest) certified
 //      cross error over the current members.
 //   3. While the worst training point exceeds tol and the member budget
 //      remains, build a new member AT that point and update the table (only
-//      the new member's column needs estimating).
+//      the new member's column needs estimating). Member points are never
+//      picked again, so every member sits at a distinct point.
 //
-// The result carries the full coverage table (best + runner-up member and
-// their certified errors per training cell), which is what makes online
-// serving certificate lookups O(cells) instead of full-order solves.
+// The result carries the full coverage table (the best member and its
+// certified error per training cell), which is what makes online serving
+// certificate lookups O(cells) instead of full-order solves.
 //
 // Cross errors between parameter points require the member basis to apply to
 // the training point's full system: points whose full order differs (e.g. a
@@ -46,11 +46,11 @@ enum class TrainingSampling {
     /// default through ~3 axes; past that the candidate count (and the
     /// estimator sweep per member insertion) explodes exponentially.
     factorial_grid,
-    /// ParamSpace::sparse_grid(sparse_grid_level): the Smolyak union of
-    /// nested midpoint-refinement increments. Candidate count grows
-    /// polynomially with dims, which is what lets 4-6 axis designs converge
-    /// without a factorial training budget (bench_scenarios records the
-    /// counts side by side).
+    /// ParamSpace::sparse_grid at level 2: the Smolyak union of nested
+    /// midpoint-refinement increments, covering every axis to the 5-point
+    /// 1-D hierarchy. Candidate count grows polynomially with dims, which is
+    /// what lets 4-6 axis designs converge without a factorial training
+    /// budget (bench_scenarios records the counts side by side).
     sparse_grid,
 };
 
@@ -62,15 +62,11 @@ struct FamilyBuildOptions {
     /// Member budget (the parameter-space analogue of AdaptiveOptions::
     /// max_points).
     int max_members = 8;
-    /// Candidate sampling scheme; the per-resolution knob below that applies
-    /// is validated, the other ignored.
+    /// Candidate sampling scheme.
     TrainingSampling sampling = TrainingSampling::factorial_grid;
-    /// Training-grid resolution per axis (factorial_grid only).
+    /// Training-grid resolution per axis (factorial_grid only; validated
+    /// only there).
     int training_grid_per_dim = 5;
-    /// Smolyak level (sparse_grid only); level L covers every axis to the
-    /// 2^L + 1 point 1-D hierarchy along the axes while bounding the total
-    /// level budget across axes.
-    int sparse_grid_level = 2;
     /// Bound on simultaneously resident per-candidate estimators. Each one
     /// holds its training point's full-order system plus a band's worth of
     /// cached factorisations, so keeping all of them alive scales peak
@@ -79,8 +75,6 @@ struct FamilyBuildOptions {
     /// (identical values -- only the factorisation work repeats). 0 keeps
     /// every estimator resident.
     int max_resident_estimators = 64;
-    /// Starting members; empty picks the box center.
-    std::vector<Point> initial_points;
     /// Per-member reduction: reduce_adaptive over this band/tolerance at
     /// each sampled point. adaptive.tol must be set explicitly and be
     /// <= tol (validated): the cross certificates inherit the band from

@@ -6,10 +6,10 @@
 // consumes: the parameter space, the member ROMs with their parameter
 // coordinates, and a COVERAGE TABLE over the training grid -- for every
 // training point, which member approximates it best and at what certified
-// (a-posteriori, mor::ErrorEstimator) cross error, plus the runner-up for
-// two-member blending. Serving a query then reduces to locating the nearest
-// training cell and reading its certificate; a cell no member certifies
-// routes the query to the on-demand fallback build.
+// (a-posteriori, mor::ErrorEstimator) cross error. Serving a query then
+// reduces to locating the nearest training cell and serving its member under
+// the cell's certificate; a cell no member certifies routes the query to the
+// on-demand fallback build.
 //
 // A family is stored and served only as a compressed family artifact
 // (rom/family_artifact.hpp), opened lazily and hosted by rom::ServeEngine.
@@ -45,8 +45,6 @@ struct CoverageCell {
     /// an unconverged family has cells whose best member exceeds tol.
     int best = -1;
     double best_error = std::numeric_limits<double>::infinity();
-    int second = -1;     ///< runner-up member (for blending); -1 when absent
-    double second_error = std::numeric_limits<double>::infinity();
 };
 
 struct Family {

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "la/matrix.hpp"
@@ -19,25 +18,31 @@ namespace atmor::rom {
 
 namespace {
 
-/// Payload offset of the u64 header_bytes field (kind, layout, tier bytes
-/// precede it); patched after the directory length is known.
-constexpr std::size_t kHeaderBytesOffset = 3;
+/// Payload offset of the u64 header_bytes field (kind and tier bytes precede
+/// it); patched after the directory length is known.
+constexpr std::size_t kHeaderBytesOffset = 2;
 
 // Smallest encoded size of each directory record a count announces; the
 // parser bounds every count by it through Reader::count before it reserves
-// or loops. Block: storage u8, then offset, length and hash u64s. Group:
-// block, rows and cols, 4 bytes each. Member: coordinate count u64, four
-// f64 errors and five 4-byte indices or dimensions, then its coordinates.
-constexpr std::size_t kBlockRecordBytes = 1 + 3 * 8;
-constexpr std::size_t kGroupRecordBytes = 3 * 4;
-constexpr std::size_t kMemberRecordBytes = 8 + 4 * 8 + 5 * 4;
+// or loops. Block reference: offset, length and hash u64s. Parameter axis:
+// name length u64, min and max f64, scale u8. Group: block reference, rows
+// and cols i32. Member: coordinate count u64, two f64 certificates, the
+// basis group u32, two block references and two i32 dimensions, then its
+// coordinates. Cell: coordinate count u64, best member i32 and its f64
+// error, then its coordinates.
+constexpr std::size_t kBlockRefBytes = 3 * 8;
+constexpr std::size_t kAxisRecordBytes = 8 + 2 * 8 + 1;
+constexpr std::size_t kGroupRecordBytes = kBlockRefBytes + 2 * 4;
+constexpr std::size_t kMemberRecordBytes = 8 + 2 * 8 + 4 + 2 * kBlockRefBytes + 2 * 4;
+constexpr std::size_t kCellRecordBytes = 8 + 4 + 8;
 
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::family_artifact: ") + what);
 }
 
-// -- Directory model (parsed form of the sectioned layout). -----------------
+// -- Directory model (parsed form of the layout). ---------------------------
 
+/// Where a block lives in the block region, and its content hash.
 struct BlockRef {
     std::uint64_t offset = 0;  ///< relative to the block region
     std::uint64_t bytes = 0;
@@ -45,7 +50,7 @@ struct BlockRef {
 };
 
 struct GroupRef {
-    std::uint32_t block = 0;
+    BlockRef block;
     std::int32_t rows = 0;
     std::int32_t cols = 0;
 };
@@ -54,16 +59,14 @@ struct MemberRef {
     pmor::Point coords;
     double certified_error = 0.0;
     double coverage_radius = 0.0;
-    double encoding_error = 0.0;
-    double basis_error = 0.0;
     std::uint32_t basis_group = 0;
-    std::uint32_t coeff_block = 0;
+    BlockRef coeff;
     std::int32_t coeff_rows = 0;
     std::int32_t coeff_cols = 0;
-    std::uint32_t meta_block = 0;
+    BlockRef meta;
 };
 
-struct SectionedHeader {
+struct Directory {
     EncodingTier tier = EncodingTier::f64;
     std::uint64_t header_bytes = 0;  ///< where the block region begins
     std::string family_id;
@@ -72,23 +75,99 @@ struct SectionedHeader {
     std::int32_t training_grid_per_dim = 0;
     double max_training_error = 0.0;
     bool converged = false;
-    std::vector<BlockRef> blocks;
     std::vector<GroupRef> groups;
     std::vector<MemberRef> members;
     std::vector<CoverageCell> cells;
 };
 
-/// Parse and INTEGRITY-CHECK the directory of a sectioned payload. Touches
-/// only payload[0, header_bytes) -- the lazy reader's whole cold-start read
-/// set -- and validates every cross-reference (block indices, dimensions
-/// against block sizes, cell member indices), so later block fetches only
-/// have to verify content hashes.
-SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_len) {
-    if (payload_len < 2 || payload[0] != static_cast<char>(PayloadKind::family) ||
-        payload[1] != static_cast<char>(FamilyLayout::sectioned))
+// -- Directory sub-records. -------------------------------------------------
+
+void write_param_space(Writer& w, const pmor::ParamSpace& space) {
+    const auto& dims = space.descriptors();
+    w.u64(dims.size());
+    for (const pmor::ParamDescriptor& d : dims) {
+        w.str(d.name);
+        w.f64(d.min);
+        w.f64(d.max);
+        w.u8(static_cast<std::uint8_t>(d.scale));
+    }
+}
+
+pmor::ParamSpace read_param_space(Reader& r) {
+    const std::size_t ndims = r.count(r.u64(), kAxisRecordBytes);
+    std::vector<pmor::ParamDescriptor> dims;
+    dims.reserve(ndims);
+    for (std::size_t d = 0; d < ndims; ++d) {
+        pmor::ParamDescriptor desc;
+        desc.name = r.str();
+        desc.min = r.f64();
+        desc.max = r.f64();
+        const std::uint8_t scale = r.u8();
+        if (scale > 1) fail(IoErrorKind::corrupt, "unknown parameter scale tag");
+        desc.scale = static_cast<pmor::Scale>(scale);
+        dims.push_back(std::move(desc));
+    }
+    try {
+        return pmor::ParamSpace(std::move(dims));
+    } catch (const util::PreconditionError& e) {
+        fail(IoErrorKind::corrupt, std::string("invalid parameter space: ") + e.what());
+    }
+}
+
+void write_cells(Writer& w, const std::vector<CoverageCell>& cells) {
+    w.u64(cells.size());
+    for (const CoverageCell& c : cells) {
+        w.u64(c.coords.size());
+        for (double v : c.coords) w.f64(v);
+        w.i32(c.best);
+        w.f64(c.best_error);
+    }
+}
+
+/// Cells whose coordinate count matches `ndims` and whose member references
+/// name one of `member_count` members (or -1).
+std::vector<CoverageCell> read_cells(Reader& r, std::size_t ndims, int member_count) {
+    const std::size_t ncells = r.count(r.u64(), kCellRecordBytes + ndims * sizeof(double));
+    std::vector<CoverageCell> cells;
+    cells.reserve(ncells);
+    for (std::size_t i = 0; i < ncells; ++i) {
+        CoverageCell cell;
+        if (r.u64() != ndims)
+            fail(IoErrorKind::corrupt, "cell coordinate count disagrees with the space");
+        cell.coords.reserve(ndims);
+        for (std::size_t c = 0; c < ndims; ++c) cell.coords.push_back(r.f64());
+        cell.best = r.i32();
+        cell.best_error = r.f64();
+        if (cell.best < -1 || cell.best >= member_count)
+            fail(IoErrorKind::corrupt, "coverage cell references a missing member");
+        cells.push_back(std::move(cell));
+    }
+    return cells;
+}
+
+/// A block reference, bounds-checked against the `region` bytes of the
+/// block region.
+BlockRef read_block_ref(Reader& r, std::size_t region) {
+    BlockRef b;
+    b.offset = r.u64();
+    b.bytes = r.u64();
+    b.hash = r.u64();
+    if (b.offset > region || b.bytes > region - b.offset)
+        fail(IoErrorKind::truncated, "block at offset " + std::to_string(b.offset) +
+                                         " extends past the end of the payload");
+    return b;
+}
+
+/// Parse and INTEGRITY-CHECK the directory of a family payload. Touches only
+/// payload[0, header_bytes) -- the lazy reader's whole cold-start read set --
+/// and validates every cross-reference (block bounds, dimensions against
+/// block sizes, cell member indices), so later block fetches only have to
+/// verify content hashes.
+Directory parse_directory(const char* payload, std::size_t payload_len) {
+    if (payload_len < 1 || payload[0] != static_cast<char>(PayloadKind::family))
         fail(IoErrorKind::corrupt, "payload is not a family artifact");
     if (payload_len < kHeaderBytesOffset + 2 * sizeof(std::uint64_t))
-        fail(IoErrorKind::truncated, "payload too small for a sectioned directory");
+        fail(IoErrorKind::truncated, "payload too small for a family directory");
     std::uint64_t header_bytes = 0;
     std::memcpy(&header_bytes, payload + kHeaderBytesOffset, sizeof(header_bytes));
     if (header_bytes > payload_len)
@@ -106,9 +185,8 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     // bounds checks apply and the mapping is never read past header_bytes.
     const std::string dir(payload, dir_len);
     Reader r(dir);
-    SectionedHeader h;
+    Directory h;
     r.expect_kind(PayloadKind::family);
-    (void)r.u8();  // layout, checked above
     const std::uint8_t tier = r.u8();
     if (tier > static_cast<std::uint8_t>(EncodingTier::q8))
         fail(IoErrorKind::corrupt, "unknown encoding tier tag " + std::to_string(tier));
@@ -117,7 +195,7 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     if (h.header_bytes != header_bytes)
         fail(IoErrorKind::corrupt, "inconsistent header_bytes field");
     h.family_id = r.str();
-    h.space = r.param_space();
+    h.space = read_param_space(r);
     h.tol = r.f64();
     h.training_grid_per_dim = r.i32();
     h.max_training_error = r.f64();
@@ -126,34 +204,16 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     h.converged = conv == 1;
 
     const std::size_t region = payload_len - static_cast<std::size_t>(header_bytes);
-    const std::size_t nblocks = r.count(r.u32(), kBlockRecordBytes);
-    h.blocks.reserve(nblocks);
-    for (std::size_t i = 0; i < nblocks; ++i) {
-        // The storage byte is always 0 (inline); blocks never live outside
-        // the artifact.
-        if (r.u8() != 0) fail(IoErrorKind::corrupt, "unknown block storage tag");
-        BlockRef b;
-        b.offset = r.u64();
-        b.bytes = r.u64();
-        b.hash = r.u64();
-        if (b.offset > region || b.bytes > region - b.offset)
-            fail(IoErrorKind::truncated,
-                 "inline block " + std::to_string(i) + " extends past the end of the payload");
-        h.blocks.push_back(b);
-    }
-
     const std::size_t ngroups = r.count(r.u32(), kGroupRecordBytes);
     h.groups.reserve(ngroups);
     for (std::size_t i = 0; i < ngroups; ++i) {
         GroupRef g;
-        g.block = r.u32();
+        g.block = read_block_ref(r, region);
         g.rows = r.i32();
         g.cols = r.i32();
-        if (g.block >= h.blocks.size())
-            fail(IoErrorKind::corrupt, "basis group references a missing block");
         if (g.rows < 0 || g.cols < 0)
             fail(IoErrorKind::corrupt, "negative basis group dimension");
-        if (h.blocks[g.block].bytes != encoded_matrix_bytes(g.rows, g.cols, h.tier))
+        if (g.block.bytes != encoded_matrix_bytes(g.rows, g.cols, h.tier))
             fail(IoErrorKind::corrupt, "basis block size disagrees with the group dimensions");
         h.groups.push_back(g);
     }
@@ -163,66 +223,59 @@ SectionedHeader parse_sectioned_header(const char* payload, std::size_t payload_
     h.members.reserve(nmembers);
     for (std::size_t i = 0; i < nmembers; ++i) {
         MemberRef m;
-        const std::uint64_t nc = r.u64();
-        if (nc != ndims)
+        if (r.u64() != ndims)
             fail(IoErrorKind::corrupt, "member coordinate count disagrees with the space");
         m.coords.reserve(ndims);
         for (std::size_t c = 0; c < ndims; ++c) m.coords.push_back(r.f64());
         m.certified_error = r.f64();
         m.coverage_radius = r.f64();
-        m.encoding_error = r.f64();
-        m.basis_error = r.f64();
         m.basis_group = r.u32();
-        m.coeff_block = r.u32();
+        m.coeff = read_block_ref(r, region);
         m.coeff_rows = r.i32();
         m.coeff_cols = r.i32();
-        m.meta_block = r.u32();
+        m.meta = read_block_ref(r, region);
         if (m.basis_group >= h.groups.size())
             fail(IoErrorKind::corrupt, "member references a missing basis group");
-        if (m.coeff_block >= h.blocks.size() || m.meta_block >= h.blocks.size())
-            fail(IoErrorKind::corrupt, "member references a missing block");
         if (m.coeff_rows < 0 || m.coeff_cols < 0)
             fail(IoErrorKind::corrupt, "negative member coefficient dimension");
         if (m.coeff_rows != h.groups[m.basis_group].cols)
             fail(IoErrorKind::corrupt, "coefficient rows disagree with the union rank");
-        if (h.blocks[m.coeff_block].bytes !=
-            encoded_matrix_bytes(m.coeff_rows, m.coeff_cols, h.tier))
+        if (m.coeff.bytes != encoded_matrix_bytes(m.coeff_rows, m.coeff_cols, h.tier))
             fail(IoErrorKind::corrupt,
                  "coefficient block size disagrees with the member dimensions");
         h.members.push_back(std::move(m));
     }
 
-    h.cells = r.coverage_cells(ndims, static_cast<int>(nmembers));
+    h.cells = read_cells(r, ndims, static_cast<int>(nmembers));
     if (!r.at_end()) fail(IoErrorKind::corrupt, "trailing bytes after the family directory");
     return h;
 }
 
 /// Fetch a block's bytes out of the mapped payload and verify its content
 /// hash.
-std::string fetch_block(const char* payload, const SectionedHeader& h, std::uint32_t index) {
-    const BlockRef& b = h.blocks[index];
+std::string fetch_block(const char* payload, const Directory& h, const BlockRef& b) {
     std::string bytes(payload + h.header_bytes + b.offset, static_cast<std::size_t>(b.bytes));
     if (fnv1a(bytes.data(), bytes.size()) != b.hash)
         fail(IoErrorKind::checksum_mismatch,
-             "block " + std::to_string(index) + " failed its content hash");
+             "block at offset " + std::to_string(b.offset) + " failed its content hash");
     return bytes;
 }
 
-la::Matrix fetch_basis(const char* payload, const SectionedHeader& h, std::uint32_t group) {
+la::Matrix fetch_basis(const char* payload, const Directory& h, std::uint32_t group) {
     const GroupRef& g = h.groups[group];
     const std::string bytes = fetch_block(payload, h, g.block);
     return decode_matrix_block(bytes.data(), bytes.size(), g.rows, g.cols, h.tier);
 }
 
 /// Decode one member against its (already decoded) union basis.
-FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
-                                std::size_t index, const la::Matrix& basis) {
+FamilyMember materialize_member(const char* payload, const Directory& h, std::size_t index,
+                                const la::Matrix& basis) {
     const MemberRef& m = h.members[index];
-    const std::string coeff_bytes = fetch_block(payload, h, m.coeff_block);
+    const std::string coeff_bytes = fetch_block(payload, h, m.coeff);
     const la::Matrix coeff = decode_matrix_block(coeff_bytes.data(), coeff_bytes.size(),
                                                  m.coeff_rows, m.coeff_cols, h.tier);
     la::Matrix v = la::matmul(basis, coeff);
-    const std::string meta_bytes = fetch_block(payload, h, m.meta_block);
+    const std::string meta_bytes = fetch_block(payload, h, m.meta);
     ReducedModel model =
         decode_member_meta(meta_bytes.data(), meta_bytes.size(), h.tier, std::move(v));
     return FamilyMember{m.coords, m.certified_error, m.coverage_radius, std::move(model)};
@@ -237,92 +290,54 @@ FamilyMember materialize_member(const char* payload, const SectionedHeader& h,
 std::string serialize_family_artifact(const CompressedFamily& cf) {
     ATMOR_REQUIRE(!cf.members.empty(), "serialize_family_artifact: family has no members");
 
-    // Content-addressed block interning: identical payloads (e.g. two
-    // members sharing a coefficient block) are stored once per artifact.
-    std::vector<BlockRef> blocks;
-    std::vector<const std::string*> block_bytes;
-    std::unordered_map<std::uint64_t, std::uint32_t> by_hash;
-    std::uint64_t inline_offset = 0;
-    const auto intern = [&](const std::string& bytes) -> std::uint32_t {
-        const std::uint64_t hash = fnv1a(bytes.data(), bytes.size());
-        const auto it = by_hash.find(hash);
-        if (it != by_hash.end()) {
-            ATMOR_REQUIRE(*block_bytes[it->second] == bytes,
-                          "serialize_family_artifact: content hash collision");
-            return it->second;
-        }
-        BlockRef b;
-        b.hash = hash;
-        b.bytes = bytes.size();
-        b.offset = inline_offset;
-        inline_offset += bytes.size();
-        const std::uint32_t index = static_cast<std::uint32_t>(blocks.size());
-        blocks.push_back(b);
-        block_bytes.push_back(&bytes);
-        by_hash.emplace(hash, index);
-        return index;
-    };
-
-    std::vector<GroupRef> groups;
-    groups.reserve(cf.basis_groups.size());
-    for (const BasisGroup& g : cf.basis_groups)
-        groups.push_back(GroupRef{intern(g.bytes), g.rows, g.cols});
-    struct MemberBlocks {
-        std::uint32_t coeff = 0;
-        std::uint32_t meta = 0;
-    };
-    std::vector<MemberBlocks> member_blocks;
-    member_blocks.reserve(cf.members.size());
-    for (const CompressedMember& m : cf.members)
-        member_blocks.push_back(MemberBlocks{intern(m.coeff_bytes), intern(m.meta_bytes)});
-
+    // Blocks are laid out in directory order: every basis group's, then each
+    // member's coefficient and meta blocks.
+    std::vector<const std::string*> blocks;
+    std::uint64_t region = 0;
     Writer w;
+    const auto block_ref = [&](const std::string& bytes) {
+        w.u64(region);
+        w.u64(bytes.size());
+        w.u64(fnv1a(bytes.data(), bytes.size()));
+        region += bytes.size();
+        blocks.push_back(&bytes);
+    };
+
     w.kind(PayloadKind::family);
-    w.u8(static_cast<std::uint8_t>(FamilyLayout::sectioned));
     w.u8(static_cast<std::uint8_t>(cf.tier));
     w.u64(0);  // header_bytes, patched below
     w.str(cf.family_id);
-    w.param_space(cf.space);
+    write_param_space(w, cf.space);
     w.f64(cf.tol);
     w.i32(cf.training_grid_per_dim);
     w.f64(cf.max_training_error);
     w.u8(cf.converged ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(blocks.size()));
-    for (const BlockRef& b : blocks) {
-        w.u8(0);  // storage: inline
-        w.u64(b.offset);
-        w.u64(b.bytes);
-        w.u64(b.hash);
-    }
-    w.u32(static_cast<std::uint32_t>(groups.size()));
-    for (const GroupRef& g : groups) {
-        w.u32(g.block);
+    w.u32(static_cast<std::uint32_t>(cf.basis_groups.size()));
+    for (const BasisGroup& g : cf.basis_groups) {
+        block_ref(g.bytes);
         w.i32(g.rows);
         w.i32(g.cols);
     }
     w.u32(static_cast<std::uint32_t>(cf.members.size()));
-    for (std::size_t i = 0; i < cf.members.size(); ++i) {
-        const CompressedMember& m = cf.members[i];
+    for (const CompressedMember& m : cf.members) {
         w.u64(m.coords.size());
         for (double c : m.coords) w.f64(c);
         w.f64(m.certified_error);
         w.f64(m.coverage_radius);
-        w.f64(m.encoding_error);
-        w.f64(m.basis_error);
         w.u32(m.basis_group);
-        w.u32(member_blocks[i].coeff);
+        block_ref(m.coeff_bytes);
         w.i32(m.coeff_rows);
         w.i32(m.coeff_cols);
-        w.u32(member_blocks[i].meta);
+        block_ref(m.meta_bytes);
     }
-    w.coverage_cells(cf.cells);
+    write_cells(w, cf.cells);
 
     std::string payload = w.bytes();
     const std::uint64_t header_bytes = payload.size() + sizeof(std::uint64_t);
     std::memcpy(&payload[kHeaderBytesOffset], &header_bytes, sizeof(header_bytes));
     const std::uint64_t checksum = fnv1a(payload.data(), payload.size());
     payload.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    for (const std::string* bytes : block_bytes) payload.append(*bytes);
+    for (const std::string* bytes : blocks) payload.append(*bytes);
     return frame(payload);
 }
 
@@ -339,7 +354,7 @@ struct FamilyArtifact::Impl {
     std::size_t map_len = 0;
     const char* payload = nullptr;  ///< into the mapping
     std::size_t payload_len = 0;
-    SectionedHeader header;
+    Directory header;
 
     /// Guards the caches; one thread materializes a given section, everyone
     /// else waits (sections decode in milliseconds, contention is cheap).
@@ -378,7 +393,7 @@ FamilyArtifact FamilyArtifact::open(const std::string& path) {
         detail::envelope_payload(std::string_view(static_cast<const char*>(map), len));
     impl->payload = payload.data();
     impl->payload_len = payload.size();
-    impl->header = parse_sectioned_header(impl->payload, impl->payload_len);
+    impl->header = parse_directory(impl->payload, impl->payload_len);
     impl->basis_cache.resize(impl->header.groups.size());
     impl->member_cache.resize(impl->header.members.size());
     impl->resident = static_cast<std::size_t>(impl->header.header_bytes);

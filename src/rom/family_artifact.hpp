@@ -1,35 +1,36 @@
 // The family artifact -- the one on-disk form of a parametric family:
-// compressed union-basis storage with per-member section offsets, a
-// content-addressed block table, and an mmap-backed reader that
+// compressed union-basis storage behind a checksummed directory whose
+// records name their own blocks, and an mmap-backed reader that
 // materializes members lazily.
 //
 // Layout of a family payload (inside the usual io envelope):
 //
-//   u8  PayloadKind::family | u8 FamilyLayout::sectioned | u8 EncodingTier
-//   u64 header_bytes              -- at fixed payload offset 3; where the
+//   u8  PayloadKind::family | u8 EncodingTier
+//   u64 header_bytes              -- at fixed payload offset 2; where the
 //                                    block region begins (patched last)
 //   str family_id | param_space | f64 tol | i32 grid | f64 max_err | u8 conv
-//   block table: u32 count x { u8 storage (always 0: inline),
-//                              u64 offset (relative to the block region),
-//                              u64 bytes, u64 fnv1a hash }
-//   basis groups: u32 count x { u32 block, i32 rows, i32 cols }
-//   member directory: u32 count x { coords, f64 certified/coverage/encoding/
-//                              basis error, u32 basis_group, u32 coeff_block,
-//                              i32 coeff_rows, i32 coeff_cols, u32 meta_block }
-//   coverage cells (validated against the member count)
+//   basis groups: u32 count x { block, i32 rows, i32 cols }
+//   members: u32 count x { coords, f64 certified_error, f64 coverage_radius,
+//                          u32 basis_group, coeff block, i32 coeff_rows,
+//                          i32 coeff_cols, meta block }
+//   coverage cells: u64 count x { coords, i32 best, f64 best_error }
 //   u64 directory checksum        -- fnv1a over payload[0, here)
-//   inline block payloads         -- the block region, hash-addressed
+//   block payloads                -- the block region
+//
+// where coords is a u64 count of f64s, param_space a u64 count of
+// { str name, f64 min, f64 max, u8 scale } axes, and each block reference
+// { u64 offset (relative to the block region), u64 bytes, u64 fnv1a hash }.
+// Blocks follow the directory order: every group's, then each member's
+// coefficient and meta blocks.
 //
 // Integrity is LAYERED so the lazy reader never has to touch bytes it does
-// not serve: the directory carries its own checksum (verified at open), and
-// every block carries a content hash (verified when the block is first
-// materialized). The envelope's whole-payload checksum is never read. Net
+// not serve: the directory carries its own checksum, and every block
+// reference is bounds-checked against the block region (both at open);
+// every block's content hash is verified when the block is first
+// materialized. The envelope's whole-payload checksum is never read. Net
 // effect: a flipped bit anywhere before that trailing checksum surfaces as a
 // typed IoError at open or at the first materialization that touches it --
 // never a garbage member.
-//
-// Blocks are deduplicated by content hash within an artifact, so every
-// artifact is one self-contained file.
 //
 // FamilyArtifact::open maps the file read-only (POSIX mmap), parses and
 // verifies only the directory, and decodes basis groups / members on first
@@ -48,7 +49,7 @@
 
 namespace atmor::rom {
 
-/// Frame a CompressedFamily as a family artifact (every block inline).
+/// Frame a CompressedFamily as a family artifact.
 std::string serialize_family_artifact(const CompressedFamily& cf);
 
 /// Write a family artifact with atomic publication: the one writer.

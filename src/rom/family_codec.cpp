@@ -190,8 +190,8 @@ sparse::SparseTensor4 read_ttensor4(Reader& r, EncodingTier tier) {
     });
 }
 
+/// Dense G1/B/C/D1, then G2/G3, as in rom::Writer::qldae.
 void write_tqldae(Writer& w, const volterra::Qldae& sys, EncodingTier tier) {
-    w.u8(0);  // storage byte: dense G1/B/C/D1, as in rom::Writer::qldae
     const std::uint32_t nd1 =
         sys.has_bilinear() ? static_cast<std::uint32_t>(sys.inputs()) : 0;
     write_tmatrix(w, sys.g1(), tier);
@@ -204,7 +204,6 @@ void write_tqldae(Writer& w, const volterra::Qldae& sys, EncodingTier tier) {
 }
 
 volterra::Qldae read_tqldae(Reader& r, EncodingTier tier) {
-    if (r.u8() != 0) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
     la::Matrix g1 = read_tmatrix(r, tier);
     la::Matrix b = read_tmatrix(r, tier);
     la::Matrix c = read_tmatrix(r, tier);
@@ -443,8 +442,7 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
     ATMOR_REQUIRE(!f.members.empty(), "compress_family: family has no members");
     const int member_count = static_cast<int>(f.members.size());
     for (const CoverageCell& cell : f.cells)
-        ATMOR_REQUIRE(cell.best >= -1 && cell.best < member_count && cell.second >= -1 &&
-                          cell.second < member_count,
+        ATMOR_REQUIRE(cell.best >= -1 && cell.best < member_count,
                       "compress_family: coverage cell [" << f.space.key(cell.coords)
                                                          << "] references a missing member");
 
@@ -490,7 +488,6 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
             const la::Matrix coeff_dec = decode_matrix_block(
                 coeff_bytes.data(), coeff_bytes.size(), coeff.rows(), coeff.cols(), opt.tier);
             la::Matrix v_dec = la::matmul(u_dec, coeff_dec);
-            const double berr = la::max_abs(v_dec - fm.model.v);
 
             // The meta block stores the hash of the basis that will actually
             // be served, so serving-layer caches key on the decoded basis.
@@ -507,16 +504,12 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
             cm.certified_error = fm.certified_error + err;
             cm.coverage_radius = fm.coverage_radius;
             cm.encoding_error = err;
-            cm.basis_error = berr;
             cm.basis_group = gi;
             cm.coeff_rows = coeff.rows();
             cm.coeff_cols = coeff.cols();
             cm.coeff_bytes = std::move(coeff_bytes);
             cm.meta_bytes = std::move(meta_bytes);
-            if (stats) {
-                stats->max_encoding_error = std::max(stats->max_encoding_error, err);
-                stats->max_basis_error = std::max(stats->max_basis_error, berr);
-            }
+            if (stats) stats->max_encoding_error = std::max(stats->max_encoding_error, err);
         }
     }
 
@@ -526,7 +519,6 @@ CompressedFamily compress_family(const Family& f, const CompressOptions& opt,
     double max_err = 0.0;
     for (CoverageCell& cell : out.cells) {
         if (cell.best >= 0) cell.best_error += eta[static_cast<std::size_t>(cell.best)];
-        if (cell.second >= 0) cell.second_error += eta[static_cast<std::size_t>(cell.second)];
         max_err = std::max(max_err, cell.best_error);
     }
     if (out.cells.empty())
@@ -571,8 +563,7 @@ Family decode_family(const CompressedFamily& cf) {
 
     const int member_count = static_cast<int>(f.members.size());
     for (const CoverageCell& cell : cf.cells)
-        if (cell.best < -1 || cell.best >= member_count || cell.second < -1 ||
-            cell.second >= member_count)
+        if (cell.best < -1 || cell.best >= member_count)
             fail(IoErrorKind::corrupt, "coverage cell references a missing member");
     f.cells = cf.cells;
     return f;

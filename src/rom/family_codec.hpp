@@ -17,8 +17,8 @@
 // compression and its response deviation from the original (max relative
 // output-H1 difference over a probe grid of the member's certified band) is
 // MEASURED, recorded as encoding_error, and folded into every stored
-// certificate -- member certified_error, coverage-cell best/second errors,
-// and the family's max_training_error / converged flag. A served query's
+// certificate -- member certified_error, coverage-cell best errors, and the
+// family's max_training_error / converged flag. A served query's
 // certificate therefore bounds the error of the model actually served, not
 // of the model that was discarded at compression time. The f64 tier measures
 // an exactly-zero encoding error (the reduced system round-trips bit-exact).
@@ -71,10 +71,6 @@ struct CompressedMember {
     /// (max relative output-H1 difference over the probe grid); the amount
     /// folded into every stored certificate. Exactly 0 for the f64 tier.
     double encoding_error = 0.0;
-    /// Max abs entry deviation of the reconstructed basis U C vs the
-    /// original v (informational; the basis is not used in served
-    /// responses, only for lifting).
-    double basis_error = 0.0;
     std::uint32_t basis_group = 0;
     int coeff_rows = 0;  ///< r of the group
     int coeff_cols = 0;  ///< member order q
@@ -103,7 +99,6 @@ struct CompressStats {
     std::size_t basis_columns_in = 0;     ///< sum of member orders q
     std::size_t basis_columns_union = 0;  ///< sum of group ranks r
     double max_encoding_error = 0.0;
-    double max_basis_error = 0.0;
 };
 
 /// Compress a family (see file comment). Throws util::PreconditionError on

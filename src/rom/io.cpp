@@ -16,14 +16,9 @@ constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t) +
                                      sizeof(std::uint64_t);
 constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
 
-// Smallest encoded size of each record a count announces; Reader::count
-// bounds the count by it before anything is reserved. Matrix: rows and cols
-// i32. Parameter descriptor: name length u64, min and max f64, scale u8.
-// Coverage cell: coordinate count u64, then best and runner-up as an i32
-// member index and an f64 error each.
+// Smallest encoded size of a matrix record (rows and cols i32); Reader::count
+// bounds the D1 count by it before anything is reserved.
 constexpr std::size_t kMatrixHeaderBytes = 2 * 4;
-constexpr std::size_t kDescriptorBytes = 8 + 2 * 8 + 1;
-constexpr std::size_t kCellBytes = 8 + 2 * (4 + 8);
 
 [[noreturn]] void fail(IoErrorKind kind, const std::string& what) {
     throw IoError(kind, std::string("rom::io: ") + what);
@@ -129,7 +124,6 @@ void Writer::tensor4(const sparse::SparseTensor4& t) {
 }
 
 void Writer::qldae(const volterra::Qldae& sys) {
-    u8(0);  // storage byte: dense G1/B/C/D1, the only stored form
     const std::uint32_t nd1 =
         sys.has_bilinear() ? static_cast<std::uint32_t>(sys.inputs()) : 0;
     matrix(sys.g1());
@@ -139,29 +133,6 @@ void Writer::qldae(const volterra::Qldae& sys) {
     for (std::uint32_t i = 0; i < nd1; ++i) matrix(sys.d1(static_cast<int>(i)));
     tensor3(sys.g2());
     tensor4(sys.g3());
-}
-
-void Writer::param_space(const pmor::ParamSpace& space) {
-    const auto& dims = space.descriptors();
-    u64(dims.size());
-    for (const pmor::ParamDescriptor& d : dims) {
-        str(d.name);
-        f64(d.min);
-        f64(d.max);
-        u8(static_cast<std::uint8_t>(d.scale));
-    }
-}
-
-void Writer::coverage_cells(const std::vector<CoverageCell>& cells) {
-    u64(cells.size());
-    for (const CoverageCell& c : cells) {
-        u64(c.coords.size());
-        for (double v : c.coords) f64(v);
-        i32(c.best);
-        f64(c.best_error);
-        i32(c.second);
-        f64(c.second_error);
-    }
 }
 
 void Writer::provenance(const Provenance& p) {
@@ -327,7 +298,6 @@ sparse::SparseTensor4 Reader::tensor4() {
 }
 
 volterra::Qldae Reader::qldae() {
-    if (u8() != 0) fail(IoErrorKind::corrupt, "unknown Qldae storage tag");
     la::Matrix g1 = matrix();
     la::Matrix b = matrix();
     la::Matrix c = matrix();
@@ -390,46 +360,6 @@ void Reader::expect_kind(PayloadKind k) {
     if (tag != static_cast<std::uint8_t>(k))
         fail(IoErrorKind::corrupt, "payload kind " + std::to_string(tag) + ", expected " +
                                        std::to_string(static_cast<int>(k)));
-}
-
-pmor::ParamSpace Reader::param_space() {
-    const std::size_t ndims = count(u64(), kDescriptorBytes);
-    std::vector<pmor::ParamDescriptor> dims;
-    dims.reserve(ndims);
-    for (std::size_t d = 0; d < ndims; ++d) {
-        pmor::ParamDescriptor desc;
-        desc.name = str();
-        desc.min = f64();
-        desc.max = f64();
-        const std::uint8_t scale = u8();
-        if (scale > 1) fail(IoErrorKind::corrupt, "unknown parameter scale tag");
-        desc.scale = static_cast<pmor::Scale>(scale);
-        dims.push_back(std::move(desc));
-    }
-    return structurally([&] { return pmor::ParamSpace(std::move(dims)); });
-}
-
-std::vector<CoverageCell> Reader::coverage_cells(std::size_t ndims, int member_count) {
-    const std::size_t ncells = count(u64(), kCellBytes);
-    std::vector<CoverageCell> cells;
-    cells.reserve(ncells);
-    for (std::size_t i = 0; i < ncells; ++i) {
-        CoverageCell cell;
-        const std::size_t nc = count(u64(), sizeof(double));
-        if (nc != ndims)
-            fail(IoErrorKind::corrupt, "cell coordinate count disagrees with the space");
-        cell.coords.reserve(nc);
-        for (std::size_t c = 0; c < nc; ++c) cell.coords.push_back(f64());
-        cell.best = i32();
-        cell.best_error = f64();
-        cell.second = i32();
-        cell.second_error = f64();
-        if (cell.best < -1 || cell.best >= member_count || cell.second < -1 ||
-            cell.second >= member_count)
-            fail(IoErrorKind::corrupt, "coverage cell references a missing member");
-        cells.push_back(std::move(cell));
-    }
-    return cells;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //
 // File layout:  "ATMORROM" magic | u32 version | u64 payload size | payload |
 // u64 FNV-1a checksum of the payload. The payload leads with a PayloadKind
-// tag. Family artifacts use the same envelope around the sectioned layout
+// tag. Family artifacts use the same envelope around the directory layout
 // of rom/family_artifact.hpp. Doubles are stored as their raw 8-byte
 // representation, so a round-trip is BIT-EXACT: a loaded ROM simulates to
 // exactly the trace of the in-memory one (pinned by test_rom_io). Every
@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 
-#include "rom/family.hpp"
 #include "rom/reduced_model.hpp"
 #include "sparse/tensor3.hpp"
 #include "sparse/tensor4.hpp"
@@ -32,7 +31,7 @@ namespace atmor::rom {
 /// The one format version read and written. Bumped on any layout change;
 /// an artifact of any other version is IoError{version_mismatch} (no
 /// best-effort parsing of older or future artifacts).
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Conventional artifact extension (the registry's disk tier uses it).
 inline constexpr const char* kArtifactExtension = ".atmor-rom";
@@ -45,12 +44,6 @@ enum class PayloadKind : std::uint8_t {
     model = 0,           ///< bare ReducedModel (save_model / load_model)
     registry_entry = 1,  ///< full registry key + model (the disk tier)
     family = 2,          ///< parametric family artifact
-};
-
-/// Second payload byte of a family artifact: how the members are stored.
-/// The sectioned layout is the only one.
-enum class FamilyLayout : std::uint8_t {
-    sectioned = 1,  ///< union-basis blocks + member directory
 };
 
 enum class IoErrorKind {
@@ -105,15 +98,12 @@ public:
     void vec(const la::Vec& v);
     void tensor3(const sparse::SparseTensor3& t);
     void tensor4(const sparse::SparseTensor4& t);
-    /// Storage byte 0, then dense G1/B/C/D1 and the G2/G3 triplets, for
-    /// every system: a sparse-stamped one is written through its dense
-    /// mirrors.
+    /// Dense G1/B/C/D1, then the G2/G3 triplets, for every system: a
+    /// sparse-stamped one is written through its dense mirrors.
     void qldae(const volterra::Qldae& sys);
     void model(const ReducedModel& m);
-    /// The shared sub-records model() and the sectioned family layout
-    /// (rom/family_artifact.cpp) compose from.
-    void param_space(const pmor::ParamSpace& space);
-    void coverage_cells(const std::vector<CoverageCell>& cells);
+    /// The sub-record model() and the family member meta block
+    /// (rom/family_codec.cpp) share.
     void provenance(const Provenance& p);
     /// Payload-kind tag; top-level serializers write it first.
     void kind(PayloadKind k) { u8(static_cast<std::uint8_t>(k)); }
@@ -128,8 +118,7 @@ private:
 
 /// Payload parser over a byte buffer (not owned). Reading past the end
 /// throws IoError{truncated}; structurally invalid data (negative dims,
-/// out-of-range tensor indices, a storage byte other than 0, ...) throws
-/// IoError{corrupt}.
+/// out-of-range tensor indices, ...) throws IoError{corrupt}.
 class Reader {
 public:
     explicit Reader(const std::string& bytes) : buf_(bytes) {}
@@ -148,11 +137,6 @@ public:
     sparse::SparseTensor4 tensor4();
     volterra::Qldae qldae();
     ReducedModel model();
-    /// Inverses of the Writer sub-records. coverage_cells validates the
-    /// coordinate count against `ndims` and the member references against
-    /// `member_count`.
-    pmor::ParamSpace param_space();
-    std::vector<CoverageCell> coverage_cells(std::size_t ndims, int member_count);
     Provenance provenance();
     /// Consume and check the payload-kind tag; a mismatch throws
     /// IoError{corrupt} -- a family fed to a model loader must not mis-parse

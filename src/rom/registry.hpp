@@ -47,7 +47,7 @@ struct RegistryStats {
     long builds = 0;       ///< builder invocations (the expensive path)
     long evictions = 0;    ///< LRU slots reclaimed
     long disk_errors = 0;  ///< unreadable/corrupt artifacts (fell back to build)
-    // -- Family artifact tier (sectioned v4). ---------------------------------
+    // -- Family artifact tier. ------------------------------------------------
     long family_loads = 0;  ///< open_family calls that mapped an artifact
 };
 

@@ -19,13 +19,13 @@ namespace {
 // decoders bound every count by it through Reader::count before they
 // reserve or loop. Vec: its u64 length. Grid point: two f64. ZMatrix: rows
 // and cols i32. WaveformSpec: kind u8, arity i32 and eight f64 fields.
-// TransientResult: t, row count and x_final (8 bytes each when empty),
-// solve_seconds f64 and three u64 counters.
+// TransientResult: t, row count and x_final (8 bytes each when empty), then
+// three u64 counters.
 constexpr std::size_t kVecBytes = 8;
 constexpr std::size_t kComplexBytes = 2 * 8;
 constexpr std::size_t kZMatrixBytes = 2 * 4;
 constexpr std::size_t kWaveformBytes = 1 + 4 + 8 * 8;
-constexpr std::size_t kTransientBytes = 3 * 8 + 8 + 3 * 8;
+constexpr std::size_t kTransientBytes = 3 * 8 + 3 * 8;
 
 }  // namespace
 
@@ -328,15 +328,14 @@ ErrorCertificate read_certificate(Reader& r) {
     return c;
 }
 
-/// TransientResult minus the wall-time field: solve_seconds encodes as zero
-/// so the response bytes are deterministic (bit-identity across daemon and
-/// in-process answers is pinned on the encoded form).
+/// TransientResult minus the wall-time field solve_seconds, so the response
+/// bytes are deterministic (bit-identity across daemon and in-process
+/// answers is pinned on the encoded form).
 void write_transient_result(Writer& w, const ode::TransientResult& res) {
     w.vec(res.t);
     w.u64(res.y.size());
     for (const la::Vec& row : res.y) w.vec(row);
     w.vec(res.x_final);
-    w.f64(0.0);  // solve_seconds
     w.u64(static_cast<std::uint64_t>(res.steps));
     w.u64(static_cast<std::uint64_t>(res.newton_iterations));
     w.u64(static_cast<std::uint64_t>(res.factorizations));
@@ -349,7 +348,6 @@ ode::TransientResult read_transient_result(Reader& r) {
     res.y.reserve(ny);
     for (std::size_t i = 0; i < ny; ++i) res.y.push_back(r.vec());
     res.x_final = r.vec();
-    res.solve_seconds = r.f64();
     res.steps = static_cast<long>(r.u64());
     res.newton_iterations = static_cast<long>(r.u64());
     res.factorizations = static_cast<long>(r.u64());
@@ -390,7 +388,6 @@ std::string encode_request(const ServeRequest& req) {
             w.vec(body.coords);
             write_zgrid(w, body.grid);
             w.f64(body.tol);
-            w.u8(body.blend ? 1 : 0);
             w.u8(body.allow_fallback ? 1 : 0);
             break;
         }
@@ -406,7 +403,6 @@ std::string encode_request(const ServeRequest& req) {
             for (const pmor::Point& p : body.coords) w.vec(p);
             write_zgrid(w, body.grid);
             w.f64(body.tol);
-            w.u8(body.blend ? 1 : 0);
             w.u8(body.allow_fallback ? 1 : 0);
             break;
         }
@@ -443,7 +439,6 @@ ServeRequest decode_request(const std::string& payload) {
             body.coords = r.vec();
             body.grid = read_zgrid(r);
             body.tol = r.f64();
-            body.blend = r.u8() != 0;
             body.allow_fallback = r.u8() != 0;
             req.body = std::move(body);
             break;
@@ -462,7 +457,6 @@ ServeRequest decode_request(const std::string& payload) {
             for (std::size_t i = 0; i < n; ++i) body.coords.push_back(r.vec());
             body.grid = read_zgrid(r);
             body.tol = r.f64();
-            body.blend = r.u8() != 0;
             body.allow_fallback = r.u8() != 0;
             req.body = std::move(body);
             break;
@@ -493,8 +487,6 @@ std::string encode_response(const ServeResponse& resp) {
     w.u64(resp.transients.size());
     for (const ode::TransientResult& t : resp.transients) write_transient_result(w, t);
     w.i32(resp.member);
-    w.i32(resp.blended_with);
-    w.f64(resp.blend_weight);
     w.u8(resp.fallback ? 1 : 0);
     w.u64(resp.batch_member.size());
     for (const int m : resp.batch_member) w.i32(m);
@@ -521,8 +513,6 @@ ServeResponse decode_response(const std::string& payload) {
     resp.transients.reserve(ntrans);
     for (std::size_t i = 0; i < ntrans; ++i) resp.transients.push_back(read_transient_result(r));
     resp.member = r.i32();
-    resp.blended_with = r.i32();
-    resp.blend_weight = r.f64();
     resp.fallback = r.u8() != 0;
     const std::size_t nbm = r.count(r.u64(), sizeof(std::int32_t));
     resp.batch_member.reserve(nbm);

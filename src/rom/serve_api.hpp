@@ -9,8 +9,8 @@
 // Wire encoding reuses the rom::io Writer/Reader primitives, so doubles are
 // raw 8-byte and a round-trip is BIT-EXACT: a daemon answer is byte-for-byte
 // the in-process answer (pinned by test_serve_protocol / test_serve_daemon).
-// encode_response zeroes the serving-local timing fields (solve_seconds) so
-// an encoded response is a pure function of the payload.
+// encode_response leaves out the serving-local timing field (solve_seconds)
+// so an encoded response is a pure function of the payload.
 #pragma once
 
 #include <cstdint>
@@ -206,17 +206,14 @@ struct TransientBatchRequest {
 
 /// Parametric query against a family, named by `family_id` and resolved
 /// server-side (hosted catalog, then the registry's mmap artifact tier).
-/// Requests use the HOST-registered fallback (host_family's defaults),
-/// gated by `allow_fallback`. `blend` mixes the outputs of the cell's best
-/// AND runner-up member (inverse-distance weights) when both certify; the
-/// certificate is then the max of the two cross errors (a convex
-/// combination of two tol-accurate responses stays tol-accurate).
+/// The answer is the sweep of the one member the point's coverage cell
+/// certifies. Requests use the HOST-registered fallback (host_family's
+/// defaults), gated by `allow_fallback`.
 struct ParametricQueryRequest {
     std::string family_id;
     pmor::Point coords;
     std::vector<la::Complex> grid;
     double tol = 0.0;            ///< 0 = family tolerance
-    bool blend = false;
     bool allow_fallback = true;  ///< false strips the server-side fallback build
 };
 
@@ -238,7 +235,6 @@ struct ParametricBatchRequest {
     std::vector<pmor::Point> coords;
     std::vector<la::Complex> grid;
     double tol = 0.0;            ///< 0 = family tolerance
-    bool blend = false;
     bool allow_fallback = true;  ///< false strips the server-side fallback build
 };
 
@@ -269,8 +265,8 @@ struct ServeError {
 /// The uniform answer: payload fields for the request's kind, the model's
 /// ErrorCertificate, and a typed error (code != ok means the payload fields
 /// are empty/default). Transients keep the rich ode::TransientResult;
-/// encode_response serializes the deterministic fields and zeroes the
-/// wall-time ones.
+/// encode_response serializes the deterministic fields and leaves out the
+/// wall-time one.
 struct ServeResponse {
     RequestKind kind = RequestKind::frequency_sweep;
     ServeError error;
@@ -281,8 +277,6 @@ struct ServeResponse {
     std::vector<ode::TransientResult> transients;
     // -- parametric_query routing record. ------------------------------------
     int member = -1;
-    int blended_with = -1;
-    double blend_weight = 1.0;
     bool fallback = false;
     // -- parametric_batch per-point routing record (parallel arrays, one
     //    entry per requested point; batch_error[p] is point p's certified
@@ -310,8 +304,9 @@ ServeRequest decode_request(const std::string& payload);
 /// The tenant of an encoded request without decoding the body.
 std::string peek_tenant(const std::string& payload);
 
-/// Serialize a response. Wall-time fields (TransientResult::solve_seconds)
-/// encode as zero so the bytes are a deterministic function of the payload.
+/// Serialize a response. The wall-time field TransientResult::solve_seconds
+/// is not encoded (a decoded result keeps its default 0), so the bytes are a
+/// deterministic function of the payload.
 std::string encode_response(const ServeResponse& resp);
 ServeResponse decode_response(const std::string& payload);
 

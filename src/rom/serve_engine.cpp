@@ -1,5 +1,7 @@
 #include "rom/serve_engine.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -24,20 +26,6 @@ constexpr std::size_t kServeCacheSlots = 64;
 /// Bound on distinct transient configurations whose warm Newton
 /// factorisations a model keeps alive simultaneously.
 constexpr std::size_t kMaxWarmStarts = 8;
-
-std::shared_ptr<la::SolverBackend> make_freq_backend(const volterra::Qldae& rom) {
-    if (rom.g1_op().is_sparse())
-        return std::make_shared<la::SparseLuBackend>(kServeCacheSlots);
-    // Dense ROMs (the Galerkin output) take one Schur pass per model; every
-    // grid shift afterwards is a triangular backsolve.
-    return std::make_shared<la::SchurBackend>(kServeCacheSlots);
-}
-
-std::shared_ptr<la::SolverBackend> make_transient_backend(const volterra::Qldae& rom) {
-    if (rom.g1_op().is_sparse())
-        return std::make_shared<la::SparseLuBackend>(kServeCacheSlots);
-    return std::make_shared<la::DenseLuBackend>(kServeCacheSlots);
-}
 
 void accumulate(la::SolverStats& acc, const la::SolverStats& s) {
     acc.factorizations += s.factorizations;
@@ -104,9 +92,13 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::make_state(
     std::shared_ptr<const ReducedModel> model) {
     auto st = std::make_shared<ModelState>();
     st->model = std::move(model);
+    // Sweeps take the resolvent backend (one Schur pass per dense Galerkin
+    // ROM, then a triangular backsolve per grid shift), transients the
+    // factor-and-solve one.
+    const la::LinearOperator& g1 = st->model->rom.g1_op();
     st->evaluator = std::make_shared<volterra::TransferEvaluator>(
-        st->model->rom, make_freq_backend(st->model->rom));
-    st->transient_backend = make_transient_backend(st->model->rom);
+        st->model->rom, la::make_resolvent_backend(g1, kServeCacheSlots));
+    st->transient_backend = la::make_default_backend(g1, kServeCacheSlots);
     return st;
 }
 
@@ -126,44 +118,8 @@ void ServeEngine::bound_shard_locked(Shard& shard, const std::string& keep_key) 
     }
 }
 
-std::shared_ptr<ServeEngine::ModelState> ServeEngine::state_for(const std::string& key,
-                                                                const Registry::Builder& build) {
-    // Resolve through the registry OUTSIDE every engine lock: a cold build
-    // can take minutes and must not stall queries against any other model --
-    // the registry's single-flight map serialises only same-key callers.
-    std::shared_ptr<const ReducedModel> m = registry_->get_or_build(key, build);
-    Shard& shard = shard_for(key);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.states.find(key);
-        if (it != shard.states.end() && it->second->model == m) {
-            it->second->last_used = state_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-            return it->second;
-        }
-    }
-    // Construct outside the lock too (ROM copy + cache sizing); on a race
-    // the first insertion wins and the loser's state is dropped.
-    std::shared_ptr<ModelState> fresh = make_state(std::move(m));
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::shared_ptr<ModelState>& st = shard.states[key];
-    if (!st || st->model != fresh->model) {
-        if (st) {
-            // The key's model was rebuilt: fold the superseded state's
-            // counters in so stats() stays monotonic across replacement,
-            // exactly like LRU eviction does.
-            accumulate(shard.evicted_solver, st->evaluator->backend()->stats());
-            accumulate(shard.evicted_solver, st->transient_backend->stats());
-        }
-        st = std::move(fresh);
-    }
-    st->last_used = state_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::shared_ptr<ModelState> out = st;  // st invalidates if eviction rehashes
-    bound_shard_locked(shard, key);
-    return out;
-}
-
-std::shared_ptr<ServeEngine::ModelState> ServeEngine::keyed_state(const std::string& key,
-                                                                  const Registry::Builder& load) {
+std::shared_ptr<ServeEngine::ModelState> ServeEngine::keyed_state(
+    const std::string& key, const std::function<std::shared_ptr<const ReducedModel>()>& load) {
     Shard& shard = shard_for(key);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
@@ -173,22 +129,27 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::keyed_state(const std::str
             return it->second;
         }
     }
-    std::shared_ptr<ModelState> fresh = make_state(std::make_shared<const ReducedModel>(load()));
+    // The load (a registry resolution, perhaps a cold build, or a file
+    // read) and the state construction run outside the lock: a slow build
+    // must not stall warm serves of other models in the shard.
+    std::shared_ptr<ModelState> fresh = make_state(load());
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::shared_ptr<ModelState>& st = shard.states[key];
     if (!st) st = std::move(fresh);
     st->last_used = state_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::shared_ptr<ModelState> out = st;
+    std::shared_ptr<ModelState> out = st;  // st invalidates if eviction rehashes
     bound_shard_locked(shard, key);
     return out;
 }
 
-std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(const std::string& family_id,
-                                                                   int member,
-                                                                   const FamilyMember& fm) {
+std::shared_ptr<ServeEngine::ModelState> ServeEngine::member_state(
+    const std::string& family_id, int member, std::shared_ptr<const FamilyMember> fm) {
     const std::string key = "family:" + family_id + "#" + std::to_string(member) + ":" +
-                            std::to_string(fm.model.provenance.basis_hash);
-    return keyed_state(key, [&fm] { return fm.model; });
+                            std::to_string(fm->model.provenance.basis_hash);
+    // The state aliases the artifact's cached member instead of copying it.
+    return keyed_state(key, [&fm] {
+        return std::shared_ptr<const ReducedModel>(fm, &fm->model);
+    });
 }
 
 std::vector<la::ZMatrix> ServeEngine::coalesced_sweep(ModelState& st,
@@ -299,7 +260,7 @@ std::vector<la::ZMatrix> ServeEngine::coalesced_sweep(ModelState& st,
 
 ServeResponse ServeEngine::serve_point(const FamilyArtifact& family, const pmor::Point& coords,
                                        const std::vector<la::Complex>& grid,
-                                       const ParametricOptions& opt, bool blend) {
+                                       const ParametricOptions& opt) {
     ATMOR_REQUIRE(!grid.empty(), "ServeEngine: parametric_query: empty frequency grid");
     ATMOR_REQUIRE(family.member_count() > 0, "ServeEngine: parametric_query: family is empty");
     const pmor::ParamSpace& space = family.space();
@@ -314,41 +275,17 @@ ServeResponse ServeEngine::serve_point(const FamilyArtifact& family, const pmor:
     const CoverageCell* cell =
         cell_index >= 0 ? &family.cells()[static_cast<std::size_t>(cell_index)] : nullptr;
 
-    bool blended = false;
     if (cell && cell->best >= 0 && cell->best_error <= tol) {
         // -- Certified member path. ----------------------------------------
         ans.member = cell->best;
         const std::shared_ptr<const FamilyMember> best = family.member(cell->best);
-        ans.response =
-            coalesced_sweep(*member_state(family.family_id(), cell->best, *best), grid);
-        double certified_error = cell->best_error;
-
-        if (blend && cell->second >= 0 && cell->second_error <= tol) {
-            const std::shared_ptr<const FamilyMember> second = family.member(cell->second);
-            const double d_best = space.distance(coords, best->coords);
-            const double d_second = space.distance(coords, second->coords);
-            const double w =
-                d_best + d_second <= 0.0 ? 1.0 : d_second / (d_best + d_second);
-            if (w < 1.0) {
-                const std::vector<la::ZMatrix> other = coalesced_sweep(
-                    *member_state(family.family_id(), cell->second, *second), grid);
-                for (std::size_t g = 0; g < ans.response.size(); ++g) {
-                    ans.response[g] *= la::Complex(w, 0.0);
-                    ans.response[g] += la::Complex(1.0 - w, 0.0) * other[g];
-                }
-                ans.blended_with = cell->second;
-                ans.blend_weight = w;
-                certified_error = std::max(certified_error, cell->second_error);
-                blended = true;
-            }
-        }
-
+        ans.response = coalesced_sweep(*member_state(family.family_id(), cell->best, best), grid);
         // The served contract: the member's band/method provenance with the
         // coverage cell's certified cross error (>= the member's own
         // build-time estimate) and the tolerance actually enforced.
         ans.certificate = certificate_of(best->model);
         ans.certificate.tol = tol;
-        ans.certificate.estimated_error = certified_error;
+        ans.certificate.estimated_error = cell->best_error;
     } else {
         // -- Rejection path: no member certifies under tol. ----------------
         ATMOR_REQUIRE(static_cast<bool>(opt.fallback_build),
@@ -362,22 +299,23 @@ ServeResponse ServeEngine::serve_point(const FamilyArtifact& family, const pmor:
             opt.fallback_key ? opt.fallback_key(coords)
                              : "family:" + family.family_id() + "@" + space.key(coords) +
                                    "|fallback(tol=" + util::key_num(tol) + ")";
-        // state_for runs the build through the registry outside every engine
-        // lock, so a slow fallback never blocks warm member serves.
-        const std::shared_ptr<ModelState> st =
-            state_for(key, [&] { return opt.fallback_build(coords); });
+        // The registry (single flight, disk tier) runs the build outside
+        // every engine lock, so a slow fallback never blocks warm member
+        // serves.
+        const std::shared_ptr<ModelState> st = keyed_state(key, [&] {
+            return registry_->get_or_build(key, [&] { return opt.fallback_build(coords); });
+        });
         ans.fallback = true;
         ans.response = coalesced_sweep(*st, grid);
         ans.certificate = certificate_of(*st->model);
     }
 
     // Parametric traffic is accounted by its own counters, not the keyed
-    // frequency_queries/points pair (a blended answer evaluates two sweeps
-    // anyway); note_query still aggregates the latency fields.
+    // frequency_queries/points pair; note_query still aggregates the
+    // latency fields.
     note_query(timer.seconds(), -1, -1);
     counters_.parametric_queries.fetch_add(1, std::memory_order_relaxed);
     if (ans.fallback) counters_.parametric_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    if (blended) counters_.parametric_blended.fetch_add(1, std::memory_order_relaxed);
     return ans;
 }
 
@@ -431,25 +369,44 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<ServeEngine::ModelState> ServeEngine::resolve(const ModelRef& ref) {
+    // Keyed and spec refs ask the registry (single flight, disk tier) only
+    // when the engine holds no state for the key; a held state keeps its
+    // model, factor caches and warm starts past registry eviction.
     switch (ref.kind) {
         case ModelRef::Kind::registry_key: {
             // Resolvable only from the registry's memory/disk tiers. The
             // probe builder turns a full miss into a typed UnresolvedError
             // instead of a silent rebuild of nothing.
             const std::string& key = ref.key;
-            return state_for(key, [&key]() -> ReducedModel {
-                throw UnresolvedError("ServeEngine: registry key '" + key +
-                                      "' resolves to no cached model or artifact and the "
-                                      "request carries no build recipe");
+            return keyed_state(key, [&] {
+                return registry_->get_or_build(key, [&key]() -> ReducedModel {
+                    throw UnresolvedError("ServeEngine: registry key '" + key +
+                                          "' resolves to no cached model or artifact and "
+                                          "the request carries no build recipe");
+                });
             });
         }
         case ModelRef::Kind::artifact_path: {
             // Served from the file itself, never through the registry (whose
-            // disk tier would keep a copy that outlives a replaced file), and
-            // cached under "artifact:<path>" so repeated wire queries load it
-            // once; IoError (missing/damaged artifact) propagates typed.
+            // disk tier would keep a copy that outlives a replaced file).
+            // The state is keyed on the file's identity, read by one stat()
+            // per request: save_model publishes by rename, so a replaced
+            // file has a new inode and loads afresh, while an unchanged one
+            // loads once. IoError (missing/damaged artifact) propagates
+            // typed.
             const std::string& path = ref.path;
-            return keyed_state(ref.cache_key(), [&path] { return load_model(path); });
+            struct stat st{};
+            if (::stat(path.c_str(), &st) != 0)
+                throw IoError(IoErrorKind::open_failed,
+                              "ServeEngine: cannot open artifact " + path);
+            const std::string key = ref.cache_key() + "@" + std::to_string(st.st_dev) + ":" +
+                                    std::to_string(st.st_ino) + ":" +
+                                    std::to_string(st.st_size) + ":" +
+                                    std::to_string(st.st_mtim.tv_sec) + "." +
+                                    std::to_string(st.st_mtim.tv_nsec);
+            return keyed_state(key, [&path] {
+                return std::make_shared<const ReducedModel>(load_model(path));
+            });
         }
         case ModelRef::Kind::build_spec: {
             SpecResolver resolver;
@@ -461,8 +418,10 @@ std::shared_ptr<ServeEngine::ModelState> ServeEngine::resolve(const ModelRef& re
                 throw UnresolvedError("ServeEngine: request names build spec '" +
                                       ref.spec.key() +
                                       "' but no spec resolver is registered");
-            const BuildSpec& spec = ref.spec;
-            return state_for(ref.cache_key(), [&resolver, &spec] { return resolver(spec); });
+            const std::string key = ref.cache_key();
+            return keyed_state(key, [&] {
+                return registry_->get_or_build(key, [&] { return resolver(ref.spec); });
+            });
         }
     }
     ATMOR_CHECK(false, "ServeEngine::resolve: unknown ModelRef kind");
@@ -540,8 +499,7 @@ ServeResponse ServeEngine::dispatch(const ServeRequest& req) {
             const auto& body = std::get<ParametricQueryRequest>(req.body);
             const HostedFamily hf = hosted_family(body.family_id);
             resp = serve_point(hf.artifact, body.coords, body.grid,
-                               request_options(hf.defaults, body.tol, body.allow_fallback),
-                               body.blend);
+                               request_options(hf.defaults, body.tol, body.allow_fallback));
             break;
         }
         case RequestKind::parametric_batch: {
@@ -557,7 +515,7 @@ ServeResponse ServeEngine::dispatch(const ServeRequest& req) {
             resp.batch_fallback.reserve(body.coords.size());
             double worst = -1.0;
             for (const pmor::Point& p : body.coords) {
-                ServeResponse ans = serve_point(hf.artifact, p, body.grid, opt, body.blend);
+                ServeResponse ans = serve_point(hf.artifact, p, body.grid, opt);
                 for (la::ZMatrix& m : ans.response) resp.response.push_back(std::move(m));
                 resp.batch_member.push_back(ans.member);
                 resp.batch_error.push_back(ans.certificate.estimated_error);
@@ -628,7 +586,6 @@ ServeStats ServeEngine::stats() const {
     s.certificate_queries = counters_.certificate_queries.load(std::memory_order_relaxed);
     s.parametric_queries = counters_.parametric_queries.load(std::memory_order_relaxed);
     s.parametric_fallbacks = counters_.parametric_fallbacks.load(std::memory_order_relaxed);
-    s.parametric_blended = counters_.parametric_blended.load(std::memory_order_relaxed);
     s.coalesced_queries = counters_.coalesced_queries.load(std::memory_order_relaxed);
     s.coalesced_batches = counters_.coalesced_batches.load(std::memory_order_relaxed);
     s.deduped_points = counters_.deduped_points.load(std::memory_order_relaxed);

@@ -33,6 +33,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -60,7 +61,6 @@ struct ServeStats {
     long certificate_queries = 0; ///< error-bound lookups answered
     long parametric_queries = 0;  ///< parametric points answered
     long parametric_fallbacks = 0; ///< routed to the on-demand build path
-    long parametric_blended = 0;  ///< answered by a two-member blend
     // -- Cross-request coalescing. Every request is still accounted above
     // (frequency_points counts REQUESTED points), so coalescing never loses
     // or double-counts per-request stats; these measure how much work the
@@ -88,7 +88,7 @@ struct ServeOptions {
     double coalesce_window_seconds = 0.0;
     /// Bound on live per-model serving states across all shards: keyed
     /// models, family members and per-tolerance fallback builds all pin a
-    /// model copy plus factorization caches, and parametric sweep traffic
+    /// model plus factorization caches, and parametric sweep traffic
     /// can mint distinct keys without limit. Evicted least-recently-used,
     /// per shard.
     std::size_t max_model_states = 128;
@@ -118,12 +118,11 @@ public:
     /// input, all sharing the model's warm Newton factorisation (stamped on
     /// first use for the given step size/method, replayed afterwards).
     /// Parametric queries locate the point's training cell in the hosted
-    /// family, serve the certifying member's sweep (optionally blended with
-    /// the runner-up) with the cell's offline-certified error as the
-    /// certificate, or route to the host's fallback build when no member
-    /// certifies under tolerance; members materialize only when a query
-    /// routes to them. Empty grids and batches are typed precondition
-    /// errors, never silent no-ops.
+    /// family, serve the certifying member's sweep with the cell's
+    /// offline-certified error as the certificate, or route to the host's
+    /// fallback build when no member certifies under tolerance; members
+    /// materialize only when a query routes to them. Empty grids and
+    /// batches are typed precondition errors, never silent no-ops.
     [[nodiscard]] ServeResponse serve(const ServeRequest& req);
 
     /// Register the BuildSpec catalog. Thread-safe; replaces any previous
@@ -166,15 +165,16 @@ private:
     };
 
     /// Per-model serving state: the evaluator + backends live as long as the
-    /// engine so factorisation caches and warm starts persist across queries
-    /// (even past registry eviction).
+    /// state so factorisation caches and warm starts persist across queries
+    /// (even past registry eviction: a held state never asks the registry
+    /// again).
     struct ModelState {
         std::shared_ptr<const ReducedModel> model;
         std::shared_ptr<volterra::TransferEvaluator> evaluator;
         std::shared_ptr<la::SolverBackend> transient_backend;
         SweepCoalescer coalescer;  ///< batches concurrent sweeps on this model
         /// LRU tick for the shard bound: keyed, family-member and fallback
-        /// states all pin a model copy plus factorization caches, so the
+        /// states all pin a model plus factorization caches, so the
         /// engine cannot keep one per distinct key forever under parametric
         /// sweep traffic.
         std::uint64_t last_used = 0;
@@ -191,7 +191,7 @@ private:
 
     /// One lock + state map per hash shard; queries on models in different
     /// shards share NO engine lock. evicted_solver accumulates the backend
-    /// counters of evicted/replaced states so stats() stays monotonic.
+    /// counters of evicted states so stats() stays monotonic.
     struct Shard {
         mutable std::mutex mutex;
         std::unordered_map<std::string, std::shared_ptr<ModelState>> states;
@@ -209,7 +209,6 @@ private:
         std::atomic<long> certificate_queries{0};
         std::atomic<long> parametric_queries{0};
         std::atomic<long> parametric_fallbacks{0};
-        std::atomic<long> parametric_blended{0};
         std::atomic<long> coalesced_queries{0};
         std::atomic<long> coalesced_batches{0};
         std::atomic<long> deduped_points{0};
@@ -221,31 +220,28 @@ private:
 
     [[nodiscard]] Shard& shard_for(const std::string& key);
 
-    /// Evaluator + backend wiring for a resolved model (shared by the keyed
-    /// and family-member paths so the two can never drift); called OUTSIDE
-    /// any shard lock -- construction copies the ROM and sizes caches.
+    /// Evaluator + backend wiring for a resolved model (one wiring for every
+    /// path, so they can never drift); called OUTSIDE any shard lock --
+    /// construction copies the ROM into the evaluator and sizes caches.
     [[nodiscard]] static std::shared_ptr<ModelState> make_state(
         std::shared_ptr<const ReducedModel> model);
 
-    /// The state for `key`, (re)initialised when the registry hands back a
-    /// different model instance than last time. Registry resolution (and any
-    /// cold build behind it) runs OUTSIDE every engine lock, so a slow build
-    /// never blocks warm serves -- not even of models in the same shard.
-    [[nodiscard]] std::shared_ptr<ModelState> state_for(const std::string& key,
-                                                        const Registry::Builder& build);
-
-    /// The state cached under `key` in its shard, or on a miss one built
-    /// from `load()`: the load and the state construction run OUTSIDE the
-    /// shard lock, and on a race the first insertion wins. Family members
-    /// and artifact files take this path; it never touches the registry.
-    [[nodiscard]] std::shared_ptr<ModelState> keyed_state(const std::string& key,
-                                                          const Registry::Builder& load);
+    /// THE engine-state path: the state cached under `key` in its shard, or
+    /// on a miss one built over the model `load()` returns. The load (a
+    /// registry resolution with any cold build behind it, a file read, or a
+    /// family member) and the state construction run OUTSIDE every engine
+    /// lock, so a slow build never blocks warm serves -- not even of models
+    /// in the same shard; on a race the first insertion wins.
+    [[nodiscard]] std::shared_ptr<ModelState> keyed_state(
+        const std::string& key,
+        const std::function<std::shared_ptr<const ReducedModel>()>& load);
 
     /// THE model-resolution path every ModelRef funnels through.
-    /// registry_key refs resolve through state_for with a probe that throws
+    /// registry_key refs load through the registry with a probe that throws
     /// UnresolvedError on a full miss; artifact_path refs load the file
-    /// through keyed_state under "artifact:<path>"; build_spec refs run the
-    /// registered SpecResolver under the spec's stable key.
+    /// under "artifact:<path>@<file identity>"; build_spec refs load through
+    /// the registry, running the registered SpecResolver on a miss, under
+    /// the spec's stable key.
     [[nodiscard]] std::shared_ptr<ModelState> resolve(const ModelRef& ref);
 
     /// Throwing core behind serve(): dispatch on the request kind, fill the
@@ -264,19 +260,19 @@ private:
     [[nodiscard]] std::vector<la::ZMatrix> coalesced_sweep(ModelState& st,
                                                            const std::vector<la::Complex>& grid);
 
-    /// One parametric point against a hosted family: the routing, sweep(s)
-    /// and certificate of a parametric_query response (kind left unset).
+    /// One parametric point against a hosted family: the routing, sweep and
+    /// certificate of a parametric_query response (kind left unset).
     [[nodiscard]] ServeResponse serve_point(const FamilyArtifact& family,
                                             const pmor::Point& coords,
                                             const std::vector<la::Complex>& grid,
-                                            const ParametricOptions& opt, bool blend);
+                                            const ParametricOptions& opt);
 
-    /// Serving state for a family member (keyed_state, no registry
-    /// resolution); keyed by family id + member index + basis hash so a
-    /// reloaded family with identical members reuses the caches.
-    [[nodiscard]] std::shared_ptr<ModelState> member_state(const std::string& family_id,
-                                                           int member,
-                                                           const FamilyMember& fm);
+    /// Serving state for a family member (keyed_state over the member
+    /// itself, no registry resolution); keyed by family id + member index +
+    /// basis hash so a reloaded family with identical members reuses the
+    /// caches.
+    [[nodiscard]] std::shared_ptr<ModelState> member_state(
+        const std::string& family_id, int member, std::shared_ptr<const FamilyMember> fm);
 
     void note_query(double seconds, long freq_points, long waveforms);
 

@@ -177,23 +177,9 @@ void expect_meta_corrupt(const rom::Writer& w, const char* what) {
 
 TEST(FamilyCodec, ForgedMemberMetaSizesAreTypedCorrupt) {
     {
-        // Storage byte 1 (a CSR-form system, which no writer produces) ahead
-        // of a G1 announcing nnz = 2^62: only storage byte 0 is read.
-        rom::Writer w = member_meta_prefix();
-        w.u8(1);
-        w.i32(1);
-        w.i32(1);
-        w.u64(std::uint64_t{1} << 62);
-        const int row_ptr[2] = {0, 0};
-        w.str(std::string(reinterpret_cast<const char*>(row_ptr), sizeof(row_ptr)));
-        w.str(std::string());
-        expect_meta_corrupt(w, "storage byte 1");
-    }
-    {
         // Dense G2 of 65536 x 65536 lifted columns over a valid 1 x 1 block:
         // n1 * n2 overflows an int.
         rom::Writer w = member_meta_prefix();
-        w.u8(0);                // dense Qldae
         write_unit_tmatrix(w);  // G1
         write_unit_tmatrix(w);  // B
         write_unit_tmatrix(w);  // C
@@ -441,16 +427,21 @@ TEST(FamilyArtifact, DamagedSectionsAreTypedErrorsOnWhicheverPathTouchesThem) {
     std::filesystem::remove_all(dir);
 }
 
-/// Payload offset of the directory's u32 block count: everything before it
-/// is the family header.
-std::size_t block_count_offset(const rom::CompressedFamily& cf) {
+/// Payload offset of the directory's u32 basis-group count: everything
+/// before it is the family header.
+std::size_t group_count_offset(const rom::CompressedFamily& cf) {
     rom::Writer prefix;
     prefix.kind(rom::PayloadKind::family);
-    prefix.u8(static_cast<std::uint8_t>(rom::FamilyLayout::sectioned));
     prefix.u8(static_cast<std::uint8_t>(cf.tier));
     prefix.u64(0);
     prefix.str(cf.family_id);
-    prefix.param_space(cf.space);
+    prefix.u64(cf.space.descriptors().size());
+    for (const pmor::ParamDescriptor& d : cf.space.descriptors()) {
+        prefix.str(d.name);
+        prefix.f64(d.min);
+        prefix.f64(d.max);
+        prefix.u8(static_cast<std::uint8_t>(d.scale));
+    }
     prefix.f64(cf.tol);
     prefix.i32(cf.training_grid_per_dim);
     prefix.f64(cf.max_training_error);
@@ -463,7 +454,7 @@ std::size_t block_count_offset(const rom::CompressedFamily& cf) {
 void expect_open_fails(std::string forged, const std::string& path, rom::IoErrorKind kind,
                        const std::string& what) {
     std::uint64_t header_bytes = 0;
-    std::memcpy(&header_bytes, forged.data() + 3, sizeof(header_bytes));
+    std::memcpy(&header_bytes, forged.data() + 2, sizeof(header_bytes));
     const std::size_t dir_len = static_cast<std::size_t>(header_bytes) - sizeof(std::uint64_t);
     const std::uint64_t sum = rom::fnv1a(forged.data(), dir_len);
     std::memcpy(&forged[dir_len], &sum, sizeof(sum));
@@ -476,29 +467,9 @@ void expect_open_fails(std::string forged, const std::string& path, rom::IoError
     }
 }
 
-TEST(FamilyArtifact, BlockStorageOtherThanInlineIsTypedCorrupt) {
-    // Every block lives inside the artifact: the block table's storage byte
-    // is always 0, and the reader refuses any other value at open, even
-    // behind a re-hashed directory and a re-minted frame.
-    const std::string dir = temp_dir("storage");
-    const rom::CompressedFamily cf = rom::compress_family(test_family());
-    const std::string payload = rom::unframe(rom::serialize_family_artifact(cf));
-    const std::size_t storage_at = block_count_offset(cf) + sizeof(std::uint32_t);
-    ASSERT_EQ(payload[storage_at], '\0');
-
-    const std::string path = dir + "/forged" + rom::kFamilyExtension;
-    for (const int storage : {1, 2, 0xff}) {
-        std::string forged = payload;
-        forged[storage_at] = static_cast<char>(storage);
-        expect_open_fails(forged, path, rom::IoErrorKind::corrupt,
-                          "storage byte " + std::to_string(storage));
-    }
-    std::filesystem::remove_all(dir);
-}
-
 TEST(FamilyArtifact, ForgedDirectoryCountsAreTypedTruncated) {
-    // The block, group and member counts are bounded by the directory bytes
-    // left before anything is reserved: a re-hashed directory announcing
+    // The group and member counts are bounded by the directory bytes left
+    // before anything is reserved: a re-hashed directory announcing
     // 2^32 - 1 records fails open as a typed truncation, never bad_alloc.
     const std::string dir = temp_dir("counts");
     const rom::CompressedFamily cf = rom::compress_family(test_family());
@@ -508,21 +479,30 @@ TEST(FamilyArtifact, ForgedDirectoryCountsAreTypedTruncated) {
         std::memcpy(&v, payload.data() + at, sizeof(v));
         return static_cast<std::size_t>(v);
     };
-    // Block records are 25 bytes (storage, offset, bytes, hash) and group
-    // records 12 (block, rows, cols).
-    const std::size_t blocks_at = block_count_offset(cf);
-    const std::size_t groups_at = blocks_at + sizeof(std::uint32_t) + 25 * u32_at(blocks_at);
-    const std::size_t members_at = groups_at + sizeof(std::uint32_t) + 12 * u32_at(groups_at);
+    // Group records are 32 bytes: a block reference (offset, bytes, hash)
+    // and the rows and cols.
+    const std::size_t groups_at = group_count_offset(cf);
+    const std::size_t members_at = groups_at + sizeof(std::uint32_t) + 32 * u32_at(groups_at);
     ASSERT_EQ(u32_at(groups_at), cf.basis_groups.size());
     ASSERT_EQ(u32_at(members_at), cf.members.size());
 
     const std::string path = dir + "/forged" + rom::kFamilyExtension;
     const std::uint32_t forged_count = 0xffffffffu;
-    for (const std::size_t at : {blocks_at, groups_at, members_at}) {
+    for (const std::size_t at : {groups_at, members_at}) {
         std::string forged = payload;
         std::memcpy(&forged[at], &forged_count, sizeof(forged_count));
         expect_open_fails(forged, path, rom::IoErrorKind::truncated,
                           "count at offset " + std::to_string(at));
+    }
+    // A block reference whose offset or length runs past the block region is
+    // refused the same way at open, before any block is fetched: the first
+    // group's offset and length fields follow the group count.
+    const std::uint64_t past = payload.size();
+    for (const std::size_t at : {groups_at + 4, groups_at + 4 + 8}) {
+        std::string forged = payload;
+        std::memcpy(&forged[at], &past, sizeof(past));
+        expect_open_fails(forged, path, rom::IoErrorKind::truncated,
+                          "block reference field at offset " + std::to_string(at));
     }
     std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,7 @@
 // Parametric ROM families: ParamSpace geometry, typed Options binding, the
 // greedy FamilyBuilder, the lossless (f64) family artifact round-trip, and
-// certified parametric serving (member path, blending, fallback rejection
-// path) of in-memory families hosted as f64 artifacts.
+// certified parametric serving (member path, fallback rejection path) of
+// in-memory families hosted as f64 artifacts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -302,8 +302,6 @@ TEST(FamilyIo, F64ArtifactRoundTripIsExact) {
         EXPECT_EQ(loaded.cells()[c].coords, fam.cells[c].coords);
         EXPECT_EQ(loaded.cells()[c].best, fam.cells[c].best);
         EXPECT_EQ(loaded.cells()[c].best_error, fam.cells[c].best_error);
-        EXPECT_EQ(loaded.cells()[c].second, fam.cells[c].second);
-        EXPECT_EQ(loaded.cells()[c].second_error, fam.cells[c].second_error);
     }
 }
 
@@ -355,7 +353,6 @@ TEST(ServeParametric, CertifiedMemberPathServesWithCellCertificate) {
     ASSERT_TRUE(ans.ok()) << ans.error.message;
     EXPECT_FALSE(ans.fallback);
     EXPECT_EQ(ans.member, fam.cells[1].best);
-    EXPECT_EQ(ans.blended_with, -1);
     EXPECT_EQ(ans.response.size(), grid.size());
     EXPECT_LE(ans.certificate.estimated_error, fam.tol);
     EXPECT_EQ(ans.certificate.estimated_error, fam.cells[1].best_error);
@@ -398,55 +395,6 @@ TEST(ServeParametric, F64ArtifactAnswersBitIdenticallyToTheInMemoryMembers) {
         EXPECT_EQ(ans.certificate.estimated_error,
                   fam.cells[static_cast<std::size_t>(cell)].best_error);
     }
-}
-
-TEST(ServeParametric, BlendingMixesTwoCertifiedMembers) {
-    // Seed members at both ends with a deliberately loose family tol (the
-    // cross error between far-apart diode laws is O(1)): every cell is
-    // certified by both members, so blending always has a runner-up.
-    pmor::FamilyBuildOptions opt;
-    opt.adaptive = fast_adaptive();
-    opt.tol = 10.0;
-    opt.training_grid_per_dim = 3;
-    opt.max_members = 2;
-    opt.initial_points = {Point{20.0}, Point{60.0}};
-    const rom::Family fam = pmor::FamilyBuilder(nltl_design(), opt).build().family;
-    ASSERT_EQ(fam.members.size(), 2u);
-
-    auto engine = rom::ServeEngine(std::make_shared<rom::Registry>());
-    const rom::FamilyArtifact art = test::host(engine, fam);
-    const std::vector<Complex> grid{Complex(0.0, 0.5), Complex(0.0, 1.0)};
-    const Point query{40.0};  // between the members
-
-    const rom::ServeResponse ans =
-        test::parametric(engine, fam.family_id, query, grid, /*tol=*/0.0, /*blend=*/true);
-    ASSERT_TRUE(ans.ok()) << ans.error.message;
-    ASSERT_FALSE(ans.fallback);
-    ASSERT_GE(ans.blended_with, 0);
-    EXPECT_NE(ans.member, ans.blended_with);
-    EXPECT_GT(ans.blend_weight, 0.0);
-    EXPECT_LT(ans.blend_weight, 1.0);
-
-    // The blend is the convex combination of the two members' sweeps.
-    const auto sweep = [&](int idx) {
-        const volterra::TransferEvaluator te(
-            fam.members[static_cast<std::size_t>(idx)].model.rom);
-        return te.output_h1_sweep(grid);
-    };
-    const std::vector<la::ZMatrix> a = sweep(ans.member);
-    const std::vector<la::ZMatrix> b = sweep(ans.blended_with);
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-        const Complex expected =
-            ans.blend_weight * a[g](0, 0) + (1.0 - ans.blend_weight) * b[g](0, 0);
-        EXPECT_NEAR(std::abs(ans.response[g](0, 0) - expected), 0.0, 1e-14);
-    }
-    // Certificate covers both blended members.
-    const int cell = art.locate(query);
-    ASSERT_GE(cell, 0);
-    EXPECT_EQ(ans.certificate.estimated_error,
-              std::max(fam.cells[static_cast<std::size_t>(cell)].best_error,
-                       fam.cells[static_cast<std::size_t>(cell)].second_error));
-    EXPECT_EQ(engine.stats().parametric_blended, 1);
 }
 
 TEST(ServeParametric, UncoveredQueryRoutesToFallbackBuildOnce) {

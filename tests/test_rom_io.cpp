@@ -104,7 +104,7 @@ TEST(RomIo, ModelRoundTripIsBitExact) {
 
 TEST(RomIo, SparseQldaeIsStoredDense) {
     // One stored form: a sparse-stamped system is written through its dense
-    // mirrors under storage byte 0 and reads back as the same dense system.
+    // mirrors and reads back as the same dense system.
     circuits::NltlOptions copt;
     copt.stages = 8;
     const volterra::Qldae sys = circuits::current_source_line(copt).to_qldae();
@@ -112,7 +112,6 @@ TEST(RomIo, SparseQldaeIsStoredDense) {
 
     rom::Writer w;
     w.qldae(sys);
-    ASSERT_EQ(w.bytes()[0], '\0');
     rom::Reader r(w.bytes());
     const volterra::Qldae back = r.qldae();
     EXPECT_TRUE(r.at_end());
@@ -130,22 +129,6 @@ TEST(RomIo, SparseQldaeIsStoredDense) {
     same(back.c(), sys.c());
     EXPECT_EQ(back.g2().entry_count(), sys.g2().entry_count());
     EXPECT_EQ(back.g3().entry_count(), sys.g3().entry_count());
-}
-
-TEST(RomIo, StorageByteOtherThanZeroIsCorrupt) {
-    rom::Writer w;
-    w.qldae(make_model().rom);
-    for (const char storage : {'\x01', '\x02', '\xff'}) {
-        std::string payload = w.bytes();
-        payload[0] = storage;
-        rom::Reader r(payload);
-        try {
-            (void)r.qldae();
-            FAIL() << "storage byte " << int(static_cast<unsigned char>(storage)) << " read";
-        } catch (const rom::IoError& e) {
-            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt);
-        }
-    }
 }
 
 TEST(RomIo, VersionMismatchIsRejected) {

@@ -1,5 +1,5 @@
 // Fuzz-style negative coverage for rom::io: EXHAUSTIVE truncation and
-// bit-flip sweeps over real artifacts of the one format version, v4.
+// bit-flip sweeps over real artifacts of the one format version, v5.
 //
 // test_rom_io pins a handful of hand-built corruption cases; this file pins
 // the whole space mechanically, for model artifacts (deserialize_model) and
@@ -220,11 +220,11 @@ TEST(RomIoFuzz, FamilyBitFlips) {
 }
 
 TEST(RomIoFuzz, EveryOtherVersionIsVersionMismatch) {
-    // The readers accept v4 only: older layouts (v1-v3) and future ones are
+    // The readers accept v5 only: older layouts (v1-v4) and future ones are
     // refused by their version field alone, for models and families alike.
     const std::string model = rom::serialize_model(small_model());
     const std::string family = rom::serialize_family_artifact(small_compressed());
-    for (const std::uint32_t version : {0u, 1u, 2u, 3u, rom::kFormatVersion + 1, ~0u}) {
+    for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, rom::kFormatVersion + 1, ~0u}) {
         for (const Kind kind : {Kind::model, Kind::family}) {
             std::string forged = kind == Kind::model ? model : family;
             std::memcpy(&forged[kMagicBytes], &version, sizeof(version));
@@ -236,10 +236,10 @@ TEST(RomIoFuzz, EveryOtherVersionIsVersionMismatch) {
 }
 
 std::uint64_t directory_bytes_of(const std::string& payload) {
-    // Sectioned payload: u8 kind | u8 layout | u8 tier | u64 header_bytes,
-    // where header_bytes = directory length + its 8-byte checksum.
+    // Family payload: u8 kind | u8 tier | u64 header_bytes, where
+    // header_bytes = directory length + its 8-byte checksum.
     std::uint64_t header_bytes = 0;
-    std::memcpy(&header_bytes, payload.data() + 3, sizeof(header_bytes));
+    std::memcpy(&header_bytes, payload.data() + 2, sizeof(header_bytes));
     return header_bytes;
 }
 
@@ -290,7 +290,7 @@ TEST(RomIoFuzz, ReframedFamilyPayloadFlipsAreCaughtBelowTheEnvelope) {
     // The adversarial case the envelope cannot see: mutate the PAYLOAD and
     // regenerate a consistent envelope around it. A model artifact would
     // load such bytes; a family artifact must not -- the directory checksum
-    // covers every directory byte (including the block table with its
+    // covers every directory byte (including the block references with their
     // hashes) and each block's own hash covers the block region, so EVERY
     // single-bit payload flip behind a freshly minted frame is still a typed
     // error. Exhaustive over the directory + its checksum field, strided
@@ -322,7 +322,7 @@ TEST(RomIoFuzz, ReframedFamilyPayloadFlipsAreCaughtBelowTheEnvelope) {
 TEST(RomIoFuzz, ForgedFamilyStructuralFieldsBehindValidChecksumsAreTyped) {
     // Deeper than the checksum gates: forge structural bytes and PATCH the
     // directory checksum (and re-frame), so the mutation reaches the
-    // structural readers themselves. Tier, layout and kind tags plus the
+    // structural readers themselves. Tier and kind tags plus the
     // header_bytes field are the dispatch-critical bytes; none of their
     // forgeries may crash or yield an object.
     const std::string payload = rom::unframe(rom::serialize_family_artifact(small_compressed()));
@@ -345,14 +345,11 @@ TEST(RomIoFuzz, ForgedFamilyStructuralFieldsBehindValidChecksumsAreTyped) {
     forge(0, '\x00');  // kind: model tag on a family loader
     forge(0, '\x7f');  // kind: unknown tag
     forge(0, '\x01');  // kind: registry entry tag
-    forge(1, '\x00');  // layout: the retired inline layout
-    forge(1, '\x02');  // layout: unknown
+    forge(1, '\x04');  // tier: one past q8 (unknown tag)
+    forge(1, '\x03');  // tier: VALID q8 tag over q16-sized blocks (size gate)
     forge(1, '\x7f');
-    forge(2, '\x04');  // tier: one past q8 (unknown tag)
-    forge(2, '\x03');  // tier: VALID q8 tag over q16-sized blocks (size gate)
-    forge(2, '\x7f');
     for (int byte = 0; byte < 8; ++byte) {  // header_bytes: every byte forged high
-        forge(3 + static_cast<std::size_t>(byte), '\x66');
+        forge(2 + static_cast<std::size_t>(byte), '\x66');
     }
 }
 

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -35,16 +37,17 @@ volterra::Qldae full_system() {
     return test::random_qldae(qopt, rng);
 }
 
-/// One in-process build recipe ("m"), resolved through the registry once
-/// per request like any spec.
+/// One in-process build recipe ("m", whatever its params), built through
+/// the registry on an engine miss like any spec.
 struct Fixture {
     volterra::Qldae sys = full_system();
-    std::shared_ptr<rom::Registry> registry = std::make_shared<rom::Registry>();
-    rom::ServeEngine engine{registry};
+    std::shared_ptr<rom::Registry> registry;
+    rom::ServeEngine engine;
     std::atomic<int> builds{0};
     const rom::ModelRef m = test::spec_ref("m");
 
-    Fixture() {
+    explicit Fixture(const rom::RegistryOptions& ropt = {}, const rom::ServeOptions& sopt = {})
+        : registry(std::make_shared<rom::Registry>(ropt)), engine(registry, sopt) {
         engine.set_spec_resolver([this](const rom::BuildSpec&) {
             ++builds;
             core::AtMorOptions mor;
@@ -179,6 +182,89 @@ TEST(RomServe, WarmJacobianIsReplayedAcrossBatches) {
     EXPECT_EQ(f.engine.stats().solver.factorizations, after_first + 1);
 }
 
+/// Bit-for-bit equality of two sweep answers.
+bool same_bits(const std::vector<la::ZMatrix>& a, const std::vector<la::ZMatrix>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t g = 0; g < a.size(); ++g) {
+        if (a[g].rows() != b[g].rows() || a[g].cols() != b[g].cols()) return false;
+        const std::size_t n = static_cast<std::size_t>(a[g].rows()) *
+                              static_cast<std::size_t>(a[g].cols()) * sizeof(la::Complex);
+        if (n != 0 && std::memcmp(a[g].data(), b[g].data(), n) != 0) return false;
+    }
+    return true;
+}
+
+TEST(RomServe, RotatingMoreModelsThanTheRegistryHoldsBuildsEachOnce) {
+    // Nine spec models served round-robin against a registry whose memory
+    // tier holds eight: the engine keeps a state per model and asks the
+    // registry only when it holds none, so nothing is rebuilt or refactored
+    // after the first round.
+    Fixture f;
+    ASSERT_EQ(f.registry->options().max_memory_models, 8u);
+    constexpr int kModels = 9;
+    const std::vector<la::Complex> grid = {la::Complex(0.0, 0.4), la::Complex(0.0, 1.2)};
+    std::vector<std::vector<la::ZMatrix>> first(kModels);
+    long factorizations = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int m = 0; m < kModels; ++m) {
+            const rom::ServeResponse resp =
+                test::sweep(f.engine, test::spec_ref("m", {static_cast<double>(m)}), grid);
+            ASSERT_EQ(resp.error.code, util::ErrorCode::ok) << resp.error.message;
+            if (round == 0)
+                first[static_cast<std::size_t>(m)] = resp.response;
+            else
+                EXPECT_TRUE(same_bits(resp.response, first[static_cast<std::size_t>(m)]))
+                    << "round " << round << " model " << m;
+        }
+        EXPECT_EQ(f.builds.load(), kModels) << "round " << round;
+        if (round == 0)
+            factorizations = f.engine.stats().solver.factorizations;
+        else
+            EXPECT_EQ(f.engine.stats().solver.factorizations, factorizations)
+                << "round " << round;
+    }
+    EXPECT_EQ(f.engine.stats().registry.builds, kModels);
+}
+
+TEST(RomServe, EvictedStatesAnswerTheSameAndKeepCountersMonotonic) {
+    // One state per shard: serving more models than there are shards evicts
+    // states, and a later request re-resolves its model through the registry
+    // (which holds them all). The answers must not change, and the solver
+    // counters of evicted states fold into the totals instead of vanishing.
+    rom::RegistryOptions ropt;
+    ropt.max_memory_models = 64;
+    rom::ServeOptions sopt;
+    sopt.max_model_states = 16;
+    Fixture f(ropt, sopt);
+    constexpr int kModels = 24;
+    const std::vector<la::Complex> grid = {la::Complex(0.0, 0.4), la::Complex(0.0, 1.2)};
+    std::vector<std::vector<la::ZMatrix>> first(kModels);
+    la::SolverStats last;
+    for (int round = 0; round < 2; ++round)
+        for (int m = 0; m < kModels; ++m) {
+            const rom::ServeResponse resp =
+                test::sweep(f.engine, test::spec_ref("m", {static_cast<double>(m)}), grid);
+            ASSERT_EQ(resp.error.code, util::ErrorCode::ok) << resp.error.message;
+            if (round == 0)
+                first[static_cast<std::size_t>(m)] = resp.response;
+            else
+                EXPECT_TRUE(same_bits(resp.response, first[static_cast<std::size_t>(m)]))
+                    << "model " << m;
+            const la::SolverStats now = f.engine.stats().solver;
+            const std::string at = "round " + std::to_string(round) + " model " + std::to_string(m);
+            EXPECT_GE(now.factorizations, last.factorizations) << at;
+            EXPECT_GE(now.cache_misses, last.cache_misses) << at;
+            EXPECT_GE(now.cache_hits, last.cache_hits) << at;
+            EXPECT_GE(now.solves, last.solves) << at;
+            EXPECT_GE(now.max_factor_dim, last.max_factor_dim) << at;
+            last = now;
+        }
+    // 24 models in 16 shards of one state each: some states were evicted
+    // and re-resolved, all from the registry's memory tier.
+    EXPECT_GT(f.registry->stats().lookups, kModels);
+    EXPECT_EQ(f.builds.load(), kModels);
+}
+
 TEST(RomServe, EmptyQueriesAreTypedErrors) {
     // An empty waveform batch or frequency grid is a caller bug surfaced as
     // a typed precondition error, never a silent empty answer (and never a
@@ -286,11 +372,19 @@ TEST(RomServe, ReplacedArtifactIsServedFromItsFile) {
     const la::Complex served = h1(later);
     EXPECT_EQ(served.real(), new_h1.real());
     EXPECT_EQ(served.imag(), new_h1.imag());
+    // The engine that served the old file serves the new one too: its state
+    // is keyed on the file's identity, not only its path.
+    const la::Complex first_after = h1(first);
+    EXPECT_EQ(first_after.real(), new_h1.real());
+    EXPECT_EQ(first_after.imag(), new_h1.imag());
     EXPECT_TRUE(std::filesystem::is_empty(dir));
     EXPECT_EQ(first.stats().registry.lookups, 0);
 
-    std::filesystem::remove_all(dir);
+    // A path that no longer exists answers io_open_failed, as a first
+    // request for it does.
     std::filesystem::remove(path);
+    EXPECT_EQ(test::sweep(first, ref, grid).error.code, util::ErrorCode::io_open_failed);
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

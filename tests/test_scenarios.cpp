@@ -478,7 +478,6 @@ TEST(Scenarios, FamilyBuilderConsumesSparseGridCandidates) {
     opt.adaptive = fast_adaptive();
     opt.tol = 1e-2;
     opt.sampling = pmor::TrainingSampling::sparse_grid;
-    opt.sparse_grid_level = 2;
     opt.max_members = 5;
     const pmor::FamilyBuildResult result = pmor::FamilyBuilder(mixer_design(), opt).build();
 
@@ -493,10 +492,6 @@ TEST(Scenarios, FamilyBuilderConsumesSparseGridCandidates) {
         ASSERT_GE(cell.best, 0);
         EXPECT_LE(cell.best_error, opt.tol);
     }
-
-    pmor::FamilyBuildOptions bad = opt;
-    bad.sparse_grid_level = 0;
-    EXPECT_THROW((void)pmor::FamilyBuilder(mixer_design(), bad).build(), util::PreconditionError);
 }
 
 TEST(Scenarios, ParametricBatchMatchesPerPointLoop) {

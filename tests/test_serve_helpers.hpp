@@ -50,13 +50,12 @@ inline rom::ServeResponse certificate(rom::ServeEngine& engine, rom::ModelRef mo
 
 inline rom::ServeResponse parametric(rom::ServeEngine& engine, std::string family_id,
                                      pmor::Point coords, std::vector<la::Complex> grid,
-                                     double tol = 0.0, bool blend = false) {
+                                     double tol = 0.0) {
     rom::ParametricQueryRequest body;
     body.family_id = std::move(family_id);
     body.coords = std::move(coords);
     body.grid = std::move(grid);
     body.tol = tol;
-    body.blend = blend;
     rom::ServeRequest req;
     req.body = std::move(body);
     return engine.serve(req);

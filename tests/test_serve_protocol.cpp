@@ -65,7 +65,6 @@ rom::ServeRequest parametric_request() {
     body.coords = {37.5, 1.01};
     for (int j = 0; j < 5; ++j) body.grid.emplace_back(0.0, 0.05 * (j + 1));
     body.tol = 2e-3;
-    body.blend = true;
     body.allow_fallback = false;
     req.body = body;
     return req;
@@ -89,7 +88,6 @@ rom::ServeRequest batch_request() {
     body.coords = {{37.5, 1.01}, {12.0, 1.5}, {80.0, 0.99}};
     for (int j = 0; j < 4; ++j) body.grid.emplace_back(0.0, 0.1 * (j + 1));
     body.tol = 5e-4;
-    body.blend = false;
     body.allow_fallback = true;
     req.body = body;
     return req;
@@ -163,8 +161,6 @@ TEST(ServeProtocol, ResponseRoundTripsFullyPopulated) {
     tr.factorizations = 4;
     resp.transients.push_back(tr);
     resp.member = 1;
-    resp.blended_with = 0;
-    resp.blend_weight = 0.75;
     resp.fallback = true;
 
     const std::string bytes = rom::encode_response(resp);
@@ -178,8 +174,6 @@ TEST(ServeProtocol, ResponseRoundTripsFullyPopulated) {
     EXPECT_EQ(back.transients[0].y, tr.y);
     EXPECT_EQ(back.transients[0].newton_iterations, 310);
     EXPECT_EQ(back.member, 1);
-    EXPECT_EQ(back.blended_with, 0);
-    EXPECT_EQ(back.blend_weight, 0.75);
     EXPECT_TRUE(back.fallback);
     EXPECT_EQ(rom::encode_response(back), bytes);
 }
@@ -192,7 +186,6 @@ TEST(ServeProtocol, BatchRequestFieldsSurviveTheWire) {
     EXPECT_EQ(body.coords[1], (pmor::Point{12.0, 1.5}));
     EXPECT_EQ(body.grid.size(), 4u);
     EXPECT_EQ(body.tol, 5e-4);
-    EXPECT_FALSE(body.blend);
     EXPECT_TRUE(body.allow_fallback);
 }
 
@@ -216,7 +209,8 @@ TEST(ServeProtocol, BatchResponseRecordsSurviveTheWire) {
 
 TEST(ServeProtocol, ResponseEncodingZeroesWallClock) {
     // solve_seconds is the one nondeterministic TransientResult field; the
-    // codec zeroes it so wire answers are bit-comparable across runs.
+    // codec leaves it out, so wire answers are bit-comparable across runs
+    // and a decoded result keeps the default 0.
     rom::ServeResponse resp;
     resp.kind = rom::RequestKind::transient_batch;
     ode::TransientResult tr;
@@ -355,10 +349,8 @@ TEST(ServeProtocol, ForgedCountsAreTypedTruncated) {
     rom::Writer tail = response();
     tail.u64(0);
     tail.u64(0);
-    tail.i32(-1);   // member
-    tail.i32(-1);   // blended_with
-    tail.f64(0.0);  // blend_weight
-    tail.u8(0);     // fallback
+    tail.i32(-1);  // member
+    tail.u8(0);    // fallback
     forgeries.push_back({"batch_member", tail, false});
     tail.u64(0);
     tail.vec({});  // batch_error
@@ -513,17 +505,20 @@ TEST(ServeProtocol, GarbageMagicRejectedAtEightBytes) {
 }
 
 TEST(ServeProtocol, VersionSkewRejected) {
+    // Only the one protocol version is spoken: older peers (v0-v2) and
+    // future ones are refused by the version field alone.
     const std::string payload = "p";
-    std::string frame = net::frame_message(net::FrameKind::request, payload);
-    std::uint32_t future = net::kProtocolVersion + 1;
-    std::memcpy(&frame[8], &future, sizeof(future));
-    net::FrameKind kind;
-    std::string out;
-    try {
-        (void)net::try_unframe(frame, &kind, &out);
-        FAIL() << "future version accepted";
-    } catch (const net::ProtocolError& e) {
-        EXPECT_EQ(e.kind(), net::ProtocolErrorKind::version_mismatch);
+    for (const std::uint32_t version : {0u, 1u, 2u, net::kProtocolVersion + 1}) {
+        std::string frame = net::frame_message(net::FrameKind::request, payload);
+        std::memcpy(&frame[8], &version, sizeof(version));
+        net::FrameKind kind;
+        std::string out;
+        try {
+            (void)net::try_unframe(frame, &kind, &out);
+            FAIL() << "version " << version << " accepted";
+        } catch (const net::ProtocolError& e) {
+            EXPECT_EQ(e.kind(), net::ProtocolErrorKind::version_mismatch) << version;
+        }
     }
 }
 

@@ -18,8 +18,11 @@
 //     running the same catalog -- the wire answer must be bit-identical to
 //     the in-process answer. Models are named by build spec and by artifact
 //     path: the demo model is saved to an absolute path in the working
-//     directory, which the daemon must reach on the same host. Exits
-//     nonzero on any mismatch (the CI daemon smoke step).
+//     directory, which the daemon must reach on the same host. The file is
+//     then replaced with another model and swept once more by the same
+//     path: the daemon must answer the new model, byte-equal to a fresh
+//     in-process engine. Exits nonzero on any mismatch (the CI daemon smoke
+//     step).
 //
 // The spec catalog ("nltl" recipe) is registered HERE, not in the library:
 // the serving layers stay circuit-agnostic, and a deployment exposes
@@ -202,18 +205,29 @@ int run_smoke(const std::string& endpoint, bool demo_family) {
     }
 
     int mismatches = 0;
+    int sent = 0;
     net::ServeClient client(host, port);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const std::string wire = client.call_raw(rom::encode_request(requests[i]));
-        const std::string local = rom::encode_response(reference->serve(requests[i]));
+    const auto check = [&](const rom::ServeRequest& req, rom::ServeEngine& local_engine) {
+        const std::string wire = client.call_raw(rom::encode_request(req));
+        const std::string local = rom::encode_response(local_engine.serve(req));
         const rom::ServeResponse decoded = rom::decode_response(wire);
         const bool match = wire == local;
-        std::printf("smoke %zu: kind=%s code=%s bytes=%zu %s\n", i,
-                    rom::to_string(requests[i].kind()),
-                    util::to_string(decoded.error.code), wire.size(),
-                    match ? "MATCH" : "MISMATCH");
+        std::printf("smoke %d: kind=%s code=%s bytes=%zu %s\n", sent++,
+                    rom::to_string(req.kind()), util::to_string(decoded.error.code),
+                    wire.size(), match ? "MATCH" : "MISMATCH");
         if (!match) ++mismatches;
-    }
+    };
+    for (const rom::ServeRequest& req : requests) check(req, *reference);
+
+    // Replace the artifact file (save_model publishes by rename) and sweep
+    // it again by the same path: the daemon must answer the new model, as an
+    // engine that never saw the old file does.
+    rom::save_model(build_from_spec(demo_spec(1.3)), artifact);
+    rom::ServeEngine fresh(std::make_shared<rom::Registry>());
+    rom::ServeRequest replaced;
+    replaced.tenant = "smoke";
+    replaced.body = rom::FrequencySweepRequest{rom::ModelRef::from_artifact(artifact), grid};
+    check(replaced, fresh);
     std::filesystem::remove(artifact);
     if (mismatches)
         std::fprintf(stderr, "smoke: %d response(s) differ from the in-process answer\n",
