@@ -5,7 +5,8 @@
 // machine-readable BENCH_la_kernels.json next to the working directory --
 // the perf trajectory of the sparse-first operator layer is tracked from
 // this file. Pass --micro to additionally run the google-benchmark
-// micro-suite for the structured Kronecker kernels.
+// micro-suite for the structured Kronecker kernels and the dense ROM's
+// Newton step (rhs and correction).
 //
 //   usage: bench_la_kernels [--micro] [google-benchmark flags]
 #include <benchmark/benchmark.h>
@@ -485,6 +486,86 @@ void BM_A3H3Moments(benchmark::State& state) {
         benchmark::DoNotOptimize(at.a3h3_moments(1, la::Complex(0, 0)));
 }
 BENCHMARK(BM_A3H3Moments)->Arg(20)->Arg(40);
+
+/// A reduced model's shape at order q: dense G1, D1 and B, and G2 and G3
+/// holding every monomial, so rhs_into takes the packed columns.
+volterra::Qldae dense_rom(int q, std::uint64_t seed) {
+    util::Rng rng(seed);
+    sparse::SparseTensor3 g2(q, q, q);
+    sparse::SparseTensor4 g3(q);
+    for (int r = 0; r < q; ++r)
+        for (int a = 0; a < q; ++a)
+            for (int b = a; b < q; ++b) {
+                g2.add(r, a, b, 0.1 * rng.gaussian());
+                for (int c = b; c < q; ++c) g3.add(r, a, b, c, 0.01 * rng.gaussian());
+            }
+    la::Matrix b(q, 1);
+    for (int r = 0; r < q; ++r) b(r, 0) = rng.gaussian();
+    la::Matrix d1(q, q);
+    for (int r = 0; r < q; ++r)
+        for (int c = 0; c < q; ++c) d1(r, c) = 0.1 * rng.gaussian();
+    return volterra::Qldae(stable_matrix(q, seed), std::move(g2), std::move(g3), {std::move(d1)},
+                           std::move(b), volterra::state_selector(q, 0));
+}
+
+/// f(x, u) of a dense ROM: G1 x, one kernel call over the packed monomials
+/// and D1 x, all on la::simd::gemv.
+void BM_DenseRomRhs(benchmark::State& state) {
+    const int q = static_cast<int>(state.range(0));
+    const volterra::Qldae sys = dense_rom(q, 15);
+    util::Rng rng(16);
+    la::Vec x(static_cast<std::size_t>(q));
+    for (auto& v : x) v = 0.1 * rng.gaussian();
+    const la::Vec u{0.3};
+    la::Vec f;
+    la::Vec work;
+    for (auto _ : state) {
+        sys.rhs_into(x, u, f, work);
+        benchmark::DoNotOptimize(f.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_DenseRomRhs)->Arg(8)->Arg(11)->Arg(16);
+
+/// The factorization of a Newton matrix I - theta*h*J at order q, as
+/// ode::run_implicit stamps it on a dense system.
+std::shared_ptr<const la::Factorization> newton_factorization(int q) {
+    la::Matrix a = stable_matrix(q, 17);
+    a *= 1e-3;
+    la::DenseLuBackend backend;
+    return backend.factorize(*la::make_dense_operator(std::move(a)), la::Complex(1.0, 0.0));
+}
+
+/// One modified-Newton correction by LU substitution (solve_into).
+void BM_NewtonCorrectionLu(benchmark::State& state) {
+    const int q = static_cast<int>(state.range(0));
+    const auto fact = newton_factorization(q);
+    const la::Vec r = la::real_part(random_zvec(q, 18));
+    la::Vec dx;
+    for (auto _ : state) {
+        fact->solve_into(r, dx);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_NewtonCorrectionLu)->Arg(8)->Arg(11)->Arg(16);
+
+/// The same correction through the factorization's explicit inverse: one
+/// la::simd::gemv, as run_implicit applies it once a factorization has
+/// served q substitutions.
+void BM_NewtonCorrectionInverse(benchmark::State& state) {
+    const int q = static_cast<int>(state.range(0));
+    const auto uq = static_cast<std::size_t>(q);
+    const la::Matrix inverse = newton_factorization(q)->solve(la::Matrix::identity(q));
+    const la::Vec r = la::real_part(random_zvec(q, 18));
+    la::Vec x(uq, 0.0);
+    for (auto _ : state) {
+        la::simd::gemv(uq, uq, inverse.data(), uq, r.data(), x.data());
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_NewtonCorrectionInverse)->Arg(8)->Arg(11)->Arg(16);
 
 /// Eq. 18 Pi solve.
 void BM_SolvePi(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #define ATMOR_SIMD_AVX2 1
@@ -99,6 +100,11 @@ ATMOR_NO_VECTORIZE Complex zspmv_row(const double* vals, const int* cols, std::s
         im += vals[k] * xd[2 * j + 1];
     }
     return Complex(re, im);
+}
+
+ATMOR_NO_VECTORIZE void gemv(std::size_t rows, std::size_t cols, const double* a,
+                             std::size_t ld, const double* x, double* y) {
+    for (std::size_t i = 0; i < rows; ++i) y[i] += dot(a + i * ld, x, cols);
 }
 
 }  // namespace scalar
@@ -201,6 +207,54 @@ void zaxpy_vec(Complex alpha, const Complex* __restrict__ x, Complex* __restrict
     }
 }
 
+// Four rows per pass, each with dot_vec's two accumulators over 8-wide
+// blocks and its 4-wide step into the first. The four lane sets fold in one
+// hadd/permute as (l0 + l1) + (l2 + l3) per row and the tail columns follow
+// unfused, so every row equals dot_vec of that row bit for bit.
+void gemv_vec(std::size_t rows, std::size_t cols, const double* __restrict__ a, std::size_t ld,
+              const double* __restrict__ x, double* __restrict__ y) {
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const double* r0 = a + i * ld;
+        const double* r1 = r0 + ld;
+        const double* r2 = r1 + ld;
+        const double* r3 = r2 + ld;
+        __m256d p0 = _mm256_setzero_pd(), p1 = p0, p2 = p0, p3 = p0;
+        __m256d q0 = p0, q1 = p0, q2 = p0, q3 = p0;
+        std::size_t j = 0;
+        for (; j + 8 <= cols; j += 8) {
+            const __m256d xl = _mm256_loadu_pd(x + j);
+            const __m256d xh = _mm256_loadu_pd(x + j + 4);
+            p0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j), xl, p0);
+            q0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j + 4), xh, q0);
+            p1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j), xl, p1);
+            q1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j + 4), xh, q1);
+            p2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j), xl, p2);
+            q2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j + 4), xh, q2);
+            p3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j), xl, p3);
+            q3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j + 4), xh, q3);
+        }
+        for (; j + 4 <= cols; j += 4) {
+            const __m256d xl = _mm256_loadu_pd(x + j);
+            p0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j), xl, p0);
+            p1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j), xl, p1);
+            p2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j), xl, p2);
+            p3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j), xl, p3);
+        }
+        // hadd gives (l0 + l1) and (l2 + l3) of two rows per 128-bit half;
+        // the permutes line the halves up as rows 0..3.
+        const __m256d t01 = _mm256_hadd_pd(_mm256_add_pd(p0, q0), _mm256_add_pd(p1, q1));
+        const __m256d t23 = _mm256_hadd_pd(_mm256_add_pd(p2, q2), _mm256_add_pd(p3, q3));
+        __m256d s = _mm256_add_pd(_mm256_permute2f128_pd(t01, t23, 0x20),
+                                  _mm256_permute2f128_pd(t01, t23, 0x31));
+        for (; j < cols; ++j)
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set_pd(r3[j], r2[j], r1[j], r0[j]),
+                                               _mm256_set1_pd(x[j])));
+        _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), s));
+    }
+    for (; i < rows; ++i) y[i] += dot_vec(a + i * ld, x, cols);
+}
+
 #else  // portable omp-simd tier
 
 double dot_vec(const double* __restrict__ a, const double* __restrict__ b, std::size_t n) {
@@ -259,6 +313,59 @@ void zaxpy_vec(Complex alpha, const Complex* __restrict__ x, Complex* __restrict
         yd[2 * i] += ar * xr - ai * xi;
         yd[2 * i + 1] += ar * xi + ai * xr;
     }
+}
+
+// Two-lane vectors for gemv's sums: the loop vectorizer would interleave
+// its column loop and spill sixteen scalar sums, so the pairs are explicit.
+using V2 = double __attribute__((vector_size(16)));
+
+V2 load2(const double* p) {
+    V2 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/// One row's sums as dot_vec holds them, lo = (s0, s1) and hi = (s2, s3),
+/// folded as (s0 + s1) + (s2 + s3) with the tail columns [c4, cols) after.
+double fold_row(V2 lo, V2 hi, const double* __restrict__ a, const double* __restrict__ x,
+                std::size_t c4, std::size_t cols) {
+    double s = (lo[0] + lo[1]) + (hi[0] + hi[1]);
+    for (std::size_t j = c4; j < cols; ++j) s += a[j] * x[j];
+    return s;
+}
+
+// Four rows per pass, each with dot_vec's lanes, fold and tail, so every
+// row equals dot_vec of that row bit for bit; the rows share each load of x
+// and give the pass sixteen independent sums.
+void gemv_vec(std::size_t rows, std::size_t cols, const double* __restrict__ a, std::size_t ld,
+              const double* __restrict__ x, double* __restrict__ y) {
+    const std::size_t c4 = cols & ~static_cast<std::size_t>(3);
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const double* r0 = a + i * ld;
+        const double* r1 = r0 + ld;
+        const double* r2 = r1 + ld;
+        const double* r3 = r2 + ld;
+        V2 lo0 = {0.0, 0.0}, hi0 = lo0, lo1 = lo0, hi1 = lo0;
+        V2 lo2 = lo0, hi2 = lo0, lo3 = lo0, hi3 = lo0;
+        for (std::size_t j = 0; j < c4; j += 4) {
+            const V2 xl = load2(x + j);
+            const V2 xh = load2(x + j + 2);
+            lo0 += load2(r0 + j) * xl;
+            hi0 += load2(r0 + j + 2) * xh;
+            lo1 += load2(r1 + j) * xl;
+            hi1 += load2(r1 + j + 2) * xh;
+            lo2 += load2(r2 + j) * xl;
+            hi2 += load2(r2 + j + 2) * xh;
+            lo3 += load2(r3 + j) * xl;
+            hi3 += load2(r3 + j + 2) * xh;
+        }
+        y[i] += fold_row(lo0, hi0, r0, x, c4, cols);
+        y[i + 1] += fold_row(lo1, hi1, r1, x, c4, cols);
+        y[i + 2] += fold_row(lo2, hi2, r2, x, c4, cols);
+        y[i + 3] += fold_row(lo3, hi3, r3, x, c4, cols);
+    }
+    for (; i < rows; ++i) y[i] += dot_vec(a + i * ld, x, cols);
 }
 
 #endif  // ATMOR_SIMD_AVX2
@@ -330,6 +437,14 @@ void zaxpy(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
 Complex zspmv_row(const double* vals, const int* cols, std::size_t nnz, const Complex* x) {
     return scalar_forced() ? scalar::zspmv_row(vals, cols, nnz, x)
                            : zspmv_row_vec(vals, cols, nnz, x);
+}
+
+void gemv(std::size_t rows, std::size_t cols, const double* a, std::size_t ld, const double* x,
+          double* y) {
+    if (scalar_forced())
+        scalar::gemv(rows, cols, a, ld, x, y);
+    else
+        gemv_vec(rows, cols, a, ld, x, y);
 }
 
 }  // namespace atmor::la::simd

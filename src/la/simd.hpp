@@ -19,11 +19,12 @@
 //     tiers: each output element is one IEEE mul + one IEEE add, never an
 //     FMA, so the blocked-solve == single-solve exactness pins survive every
 //     build configuration.
-//   * Reduction kernels (dot, nrm2sq, spmv_row) reassociate the fold for
-//     instruction-level parallelism; their results are deterministic for a
-//     given build + escape-hatch setting but only tolerance-equal to the
+//   * Reduction kernels (dot, nrm2sq, spmv_row, gemv) reassociate the fold
+//     for instruction-level parallelism; their results are deterministic for
+//     a given build + escape-hatch setting but only tolerance-equal to the
 //     scalar reference. Nothing pins reductions bit-exactly across kernel
-//     tiers.
+//     tiers. gemv folds each row exactly as dot does on the same tier, so a
+//     row of gemv and a dot of that row agree bit for bit.
 #pragma once
 
 #include <complex>
@@ -61,6 +62,8 @@ void scale(double alpha, double* x, std::size_t n);
 double spmv_row(const double* vals, const int* cols, std::size_t nnz, const double* x);
 void zaxpy(Complex alpha, const Complex* x, Complex* y, std::size_t n);
 Complex zspmv_row(const double* vals, const int* cols, std::size_t nnz, const Complex* x);
+void gemv(std::size_t rows, std::size_t cols, const double* a, std::size_t ld, const double* x,
+          double* y);
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -89,5 +92,12 @@ void zaxpy(Complex alpha, const Complex* x, Complex* y, std::size_t n);
 /// One CSR row against a complex vector: sum_k vals[k] * x[cols[k]]
 /// (reassociated gather reduction, real values).
 Complex zspmv_row(const double* vals, const int* cols, std::size_t nnz, const Complex* x);
+
+/// y[i] += sum_j a[i * ld + j] * x[j] for i < rows, j < cols: a row-major
+/// matrix with leading dimension ld >= cols times x, accumulated into y.
+/// Four rows per pass share each load of x; row i adds exactly
+/// dot(a + i * ld, x, cols). y must not overlap a or x.
+void gemv(std::size_t rows, std::size_t cols, const double* a, std::size_t ld, const double* x,
+          double* y);
 
 }  // namespace atmor::la::simd

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "la/operator.hpp"
+#include "la/simd.hpp"
 #include "la/solver_backend.hpp"
 #include "la/vector_ops.hpp"
 #include "util/check.hpp"
@@ -23,7 +24,9 @@ namespace {
 
 /// Fixed steps covering [0, t_end] at step size at most dt. Every entry
 /// point calls it before any work: a non-finite or non-positive t_end or dt,
-/// or a count past the range of long, is the caller's error.
+/// a count past the range of long, a record stride below 1, or Newton
+/// controls under which no step can converge (newton_tol not finite and
+/// positive, newton_max_iter < 1) are the caller's error.
 long step_count(const TransientOptions& opt) {
     ATMOR_REQUIRE(std::isfinite(opt.t_end) && opt.t_end > 0.0 && std::isfinite(opt.dt) &&
                       opt.dt > 0.0,
@@ -32,6 +35,13 @@ long step_count(const TransientOptions& opt) {
     const double steps = std::ceil(opt.t_end / opt.dt);
     ATMOR_REQUIRE(steps >= 1.0 && steps < static_cast<double>(std::numeric_limits<long>::max()),
                   "transient: t_end / dt = " << steps << " steps does not fit in a long");
+    ATMOR_REQUIRE(opt.record_stride >= 1,
+                  "transient: record_stride = " << opt.record_stride << ", need >= 1");
+    ATMOR_REQUIRE(std::isfinite(opt.newton_tol) && opt.newton_tol > 0.0 &&
+                      opt.newton_max_iter >= 1,
+                  "transient: need a finite positive newton_tol and newton_max_iter >= 1 "
+                  "(newton_tol = "
+                      << opt.newton_tol << ", newton_max_iter = " << opt.newton_max_iter << ")");
     return std::lround(steps);
 }
 
@@ -136,14 +146,29 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
     // A = theta*h*J: exactly the shifted form the solver backend caches.
     // The factorisation is reused across Newton iterations and steps until
     // `refactor` is called.
+    //
+    // On a dense system, once the factorisation has served n substitutions
+    // it is replaced by its explicit negated inverse (one blocked solve of
+    // the identity, n substitutions' work), and every later correction is
+    // one la::simd::gemv: n independent row folds instead of two dependent
+    // triangular sweeps. The switch at most doubles the solve work already
+    // spent on a factorisation, so refactor_every_step runs and short runs
+    // of large models keep substituting; sparse systems always do. Newton
+    // accepts a step only on the true residual, so the inverse moves traces
+    // by rounding only.
     if (!backend) backend = opt.backend ? opt.backend : la::make_default_backend(sys.g1_op());
     std::shared_ptr<const la::Factorization> jac_fact = std::move(warm);
+    const auto n = static_cast<std::size_t>(sys.order());
+    Matrix neg_inverse;  // empty while jac_fact substitutes
+    std::size_t substitutions = 0;
     auto refactor = [&](const Vec& x_lin, const Vec& u_lin) {
         const auto a_op = stamp_newton_operator(sys, x_lin, u_lin, theta * h);
         // Uncached factorisation: the operator is freshly stamped, so its id
         // would never be looked up again and would only pollute the cache.
         jac_fact = backend->factorize(*a_op, la::Complex(1.0, 0.0));
         ++res.factorizations;
+        neg_inverse = Matrix();
+        substitutions = 0;
     };
 
     // One time grid t_s = h*s. The drive is sampled once per step, at t_{s+1},
@@ -151,7 +176,6 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
     // costs one rhs per Newton iteration. Iterate, rhs values, residual,
     // update and rhs scratch live across steps and Newton iterations, so a
     // step allocates only the drive sample u(t) returns (and its record).
-    const std::size_t n = x.size();
     Vec xn(n), f0(n), f1(n), r(n), dx(n), work;
     Vec u1 = u(0.0);
     sys.rhs_into(x, u1, f0, work);
@@ -168,7 +192,8 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
         if (!jac_fact || opt.refactor_every_step) refactor(x, u1);
         bool converged = false;
         bool finite = true;
-        for (int attempt = 0; attempt < 2 && !converged && finite; ++attempt) {
+        constexpr int kAttempts = 2;
+        for (int attempt = 0; attempt < kAttempts && !converged && finite; ++attempt) {
             for (int it = 0; it < opt.newton_max_iter; ++it) {
                 sys.rhs_into(xn, u1, f1, work);
                 ++res.newton_iterations;
@@ -180,13 +205,22 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
                     converged = true;
                     break;
                 }
-                jac_fact->solve_into(r, dx);
-                la::axpy(-1.0, dx, xn);
+                if (neg_inverse.empty()) {
+                    jac_fact->solve_into(r, dx);
+                    la::axpy(-1.0, dx, xn);
+                    if (!sys.is_sparse() && ++substitutions == n) {
+                        neg_inverse = jac_fact->solve(Matrix::identity(sys.order()));
+                        neg_inverse *= -1.0;
+                    }
+                } else {
+                    la::simd::gemv(n, n, neg_inverse.data(), n, r.data(), xn.data());
+                }
             }
             // Modified-Newton recovery: refresh the Jacobian at the current
-            // iterate and retry once before giving up. f1 is always the rhs
-            // at the final iterate, so the reuse below survives a retry.
-            if (!converged && finite) refactor(xn, u1);
+            // iterate and retry once before giving up; the last attempt's
+            // failure throws below, so it refactors nothing. f1 is always the
+            // rhs at the final iterate, so the reuse below survives a retry.
+            if (!converged && finite && attempt + 1 < kAttempts) refactor(xn, u1);
         }
         ATMOR_CHECK(converged, "implicit integrator: Newton "
                                    << (finite ? "failed" : "diverged to a non-finite iterate")
@@ -214,7 +248,6 @@ double TransientResult::output(int r, int output_index) const {
 TransientResult simulate(const Qldae& sys, const InputFn& input, const TransientOptions& opt,
                          const Vec& x0) {
     (void)step_count(opt);
-    ATMOR_REQUIRE(opt.record_stride >= 1, "simulate: record_stride >= 1");
     Vec x = x0.empty() ? Vec(static_cast<std::size_t>(sys.order()), 0.0) : x0;
     ATMOR_REQUIRE(static_cast<int>(x.size()) == sys.order(), "simulate: x0 size mismatch");
     ATMOR_REQUIRE(static_cast<int>(input(0.0).size()) == sys.inputs(),
@@ -271,7 +304,6 @@ std::vector<TransientResult> simulate_batch(const Qldae& sys, const std::vector<
                                             const la::Vec& x0) {
     ATMOR_REQUIRE(!inputs.empty(), "simulate_batch: empty waveform batch");
     (void)step_count(opt);
-    ATMOR_REQUIRE(opt.record_stride >= 1, "simulate_batch: record_stride >= 1");
     const Vec x = x0.empty() ? Vec(static_cast<std::size_t>(sys.order()), 0.0) : x0;
     ATMOR_REQUIRE(static_cast<int>(x.size()) == sys.order(), "simulate_batch: x0 size mismatch");
     for (const InputFn& u : inputs)

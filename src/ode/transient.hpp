@@ -3,10 +3,13 @@
 // The quadratised circuits carry e^{40 v} diode laws in their G2 rows, which
 // makes the dynamics stiff; the default integrator is therefore an implicit
 // trapezoidal rule with a modified Newton corrector (Jacobian frozen until
-// convergence degrades -- factor once, backsolve thousands of times). RK4 is
-// provided for non-stiff cases and cross-checks. Every method takes
-// ceil(t_end / dt) fixed steps. Solve statistics feed the paper's Table 1
-// "ODE solve" timing comparison.
+// convergence degrades -- factor once, backsolve thousands of times). On a
+// dense system (every ROM), a factorization that has served n backsolves
+// is replaced by its explicit inverse, and each later correction is one
+// la::simd::gemv; Newton still accepts a step only on the true residual, so
+// this moves traces by rounding only. RK4 is provided for non-stiff cases
+// and cross-checks. Every method takes ceil(t_end / dt) fixed steps. Solve
+// statistics feed the paper's Table 1 "ODE solve" timing comparison.
 #pragma once
 
 #include <functional>
@@ -24,13 +27,16 @@ using InputFn = std::function<la::Vec(double)>;
 
 enum class Method { rk4, trapezoidal, backward_euler };
 
+/// simulate, make_warm_start and simulate_batch reject options outside the
+/// ranges noted here (t_end and dt finite and > 0, with a step count that
+/// fits in a long) with a util::PreconditionError before any work.
 struct TransientOptions {
     double t_end = 1.0;
     double dt = 1e-3;                ///< fixed step
     Method method = Method::trapezoidal;
-    int record_stride = 1;           ///< record every k-th step
-    double newton_tol = 1e-10;
-    int newton_max_iter = 25;
+    int record_stride = 1;           ///< record every k-th step (>= 1)
+    double newton_tol = 1e-10;       ///< finite and > 0
+    int newton_max_iter = 25;        ///< >= 1
     /// Refactor the Newton Jacobian at every implicit step (standard
     /// SPICE-style Newton; the O(n^3)-per-step regime the paper's Table 1
     /// timings live in). Default reuses the factor until convergence

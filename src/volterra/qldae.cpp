@@ -43,15 +43,17 @@ std::size_t triple_index(std::size_t q, std::size_t a, std::size_t b, std::size_
     return triples_over(q) - triples_over(q - a) + pair_index(q - a, b - a, c - a);
 }
 
-/// Row r of m times x, on the same kernels as CsrMatrix::matvec / la::matvec.
+/// Row r of m times x, on the same kernel as CsrMatrix::matvec.
 double row_dot(const sparse::CsrMatrix& m, int r, const double* x) {
     const auto k0 = static_cast<std::size_t>(m.row_ptr()[static_cast<std::size_t>(r)]);
     const auto k1 = static_cast<std::size_t>(m.row_ptr()[static_cast<std::size_t>(r) + 1]);
     return la::simd::spmv_row(m.values().data() + k0, m.col_idx().data() + k0, k1 - k0, x);
 }
 
-double row_dot(const la::Matrix& m, int r, const double* x) {
-    return la::simd::dot(m.row_ptr(r), x, static_cast<std::size_t>(m.cols()));
+/// y += m x for a dense row-major m on the la::simd::gemv kernel.
+void gemv(const la::Matrix& m, const double* x, double* y) {
+    const auto cols = static_cast<std::size_t>(m.cols());
+    la::simd::gemv(static_cast<std::size_t>(m.rows()), cols, m.data(), cols, x, y);
 }
 
 }  // namespace
@@ -89,7 +91,6 @@ Qldae::Qldae(sparse::CsrMatrix g1, sparse::SparseTensor3 g2, sparse::SparseTenso
     inputs_ = b_csr_->cols();
     outputs_ = c_csr_->rows();
     validate();
-    pack_tensors();
 }
 
 void Qldae::validate() const {
@@ -128,31 +129,35 @@ void Qldae::pack_tensors() {
     // Duplicate entries and every slot order of one monomial sum into its
     // one packed coefficient.
     const auto q = static_cast<std::size_t>(order());
-    if (const std::size_t cols = packed_width(q, 2, 2 * g2_.entry_count()); cols > 0) {
-        g2_packed_ = la::Matrix(order(), static_cast<int>(cols));
+    const std::size_t pairs = packed_width(q, 2, 2 * g2_.entry_count());
+    std::size_t triples = packed_width(q, 3, 2 * g3_.entry_count());
+    // Both blocks share one matrix, whose column count must fit an int too.
+    if (triples > static_cast<std::size_t>(std::numeric_limits<int>::max()) - pairs) triples = 0;
+    g2_packed_ = pairs > 0;
+    g3_packed_ = triples > 0;
+    if (pairs + triples == 0) return;
+    packed_ = la::Matrix(order(), static_cast<int>(pairs + triples));
+    if (g2_packed_) {
         for (const auto& e : g2_.entries()) {
             const auto [a, b] = std::minmax(e.i, e.j);
-            g2_packed_.row_ptr(e.row)[pair_index(q, static_cast<std::size_t>(a),
-                                                 static_cast<std::size_t>(b))] += e.value;
+            packed_.row_ptr(e.row)[pair_index(q, static_cast<std::size_t>(a),
+                                              static_cast<std::size_t>(b))] += e.value;
         }
     }
-    if (const std::size_t cols = packed_width(q, 3, 2 * g3_.entry_count()); cols > 0) {
-        g3_packed_ = la::Matrix(order(), static_cast<int>(cols));
+    if (g3_packed_) {
         for (const auto& e : g3_.entries()) {
             std::array<int, 3> s{e.i, e.j, e.k};
             std::sort(s.begin(), s.end());
-            g3_packed_.row_ptr(e.row)[triple_index(q, static_cast<std::size_t>(s[0]),
-                                                   static_cast<std::size_t>(s[1]),
-                                                   static_cast<std::size_t>(s[2]))] += e.value;
+            packed_.row_ptr(e.row)[pairs + triple_index(q, static_cast<std::size_t>(s[0]),
+                                                        static_cast<std::size_t>(s[1]),
+                                                        static_cast<std::size_t>(s[2]))] +=
+                e.value;
         }
     }
 }
 
 std::size_t Qldae::packed_coefficients() const {
-    const auto size = [](const la::Matrix& m) {
-        return static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols());
-    };
-    return size(g2_packed_) + size(g3_packed_);
+    return static_cast<std::size_t>(packed_.rows()) * static_cast<std::size_t>(packed_.cols());
 }
 
 // ---------------------------------------------------------------------------
@@ -243,38 +248,39 @@ void Qldae::rhs_into(const la::Vec& x, const la::Vec& u, la::Vec& f, la::Vec& wo
     const int n = order();
     const auto un = static_cast<std::size_t>(n);
     const double* xd = x.data();
-    f.resize(un);
-    for (int r = 0; r < n; ++r)
-        f[static_cast<std::size_t>(r)] =
-            is_sparse() ? row_dot(*g1_csr_, r, xd) : row_dot(*g1_dense_, r, xd);
+    if (is_sparse()) {
+        f.resize(un);
+        for (int r = 0; r < n; ++r) f[static_cast<std::size_t>(r)] = row_dot(*g1_csr_, r, xd);
+    } else {
+        f.assign(un, 0.0);
+        gemv(*g1_dense_, xd, f.data());
+    }
 
-    // G2, then G3: packed monomials times the packed matrix, or the triplets
-    // summed apart and then added (the order the triplet path has always
-    // used, so unpacked systems keep their exact rounding).
-    if (!g2_packed_.empty()) {
-        work.resize(static_cast<std::size_t>(g2_packed_.cols()));
+    // Packed tensors: every monomial in one pass, then one kernel call.
+    if (!packed_.empty()) {
+        work.resize(static_cast<std::size_t>(packed_.cols()));
         double* m = work.data();
-        for (std::size_t a = 0; a < un; ++a)
-            for (std::size_t b = a; b < un; ++b) *m++ = xd[a] * xd[b];
-        for (int r = 0; r < n; ++r)
-            f[static_cast<std::size_t>(r)] += row_dot(g2_packed_, r, work.data());
-    } else if (has_quadratic()) {
+        if (g2_packed_)
+            for (std::size_t a = 0; a < un; ++a)
+                for (std::size_t b = a; b < un; ++b) *m++ = xd[a] * xd[b];
+        if (g3_packed_)
+            for (std::size_t a = 0; a < un; ++a)
+                for (std::size_t b = a; b < un; ++b) {
+                    const double xab = xd[a] * xd[b];
+                    for (std::size_t c = b; c < un; ++c) *m++ = xab * xd[c];
+                }
+        gemv(packed_, work.data(), f.data());
+    }
+    // Triplet tensors, each summed apart and then added (the order the
+    // triplet path has always used, so unpacked systems keep their exact
+    // rounding).
+    if (has_quadratic() && !g2_packed_) {
         work.assign(un, 0.0);
         for (const auto& e : g2_.entries())
             work[static_cast<std::size_t>(e.row)] += e.value * xd[e.i] * xd[e.j];
         la::simd::axpy(1.0, work.data(), f.data(), un);
     }
-    if (!g3_packed_.empty()) {
-        work.resize(static_cast<std::size_t>(g3_packed_.cols()));
-        double* m = work.data();
-        for (std::size_t a = 0; a < un; ++a)
-            for (std::size_t b = a; b < un; ++b) {
-                const double xab = xd[a] * xd[b];
-                for (std::size_t c = b; c < un; ++c) *m++ = xab * xd[c];
-            }
-        for (int r = 0; r < n; ++r)
-            f[static_cast<std::size_t>(r)] += row_dot(g3_packed_, r, work.data());
-    } else if (has_cubic()) {
+    if (has_cubic() && !g3_packed_) {
         work.assign(un, 0.0);
         for (const auto& e : g3_.entries())
             work[static_cast<std::size_t>(e.row)] += e.value * xd[e.i] * xd[e.j] * xd[e.k];
@@ -288,9 +294,14 @@ void Qldae::rhs_into(const la::Vec& x, const la::Vec& u, la::Vec& f, la::Vec& wo
         any_input = true;
         if (!has_bilinear()) continue;
         const auto ii = static_cast<std::size_t>(i);
-        for (int r = 0; r < n; ++r)
-            f[static_cast<std::size_t>(r)] +=
-                ui * (is_sparse() ? row_dot(d1_csr_[ii], r, xd) : row_dot(d1_dense_[ii], r, xd));
+        if (is_sparse()) {
+            for (int r = 0; r < n; ++r)
+                f[static_cast<std::size_t>(r)] += ui * row_dot(d1_csr_[ii], r, xd);
+        } else {
+            work.assign(un, 0.0);
+            gemv(d1_dense_[ii], xd, work.data());
+            la::simd::axpy(ui, work.data(), f.data(), un);
+        }
     }
     if (any_input) {
         if (is_sparse()) {

@@ -16,15 +16,19 @@
 // every system through them, so a stored model is always dense.
 //
 // G2 and G3 are stored as triplets (sparse::SparseTensor3/4), the canonical
-// form for rom::io, the moment chains and the H2/H3 evaluators. A tensor
-// that is dense in that storage -- the reduced tensors of a ROM -- also gets
-// a row-major PACKED copy, built once by the constructor: one column per
-// monomial x_a x_b (a <= b), resp. x_a x_b x_c (a <= b <= c). rhs_into then
-// evaluates it as the packed monomials times that matrix on the la::simd
-// dot kernel instead of through indirect loads. A tensor is packed only when
-// the packed matrix holds at most twice its stored entries, so a sparse
+// form for rom::io, the moment chains and the H2/H3 evaluators. On a dense-
+// stored system, a tensor that is dense in that storage -- the reduced
+// tensors of a ROM -- also gets PACKED columns, built once by the
+// constructor: one column per monomial x_a x_b (a <= b), then one per
+// x_a x_b x_c (a <= b <= c), in ONE row-major matrix over the concatenated
+// monomial vector. rhs_into then forms the monomials in one pass and
+// multiplies them in with one la::simd::gemv call, the kernel that also
+// runs G1 x and each D1_i x of a dense-stored system. A tensor is packed
+// only when its columns hold at most twice its stored entries, so a sparse
 // tensor (every stamped circuit) keeps the triplet path and a loaded
-// artifact can never make the constructor allocate more than that.
+// artifact can never make the constructor allocate more than that. CSR-
+// stamped systems keep the row path: CSR rows for G1 and D1, triplets for
+// the tensors.
 #pragma once
 
 #include <memory>
@@ -96,7 +100,7 @@ public:
     /// nothing. Neither buffer may alias x.
     void rhs_into(const la::Vec& x, const la::Vec& u, la::Vec& f, la::Vec& work) const;
 
-    /// Coefficients held by the packed copies of G2 and G3 (0 when both
+    /// Coefficients held by the packed columns of G2 and G3 (0 when both
     /// stay in triplet form).
     [[nodiscard]] std::size_t packed_coefficients() const;
 
@@ -123,10 +127,12 @@ private:
 
     sparse::SparseTensor3 g2_;
     sparse::SparseTensor4 g3_;
-    /// Packed copies of g2_ / g3_ (n x monomials, lexicographic monomial
-    /// order); 0 x 0 when the tensor stays in triplet form.
-    la::Matrix g2_packed_;
-    la::Matrix g3_packed_;
+    /// Packed columns of g2_ (if g2_packed_) followed by those of g3_ (if
+    /// g3_packed_), each block in lexicographic monomial order; 0 x 0 when
+    /// both stay in triplet form.
+    la::Matrix packed_;
+    bool g2_packed_ = false;
+    bool g3_packed_ = false;
 
     bool has_bilinear_ = false;
     std::vector<sparse::CsrMatrix> d1_csr_;            // sparse-first storage

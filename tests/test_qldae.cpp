@@ -175,6 +175,27 @@ TEST(Qldae, PackedTensorsMatchTripletEvaluation) {
         const Vec x = test::random_vector(q, rng);
         expect_matches_triplets(sys, x, Vec{rng.gaussian(), 0.0});
         expect_matches_triplets(sys, x, Vec{0.0, rng.gaussian()});
+        // Both bilinear D1 blocks at once.
+        expect_matches_triplets(sys, x, Vec{rng.gaussian(), rng.gaussian()});
+
+        // One tensor packed, the other in triplets: a sparse G3 (or G2) of
+        // two entries stays in triplets beside the packed columns of the
+        // other tensor.
+        if (q < 2) continue;
+        const Qldae dense = dense_tensor_system(q, rng);
+        sparse::SparseTensor3 sparse_g2(q, q, q);
+        sparse::SparseTensor4 sparse_g3(q);
+        for (int e = 0; e < 2; ++e) {
+            sparse_g2.add(e, q - 1, e, rng.gaussian());
+            sparse_g3.add(q - 1 - e, e, 1, q - 1, rng.gaussian());
+        }
+        std::vector<Matrix> d1{dense.d1(0), dense.d1(1)};
+        const Qldae g2_packs(dense.g1(), dense.g2(), sparse_g3, d1, dense.b(), dense.c());
+        const Qldae g3_packs(dense.g1(), sparse_g2, dense.g3(), d1, dense.b(), dense.c());
+        EXPECT_EQ(g2_packs.packed_coefficients(), uq * pairs);
+        EXPECT_EQ(g3_packs.packed_coefficients(), uq * triples);
+        for (const Qldae* sys_mixed : {&g2_packs, &g3_packs})
+            expect_matches_triplets(*sys_mixed, x, Vec{rng.gaussian(), rng.gaussian()});
     }
 }
 

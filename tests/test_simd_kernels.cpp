@@ -1,8 +1,9 @@
 // Kernel-layer contract tests (see src/la/simd.hpp):
 //   * elementwise kernels (axpy, scale, zaxpy) are BIT-IDENTICAL to the
 //     scalar reference in every build configuration;
-//   * reduction kernels (dot, nrm2sq, spmv_row, zspmv_row) match the scalar
-//     reference to tolerance only (the fold is reassociated);
+//   * reduction kernels (dot, nrm2sq, spmv_row, zspmv_row, gemv) match the
+//     scalar reference to tolerance only (the fold is reassociated), and
+//     each row of gemv equals dot of that row bit for bit;
 //   * the one orthogonalizer (BasisBuilder::flush: blocked CGS2 against the
 //     basis, blocked Householder QR within the panel) stays orthogonal on
 //     multi-panel, ill-conditioned and rank-deficient input, keeps its span
@@ -214,6 +215,74 @@ TEST(SimdKernels, ZspmvRowMatchesScalarToTolerance) {
     EXPECT_EQ(simd::zspmv_row(nullptr, nullptr, 0, x.data()), Complex(0));
 }
 
+// gemv over every row count 0..9 (two four-row passes and every remainder)
+// and every column count 0..70 (both unroll widths and every tail), with a
+// leading dimension past the columns whose padding holds NaN: a kernel that
+// read it would return NaN.
+struct GemvCase {
+    std::size_t rows, cols, ld;
+    Vec a, x, y0;
+};
+
+GemvCase gemv_case(std::size_t rows, std::size_t cols) {
+    const std::size_t ld = cols + 3;
+    GemvCase c{rows, cols, ld, random_vec(rows * ld, 227 + 71 * rows + cols),
+               random_vec(cols, 211 + cols), random_vec(rows, 223 + rows)};
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = cols; j < c.ld; ++j) c.a[i * c.ld + j] = std::nan("");
+    return c;
+}
+
+TEST(SimdKernels, GemvMatchesScalarToToleranceAndDotPerRow) {
+    ScalarGuard guard;
+    simd::force_scalar(false);
+    for (std::size_t rows = 0; rows <= 9; ++rows) {
+        for (std::size_t cols = 0; cols <= 70; ++cols) {
+            const GemvCase c = gemv_case(rows, cols);
+            Vec y_vec = c.y0;
+            Vec y_ref = c.y0;
+            y_vec.push_back(-7.5);  // one slot past the rows: must stay untouched
+            simd::gemv(rows, cols, c.a.data(), c.ld, c.x.data(), y_vec.data());
+            simd::scalar::gemv(rows, cols, c.a.data(), c.ld, c.x.data(), y_ref.data());
+            EXPECT_EQ(y_vec[rows], -7.5) << rows << "x" << cols;
+            for (std::size_t i = 0; i < rows; ++i) {
+                const double* row = c.a.data() + i * c.ld;
+                double scale = std::abs(c.y0[i]);
+                for (std::size_t j = 0; j < cols; ++j) scale += std::abs(row[j] * c.x[j]);
+                EXPECT_NEAR(y_vec[i], y_ref[i], 1e-15 * static_cast<double>(cols + 2) * scale)
+                    << rows << "x" << cols << " row " << i;
+                EXPECT_EQ(y_vec[i], c.y0[i] + simd::dot(row, c.x.data(), cols))
+                    << rows << "x" << cols << " row " << i;
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, GemvAccumulatesIntoY) {
+    // Small integers multiply and add exactly in any order, so every tier
+    // must return y0 + A x to the bit: gemv adds to y, never overwrites it.
+    ScalarGuard guard;
+    for (const bool scalar : {false, true}) {
+        simd::force_scalar(scalar);
+        util::Rng rng(229);
+        const std::size_t rows = 7, cols = 13, ld = 16;
+        Vec a(rows * ld, std::nan("")), x(cols), y(rows);
+        for (auto& v : x) v = rng.uniform_int(-9, 9);
+        for (auto& v : y) v = rng.uniform_int(-99, 99);
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < cols; ++j) a[i * ld + j] = rng.uniform_int(-9, 9);
+        Vec ax(rows, 0.0);
+        for (std::size_t i = 0; i < rows; ++i)
+            for (std::size_t j = 0; j < cols; ++j) ax[i] += a[i * ld + j] * x[j];
+        Vec expected = y;
+        for (int call = 1; call <= 2; ++call) {
+            simd::gemv(rows, cols, a.data(), ld, x.data(), y.data());
+            for (std::size_t i = 0; i < rows; ++i) expected[i] += ax[i];
+            EXPECT_EQ(y, expected) << simd::active_level() << ", call " << call;
+        }
+    }
+}
+
 // The escape hatch must actually reroute: active_level flips to "scalar" and
 // dispatched reductions return the scalar fold exactly.
 TEST(SimdKernels, EscapeHatchDispatchesScalar) {
@@ -224,6 +293,14 @@ TEST(SimdKernels, EscapeHatchDispatchesScalar) {
     const Vec b = random_vec(257, 59);
     EXPECT_EQ(simd::dot(a.data(), b.data(), a.size()),
               simd::scalar::dot(a.data(), b.data(), a.size()));
+    for (const std::size_t rows : {3u, 9u}) {
+        const GemvCase c = gemv_case(rows, 70);
+        Vec y = c.y0;
+        Vec y_ref = c.y0;
+        simd::gemv(rows, c.cols, c.a.data(), c.ld, c.x.data(), y.data());
+        simd::scalar::gemv(rows, c.cols, c.a.data(), c.ld, c.x.data(), y_ref.data());
+        EXPECT_EQ(y, y_ref) << rows << " rows";
+    }
     simd::force_scalar(false);
     EXPECT_STREQ(simd::active_level(), simd::compiled_level());
 }

@@ -11,8 +11,10 @@
 #include "circuits/varistor.hpp"
 #include "circuits/waveforms.hpp"
 #include "core/atmor.hpp"
+#include "la/solver_backend.hpp"
 #include "la/vector_ops.hpp"
 #include "ode/transient.hpp"
+#include "sparse/csr.hpp"
 #include "test_alloc_counter.hpp"
 #include "test_qldae_helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -72,6 +74,41 @@ TEST_P(IntegratorKinds, NonFiniteOrUnrepresentableHorizonIsRejected) {
         EXPECT_THROW(ode::make_warm_start(sys, opt), util::PreconditionError)
             << "t_end = " << t_end << ", dt = " << dt;
     }
+}
+
+TEST_P(IntegratorKinds, NewtonControlsThatCannotConvergeAreRejected) {
+    // A Newton tolerance that is not finite and positive, or no Newton
+    // iteration at all, is the caller's error on every entry point, before
+    // any step or stamp (an infinite tolerance would accept the predictor
+    // as it stands; the others could only fail). So is a record stride
+    // below 1.
+    const Qldae sys = scalar_decay(1.0);
+    const ode::InputFn u = [](double) { return Vec{1.0}; };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto expect_rejected = [&](const TransientOptions& opt, const std::string& what) {
+        EXPECT_THROW(ode::simulate(sys, u, opt), util::PreconditionError) << what;
+        EXPECT_THROW(ode::simulate_batch(sys, {u}, opt), util::PreconditionError) << what;
+        EXPECT_THROW(ode::make_warm_start(sys, opt), util::PreconditionError) << what;
+    };
+    TransientOptions opt;
+    opt.t_end = 0.1;
+    opt.dt = 1e-2;
+    opt.method = GetParam();
+    for (const double tol : {inf, -inf, nan, -1.0, 0.0}) {
+        TransientOptions bad = opt;
+        bad.newton_tol = tol;
+        expect_rejected(bad, "newton_tol = " + std::to_string(tol));
+    }
+    for (const int iters : {0, -1}) {
+        TransientOptions bad = opt;
+        bad.newton_max_iter = iters;
+        expect_rejected(bad, "newton_max_iter = " + std::to_string(iters));
+    }
+    TransientOptions bad = opt;
+    bad.record_stride = 0;
+    expect_rejected(bad, "record_stride = 0");
+    EXPECT_EQ(ode::simulate(sys, u, opt).steps, 10);
 }
 
 TEST_P(IntegratorKinds, DivergingDriveIsAnInternalError) {
@@ -272,6 +309,30 @@ TEST_P(ImplicitMethods, DriveIsSampledOnceAtEachGridPoint) {
     EXPECT_EQ(ode::simulate(sys, [](double t) { return Vec{std::cos(t)}; }, opt).t, res.t);
 }
 
+TEST_P(ImplicitMethods, AFailedStepRefactorsOnlyBeforeItsRetry) {
+    // A step that cannot converge (a tolerance only an exact zero residual
+    // meets) factors once to start and once for its one retry, then throws:
+    // the last attempt's failure refactors nothing.
+    util::Rng rng(4242);
+    test::QldaeOptions qopt;
+    qopt.n = 5;
+    const Qldae sys = test::random_qldae(qopt, rng);
+    TransientOptions opt;
+    opt.t_end = 0.1;
+    opt.dt = 1e-2;
+    opt.method = GetParam();
+    opt.newton_tol = 1e-300;
+    opt.backend = std::make_shared<la::DenseLuBackend>();
+    try {
+        (void)ode::simulate(sys, [](double t) { return Vec{0.3 + std::sin(t)}; }, opt);
+        FAIL() << "converged at newton_tol = 1e-300";
+    } catch (const util::InternalError& e) {
+        EXPECT_NE(std::string(e.what()).find("Newton failed at t = "), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(opt.backend->stats().factorizations, 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Newton, ImplicitMethods,
                          ::testing::Values(Method::trapezoidal, Method::backward_euler));
 
@@ -355,6 +416,51 @@ TEST(TransientPaperCircuits, NewtonCountsMatchTheThreeRhsLoop) {
             EXPECT_EQ(rom.newton_iterations, trap ? pins[k].rom_trap : pins[k].rom_be) << what;
             EXPECT_EQ(full.factorizations, 1) << what;
             EXPECT_EQ(rom.factorizations, 1) << what;
+        }
+    }
+}
+
+/// The system with G1, B, C and D1 stored as CSR and the same tensors: its
+/// rhs takes CSR row dots and triplets, and its Newton corrections sparse-LU
+/// substitution, where the dense system takes la::simd::gemv and the
+/// explicit inverse.
+Qldae csr_twin(const Qldae& sys) {
+    std::vector<sparse::CsrMatrix> d1;
+    if (sys.has_bilinear())
+        for (int i = 0; i < sys.inputs(); ++i)
+            d1.push_back(sparse::CsrMatrix::from_dense(sys.d1(i)));
+    return Qldae(sparse::CsrMatrix::from_dense(sys.g1()), sys.g2(), sys.g3(), std::move(d1),
+                 sparse::CsrMatrix::from_dense(sys.b()), sparse::CsrMatrix::from_dense(sys.c()));
+}
+
+TEST(TransientPaperCircuits, CsrTwinIsTheDensePathsOracle) {
+    // The three paper ROMs and the dense varistor full model against their
+    // CSR twins: the same Newton counts, and traces that differ by rounding.
+    struct Case {
+        std::string name;
+        const Qldae& sys;
+        const PaperCircuit& circuit;
+    };
+    const auto& circuits = paper_circuits();
+    ASSERT_EQ(circuits[1].name, "varistor");
+    std::vector<Case> cases;
+    for (const PaperCircuit& c : circuits) cases.push_back({c.name + " rom", c.rom, c});
+    cases.push_back({"varistor full", circuits[1].full, circuits[1]});
+    for (const Case& c : cases) {
+        ASSERT_FALSE(c.sys.is_sparse()) << c.name;
+        const Qldae twin = csr_twin(c.sys);
+        ASSERT_TRUE(twin.is_sparse()) << c.name;
+        for (const Method method : {Method::trapezoidal, Method::backward_euler}) {
+            TransientOptions opt = c.circuit.opt;
+            opt.method = method;
+            const std::string what =
+                c.name + (method == Method::trapezoidal ? " trapezoidal" : " backward Euler");
+            const auto a = ode::simulate(c.sys, c.circuit.drive, opt);
+            const auto b = ode::simulate(twin, c.circuit.drive, opt);
+            EXPECT_EQ(a.newton_iterations, b.newton_iterations) << what;
+            EXPECT_EQ(a.factorizations, b.factorizations) << what;
+            for (int k = 0; k < c.sys.outputs(); ++k)
+                EXPECT_LE(ode::peak_relative_error(b, a, k), 1e-13) << what << " output " << k;
         }
     }
 }
