@@ -457,16 +457,20 @@ void BM_KronSum2Solve(benchmark::State& state) {
 }
 BENCHMARK(BM_KronSum2Solve)->Arg(30)->Arg(60)->Arg(120)->Complexity();
 
-/// (sigma I - (+)^3 G1)^{-1}: the n^3-dimensional cubic resolvent.
-void BM_KronSum3Solve(benchmark::State& state) {
+/// (sigma I - G1 (+) Gt2)^{-1}: the n(n + n^2)-dimensional A3(H3) resolvent,
+/// whose lower n^3 block is the cubic (+)^3 G1 resolvent.
+void BM_G1KronSumGtilde2Solve(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
-    auto schur = std::make_shared<const la::ComplexSchur>(stable_matrix(n, 8));
-    auto solver = tensor::make_kron_sum3(schur);
-    const la::ZVec rhs = random_zvec(n * n * n, 9);
+    const volterra::Qldae sys = random_qldae(n, 8);
+    auto schur = std::make_shared<const la::ComplexSchur>(sys.g1());
+    auto gt2 = std::make_shared<tensor::BlockTriangularSolver>(
+        schur, sys.g2(), std::make_shared<tensor::KronSum2Solver>(schur));
+    const tensor::KronSumLeftSolver solver(schur, gt2);
+    const la::ZVec rhs = random_zvec(n * (n + n * n), 9);
     for (auto _ : state)
-        benchmark::DoNotOptimize(solver->solve(la::Complex(0.2, 0.0), rhs));
+        benchmark::DoNotOptimize(solver.solve(la::Complex(0.2, 0.0), rhs));
 }
-BENCHMARK(BM_KronSum3Solve)->Arg(20)->Arg(40);
+BENCHMARK(BM_G1KronSumGtilde2Solve)->Arg(20)->Arg(40);
 
 /// Full A2(H2) moment generation (Gt2 chains) on a random QLDAE.
 void BM_A2H2Moments(benchmark::State& state) {

@@ -46,11 +46,11 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
     // an O(n^3) factorisation here, so it defers to the solver backend's
     // singularity detection at (sigma0 I - G1) factor time.
     bool needs_kron_solvers = false;
-    bool needs_kron_sum3 = false;
+    bool needs_a3_chain = false;
     for (std::size_t p = 0; p < opt.expansion_points.size(); ++p) {
         const rom::PointOrder po = order_for(opt, p);
         needs_kron_solvers = needs_kron_solvers || po.k2 > 0 || po.k3 > 0;
-        needs_kron_sum3 = needs_kron_sum3 || po.k3 > 0;
+        needs_a3_chain = needs_a3_chain || po.k3 > 0;
     }
     if (needs_kron_solvers || sys.order() <= kEigenGuardMaxOrder) {
         const la::ZVec eigs = at.schur_g1()->eigenvalues();
@@ -72,10 +72,10 @@ MorResult reduce_associated(const volterra::AssociatedTransform& at, const AtMor
                     }
                 }
             }
-            // The A3(H3) chains solve with (+)^3 G1 and G1 (+) Gt2, which are
-            // also singular at eigenvalue triple sums. This check is O(n^3),
-            // beside the O(n^4) solves it protects.
-            if (!needs_kron_sum3) continue;
+            // The A3(H3) chain solves with G1 (+) Gt2, whose lower block
+            // (+)^3 G1 is singular at eigenvalue triple sums. This check is
+            // O(n^3), beside the O(n^4) solves it protects.
+            if (!needs_a3_chain) continue;
             const std::size_t n = eigs.size();
             for (std::size_t i = 0; i < n; ++i)
                 for (std::size_t j = i; j < n; ++j)

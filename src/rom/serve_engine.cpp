@@ -3,9 +3,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "rom/io.hpp"
@@ -79,8 +77,6 @@ ServeEngine::ServeEngine(std::shared_ptr<Registry> registry, ServeOptions opt)
       opt_(opt),
       shard_capacity_(std::max<std::size_t>(1, opt.max_model_states / kShardCount)) {
     ATMOR_REQUIRE(registry_ != nullptr, "ServeEngine: null registry");
-    ATMOR_REQUIRE(opt_.coalesce_window_seconds >= 0.0,
-                  "ServeEngine: negative coalesce window");
     ATMOR_REQUIRE(opt_.max_model_states >= 1, "ServeEngine: need at least one model state");
 }
 
@@ -172,14 +168,6 @@ std::vector<la::ZMatrix> ServeEngine::coalesced_sweep(ModelState& st,
         }
         co.leader_active = true;
     }
-
-    // Optional collection window: let simultaneous requests land before the
-    // first round. Off by default -- with no window, merging happens only
-    // when a later request overlaps an in-flight solve, so an uncontended
-    // query pays nothing.
-    if (opt_.coalesce_window_seconds > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(opt_.coalesce_window_seconds));
 
     std::vector<la::ZMatrix> own;
     bool own_done = false;

@@ -20,8 +20,7 @@
 //    monotonic -- though fields incremented by in-flight queries may lag one
 //    another by a query).
 //  * Concurrent sweep requests against ONE model COALESCE: a request landing
-//    while another request's sweep is in flight (or within the optional
-//    collection window) joins that leader's batch. The leader evaluates the
+//    while another request's sweep is in flight joins that leader's batch. The leader evaluates the
 //    UNION of the batch's distinct grid points as one blocked multi-RHS
 //    sweep and scatters per-request answers. Every grid point's value is a
 //    pure function of its shift, so a coalesced answer is BIT-IDENTICAL to
@@ -80,12 +79,6 @@ struct ServeStats {
 
 /// Engine-wide serving knobs.
 struct ServeOptions {
-    /// Extra collection window a sweep leader waits before evaluating its
-    /// batch, in seconds. 0 (the default) coalesces only requests that land
-    /// while another sweep on the same model is ALREADY in flight -- no
-    /// added latency when traffic is light. A small positive window trades
-    /// uncontended-query latency for larger merged batches at saturation.
-    double coalesce_window_seconds = 0.0;
     /// Bound on live per-model serving states across all shards: keyed
     /// models, family members and per-tolerance fallback builds all pin a
     /// model plus factorization caches, and parametric sweep traffic

@@ -166,13 +166,4 @@ ZVec BlockTriangularSolver::solve(Complex sigma, const ZVec& rhs) const {
     return out;
 }
 
-// ---------------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<ShiftedSolver> make_kron_sum3(std::shared_ptr<const la::ComplexSchur> schur_a) {
-    auto inner = std::make_shared<KronSum2Solver>(schur_a);
-    return std::make_shared<KronSumLeftSolver>(std::move(schur_a), std::move(inner));
-}
-
 }  // namespace atmor::tensor

@@ -74,10 +74,12 @@ private:
 /// Op = A (+) B with a small "outer" A (m x m, via Schur) and an arbitrary
 /// structured "inner" B (p x p): acts on vec(X), X in C^{p x m}, as
 /// vec(B X + X A^T). Solve runs a descending column recurrence; each column
-/// is one inner solve at a shifted sigma. The (+)^3 and G1 (+) Gt2 solvers
-/// of A3(H3) are this class; Gt2 (+) G1 needs no solver of its own, since its
-/// resolvent is a permutation of G1 (+) Gt2's (volterra reads the solution
-/// through that permutation).
+/// is one inner solve at a shifted sigma. A3(H3)'s one solver is this class
+/// over G1 (+) Gt2. Gt2 (+) G1 needs no solver of its own, since its
+/// resolvent is a permutation of G1 (+) Gt2's, and neither does (+)^3 G1:
+/// Gt2 is block upper triangular, so the rows of X in its G1 (+) G1 block
+/// solve (+)^3 G1 on their own (volterra reads both through slices of the
+/// one solution).
 class KronSumLeftSolver final : public ShiftedSolver {
 public:
     KronSumLeftSolver(std::shared_ptr<const la::ComplexSchur> outer_a,
@@ -112,8 +114,5 @@ private:
     sparse::SparseTensor3 coupling_;
     std::shared_ptr<const ShiftedSolver> low_;
 };
-
-/// Factory: Op = A (+) A (+) A on n^3, realised as A (+) (A (+) A).
-std::shared_ptr<ShiftedSolver> make_kron_sum3(std::shared_ptr<const la::ComplexSchur> schur_a);
 
 }  // namespace atmor::tensor

@@ -1,5 +1,6 @@
 #include "volterra/associated.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
 
@@ -85,22 +86,11 @@ const std::shared_ptr<tensor::BlockTriangularSolver>& AssociatedTransform::gtild
     return gt2_;
 }
 
-la::ZVec AssociatedTransform::resolvent(Complex s, const ZVec& rhs) const {
-    return backend_->solve_shifted(sys_.g1_op(), s, rhs);
-}
-
 const std::shared_ptr<tensor::ShiftedSolver>& AssociatedTransform::m1_solver() const {
     ensure_schur();
     std::lock_guard<std::mutex> lock(lazy_mutex_);
     if (!m1_) m1_ = std::make_shared<tensor::KronSumLeftSolver>(schur_, gt2_);
     return m1_;
-}
-
-const std::shared_ptr<tensor::ShiftedSolver>& AssociatedTransform::ks3_solver() const {
-    ensure_schur();
-    std::lock_guard<std::mutex> lock(lazy_mutex_);
-    if (!ks3_) ks3_ = tensor::make_kron_sum3(schur_);
-    return ks3_;
 }
 
 ZVec AssociatedTransform::sym_lift(int i, int j) const {
@@ -131,15 +121,16 @@ ZVec AssociatedTransform::btilde2(int i, int j) const {
     return out;
 }
 
-ZVec AssociatedTransform::slice_m1(const ZVec& u) const {
-    // (I_n (x) c~2) vec(X), X in C^{p x n}: keep the first n rows of X.
-    const int n = sys_.order();
-    const int p = n + n * n;
-    ZVec out(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j)
-            out[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(j)] =
-                u[static_cast<std::size_t>(i) * p + static_cast<std::size_t>(j)];
+ZVec AssociatedTransform::column_rows(const ZVec& u, int first, int count) const {
+    // Column i of X in C^{p x n} sits at u[i*p]: keep its rows
+    // [first, first + count), columns one after another.
+    const std::size_t n = static_cast<std::size_t>(sys_.order());
+    const std::size_t p = n + n * n;
+    const std::size_t len = static_cast<std::size_t>(count);
+    ZVec out(n * len);
+    for (std::size_t i = 0; i < n; ++i)
+        std::copy_n(u.begin() + static_cast<std::ptrdiff_t>(i * p) + first, len,
+                    out.begin() + static_cast<std::ptrdiff_t>(i * len));
     return out;
 }
 
@@ -153,85 +144,6 @@ ZVec AssociatedTransform::slice_m2(const ZVec& u) const {
         for (int i = 0; i < n; ++i)
             out[static_cast<std::size_t>(alpha) * n + static_cast<std::size_t>(i)] =
                 u[static_cast<std::size_t>(i) * p + static_cast<std::size_t>(alpha)];
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// Pointwise evaluation
-// ---------------------------------------------------------------------------
-
-ZMatrix AssociatedTransform::h1(Complex s) const {
-    const int n = sys_.order(), m = sys_.inputs();
-    // All m input columns in one blocked solve (single factor pass).
-    ZMatrix b(n, m);
-    for (int i = 0; i < m; ++i) b.set_col(i, la::complexify(sys_.b_col(i)));
-    return backend_->solve_shifted(sys_.g1_op(), s, b);
-}
-
-ZMatrix AssociatedTransform::a2h2(Complex s) const {
-    const int n = sys_.order(), m = sys_.inputs();
-    ZMatrix out(n, m * m);
-    if (!sys_.has_quadratic() && !sys_.has_bilinear()) return out;
-    for (int i = 0; i < m; ++i) {
-        for (int j = i; j < m; ++j) {
-            ZVec g = d0(i, j);
-            if (sys_.has_quadratic()) {
-                const ZVec w = kron_sum2()->solve(s, sym_lift(i, j));
-                la::axpy(Complex(1), sys_.g2().apply_lifted(w), g);
-            }
-            const ZVec col = resolvent(s, g);
-            out.set_col(i * m + j, col);
-            if (i != j) out.set_col(j * m + i, col);
-        }
-    }
-    return out;
-}
-
-ZMatrix AssociatedTransform::a3h3(Complex s) const {
-    const int n = sys_.order(), m = sys_.inputs();
-    ZMatrix out(n, m * m * m);
-    const bool h2_alive = sys_.has_quadratic() || sys_.has_bilinear();
-    const bool g2_part = sys_.has_quadratic() && h2_alive;
-    const bool d1_part = sys_.has_bilinear();
-    if (!g2_part && !d1_part && !sys_.has_cubic()) return out;
-
-    for (int i = 0; i < m; ++i) {
-        for (int j = i; j < m; ++j) {
-            for (int k = j; k < m; ++k) {
-                ZVec acc(static_cast<std::size_t>(n), Complex(0));
-                if (g2_part || d1_part) {
-                    for (const auto& as : dedup_assignments(i, j, k)) {
-                        const Complex w(as.weight / 3.0, 0.0);
-                        if (g2_part) {
-                            const ZVec beta =
-                                tensor::kron(la::complexify(sys_.b_col(as.a)),
-                                             btilde2(as.b, as.c));
-                            const ZVec u = m1_solver()->solve(s, beta);
-                            la::axpy(w, sys_.g2().apply_lifted(slice_m1(u)), acc);
-                            la::axpy(w, sys_.g2().apply_lifted(slice_m2(u)), acc);
-                        }
-                        if (d1_part)
-                            la::axpy(w, sys_.apply_d1(as.a, d0(as.b, as.c)), acc);
-                    }
-                }
-                if (sys_.has_cubic()) {
-                    ZVec gamma(static_cast<std::size_t>(n) * n * n, Complex(0));
-                    for (const auto& perm : permutations3(i, j, k)) {
-                        const la::Vec g = tensor::kron3(sys_.b_col(perm[0]), sys_.b_col(perm[1]),
-                                                        sys_.b_col(perm[2]));
-                        for (std::size_t idx = 0; idx < gamma.size(); ++idx)
-                            gamma[idx] += Complex(g[idx] / 6.0, 0.0);
-                    }
-                    const ZVec w3 = ks3_solver()->solve(s, gamma);
-                    la::axpy(Complex(1), sys_.g3().apply_lifted(w3), acc);
-                }
-                const ZVec col = resolvent(s, acc);
-                // Symmetric in (i, j, k): replicate over all index orderings.
-                for (const auto& perm : permutations3(i, j, k))
-                    out.set_col((perm[0] * m + perm[1]) * m + perm[2], col);
-            }
-        }
-    }
     return out;
 }
 
@@ -323,7 +235,8 @@ std::vector<ZMatrix> AssociatedTransform::a3h3_moments(int count, Complex sigma0
     std::vector<ZMatrix> inner(static_cast<std::size_t>(count), ZMatrix(n, m * m * m));
     const bool g2_part = sys_.has_quadratic();
     const bool d1_part = sys_.has_bilinear();
-    if (count == 0 || (!g2_part && !d1_part && !sys_.has_cubic()))
+    const bool g3_part = sys_.has_cubic();
+    if (count == 0 || (!g2_part && !d1_part && !g3_part))
         return std::vector<ZMatrix>(static_cast<std::size_t>(count), ZMatrix(n, m * m * m));
 
     for (int i = 0; i < m; ++i) {
@@ -331,37 +244,27 @@ std::vector<ZMatrix> AssociatedTransform::a3h3_moments(int count, Complex sigma0
             for (int k = j; k < m; ++k) {
                 std::vector<ZVec> cols(static_cast<std::size_t>(count),
                                        ZVec(static_cast<std::size_t>(n), Complex(0)));
+                // The weights w sum b_a (x) sym(b_b (x) b_c) to sym(b_i (x) b_j (x) b_k),
+                // so the chains' lower blocks also carry the G3 term.
                 for (const auto& as : dedup_assignments(i, j, k)) {
                     const Complex w(as.weight / 3.0, 0.0);
                     if (d1_part)
                         la::axpy(w, sys_.apply_d1(as.a, d0(as.b, as.c)), cols[0]);
-                    if (g2_part) {
-                        ZVec u = tensor::kron(la::complexify(sys_.b_col(as.a)),
-                                              btilde2(as.b, as.c));
-                        for (int c = 0; c < count; ++c) {
-                            u = m1_solver()->solve(sigma0, u);
-                            const Complex sign = (c % 2 == 1) ? Complex(-1) : Complex(1);
-                            la::axpy(w * sign, sys_.g2().apply_lifted(slice_m1(u)),
-                                     cols[static_cast<std::size_t>(c)]);
-                            la::axpy(w * sign, sys_.g2().apply_lifted(slice_m2(u)),
-                                     cols[static_cast<std::size_t>(c)]);
-                        }
-                    }
-                }
-                if (sys_.has_cubic()) {
-                    ZVec gamma(static_cast<std::size_t>(n) * n * n, Complex(0));
-                    for (const auto& perm : permutations3(i, j, k)) {
-                        const la::Vec g = tensor::kron3(sys_.b_col(perm[0]), sys_.b_col(perm[1]),
-                                                        sys_.b_col(perm[2]));
-                        for (std::size_t idx = 0; idx < gamma.size(); ++idx)
-                            gamma[idx] += Complex(g[idx] / 6.0, 0.0);
-                    }
-                    ZVec u = std::move(gamma);
+                    if (!g2_part && !g3_part) continue;
+                    ZVec u = tensor::kron(la::complexify(sys_.b_col(as.a)), btilde2(as.b, as.c));
                     for (int c = 0; c < count; ++c) {
-                        u = ks3_solver()->solve(sigma0, u);
+                        u = m1_solver()->solve(sigma0, u);
                         const Complex sign = (c % 2 == 1) ? Complex(-1) : Complex(1);
-                        la::axpy(sign, sys_.g3().apply_lifted(u),
-                                 cols[static_cast<std::size_t>(c)]);
+                        ZVec& col = cols[static_cast<std::size_t>(c)];
+                        if (g2_part) {
+                            const ZVec top = column_rows(u, 0, n);
+                            la::axpy(w * sign, sys_.g2().apply_lifted(top), col);
+                            la::axpy(w * sign, sys_.g2().apply_lifted(slice_m2(u)), col);
+                        }
+                        if (g3_part) {
+                            const ZVec low = column_rows(u, n, n * n);
+                            la::axpy(w * sign, sys_.g3().apply_lifted(low), col);
+                        }
                     }
                 }
                 for (int c = 0; c < count; ++c)

@@ -12,13 +12,17 @@
 //                    + (c~2 (x) I)(sI - Gt2 (+) G1)^{-1}(b~2 (x) b),
 //
 // where Gt2 = [[G1, G2], [0, G1 (+) G1]], b~2 = [d0; b~], c~2 = [I 0] is the
-// (n + n^2)-order realisation of A2(H2). All resolvents are evaluated through
-// the structured solvers (tensor::), so nothing of size n^2 or larger is ever
-// factorised densely.
+// (n + n^2)-order realisation of A2(H2). Gt2 is block upper triangular, so
+// the lower n^3 block of the G1 (+) Gt2 resolvent is the (+)^3 G1 resolvent
+// applied to b (x) b~: one G1 (+) Gt2 chain per input assignment feeds both
+// the G2 and the G3 term, and b(x)3 is the weighted sum of those lower
+// blocks. All resolvents are evaluated through the structured solvers
+// (tensor::), so nothing of size n^2 or larger is ever factorised densely.
 //
-// This class provides pointwise evaluation of the associated transfer
-// functions and their moment sequences about arbitrary complex expansion
-// points -- the inputs to the proposed MOR (core::AtMor).
+// This class provides the moment sequences of the associated transfer
+// functions about arbitrary complex expansion points -- the inputs to the
+// proposed MOR (core::AtMor). The zeroth moment at s is the transfer
+// function's value there.
 #pragma once
 
 #include <memory>
@@ -44,17 +48,10 @@ public:
     explicit AssociatedTransform(Qldae sys,
                                  std::shared_ptr<la::SolverBackend> backend = nullptr);
 
-    /// H1(s) = (sI - G1)^{-1} B : n x m.
-    [[nodiscard]] la::ZMatrix h1(la::Complex s) const;
-
-    /// A2(H2)(s) : n x m^2 (column i*m + j for the ordered input pair).
-    [[nodiscard]] la::ZMatrix a2h2(la::Complex s) const;
-
-    /// A3(H3)(s) : n x m^3 (column (i*m + j)*m + k).
-    [[nodiscard]] la::ZMatrix a3h3(la::Complex s) const;
-
     /// Moment sequences about sigma0: the j-th element is the j-th Taylor
     /// coefficient of the associated transfer function in (s - sigma0).
+    /// H1 is n x m, A2(H2) n x m^2 (column i*m + j for the ordered input
+    /// pair) and A3(H3) n x m^3 (column (i*m + j)*m + k).
     [[nodiscard]] std::vector<la::ZMatrix> h1_moments(int count, la::Complex sigma0) const;
     [[nodiscard]] std::vector<la::ZMatrix> a2h2_moments(int count, la::Complex sigma0) const;
     [[nodiscard]] std::vector<la::ZMatrix> a3h3_moments(int count, la::Complex sigma0) const;
@@ -81,20 +78,18 @@ private:
     /// sym(b_i (x) b_j) lifted vector (length n^2).
     [[nodiscard]] la::ZVec sym_lift(int i, int j) const;
 
-    /// (I (x) c~2) slice of a vec(X), X in C^{(n+n^2) x n}.
-    [[nodiscard]] la::ZVec slice_m1(const la::ZVec& u) const;
+    /// Rows [first, first + count) of every column of X in C^{(n+n^2) x n},
+    /// from vec(X): rows 0..n are the (I (x) c~2) slice, rows n..n+n^2 the
+    /// (+)^3 G1 block.
+    [[nodiscard]] la::ZVec column_rows(const la::ZVec& u, int first, int count) const;
     /// (c~2 (x) I) slice after commutation (read directly, no copy of u).
     [[nodiscard]] la::ZVec slice_m2(const la::ZVec& u) const;
-
-    /// (sI - G1)^{-1} rhs through the backend's factorization cache.
-    [[nodiscard]] la::ZVec resolvent(la::Complex s, const la::ZVec& rhs) const;
 
     /// Build the Schur factors + Kronecker solvers on demand.
     void ensure_schur() const;
 
-    /// Lazily built big solvers.
+    /// Lazily built G1 (+) Gt2 solver.
     const std::shared_ptr<tensor::ShiftedSolver>& m1_solver() const;
-    const std::shared_ptr<tensor::ShiftedSolver>& ks3_solver() const;
 
     /// Inner moment sequences g_c (n-vectors per column) of the bracketed
     /// part of A2(H2)/A3(H3), composed with the leading resolvent series.
@@ -111,8 +106,7 @@ private:
     mutable std::shared_ptr<const la::ComplexSchur> schur_;
     mutable std::shared_ptr<tensor::KronSum2Solver> ks2_;
     mutable std::shared_ptr<tensor::BlockTriangularSolver> gt2_;
-    mutable std::shared_ptr<tensor::ShiftedSolver> m1_;   // G1 (+) Gt2
-    mutable std::shared_ptr<tensor::ShiftedSolver> ks3_;  // (+)^3 G1
+    mutable std::shared_ptr<tensor::ShiftedSolver> m1_;  // G1 (+) Gt2
 };
 
 }  // namespace atmor::volterra

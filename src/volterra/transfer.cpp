@@ -130,21 +130,8 @@ std::vector<ZMatrix> TransferEvaluator::output_h1_sweep(const std::vector<Comple
         [&](long p) { return output_h1(grid[static_cast<std::size_t>(p)]); });
 }
 
-std::vector<ZMatrix> TransferEvaluator::output_h2_diagonal_sweep(
-    const std::vector<Complex>& grid) const {
-    return util::ThreadPool::global().parallel_map<ZMatrix>(
-        0, static_cast<long>(grid.size()), [&](long p) {
-            const Complex s = grid[static_cast<std::size_t>(p)];
-            return output_h2(s, s);
-        });
-}
-
 ZMatrix TransferEvaluator::output_h2(Complex s1, Complex s2) const {
     return map_output(sys_.c(), h2(s1, s2));
-}
-
-ZMatrix TransferEvaluator::output_h3(Complex s1, Complex s2, Complex s3) const {
-    return map_output(sys_.c(), h3(s1, s2, s3));
 }
 
 HarmonicPrediction predict_harmonics(const TransferEvaluator& te, double omega,
@@ -155,6 +142,7 @@ HarmonicPrediction predict_harmonics(const TransferEvaluator& te, double omega,
                   "predict_harmonics: bad output index");
     const Complex jw(0.0, omega);
     const double half = 0.5 * amplitude;
+    const la::Matrix& c = te.system().c();
 
     HarmonicPrediction p;
     const int pair = input * m + input;
@@ -164,19 +152,8 @@ HarmonicPrediction predict_harmonics(const TransferEvaluator& te, double omega,
     p.second = half * half * te.output_h2(jw, jw)(output, pair);
     p.dc = 2.0 * half * half * te.output_h2(jw, std::conj(jw))(output, pair);
     // e^{3jwt}: H3(jw, jw, jw) (A/2)^3.
-    p.third = half * half * half * te.output_h3(jw, jw, jw)(output, triple);
+    p.third = half * half * half * map_output(c, te.h3(jw, jw, jw))(output, triple);
     return p;
-}
-
-std::vector<HarmonicPrediction> predict_harmonics_sweep(const TransferEvaluator& te,
-                                                        const std::vector<double>& omegas,
-                                                        double amplitude, int input,
-                                                        int output) {
-    return util::ThreadPool::global().parallel_map<HarmonicPrediction>(
-        0, static_cast<long>(omegas.size()), [&](long p) {
-            return predict_harmonics(te, omegas[static_cast<std::size_t>(p)], amplitude, input,
-                                     output);
-        });
 }
 
 TwoToneIntermod predict_intermod(const TransferEvaluator& te, const Tone& a, const Tone& b,
@@ -197,6 +174,7 @@ TwoToneIntermod predict_intermod(const TransferEvaluator& te, const Tone& a, con
     const int pair_ab = a.input * m + b.input;
     const int triple_aab = (a.input * m + a.input) * m + b.input;
     const int triple_bba = (b.input * m + b.input) * m + a.input;
+    const la::Matrix& c = te.system().c();
 
     // A product whose net frequency came out negative is reported at the
     // positive mirror: the coefficient of e^{+j|w|t} is the conjugate.
@@ -220,10 +198,10 @@ TwoToneIntermod predict_intermod(const TransferEvaluator& te, const Tone& a, con
     // simultaneous permutation symmetry.
     p.im3_low = at_positive(2.0 * a.omega - b.omega,
                             3.0 * ca * ca * std::conj(cb) *
-                                te.output_h3(ja, ja, -jb)(output, triple_aab));
+                                map_output(c, te.h3(ja, ja, -jb))(output, triple_aab));
     p.im3_high = at_positive(2.0 * b.omega - a.omega,
                              3.0 * cb * cb * std::conj(ca) *
-                                 te.output_h3(jb, jb, -ja)(output, triple_bba));
+                                 map_output(c, te.h3(jb, jb, -ja))(output, triple_bba));
     return p;
 }
 

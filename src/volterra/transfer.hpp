@@ -47,7 +47,6 @@ public:
     /// Output-mapped kernels y = C * Hn(...): l x m^n.
     [[nodiscard]] la::ZMatrix output_h1(la::Complex s) const;
     [[nodiscard]] la::ZMatrix output_h2(la::Complex s1, la::Complex s2) const;
-    [[nodiscard]] la::ZMatrix output_h3(la::Complex s1, la::Complex s2, la::Complex s3) const;
 
     /// Frequency-grid sweeps, parallelised across grid points on the global
     /// thread pool. Each point is an independent resolvent workload (its own
@@ -56,9 +55,6 @@ public:
     /// and match the pointwise evaluations exactly.
     [[nodiscard]] std::vector<la::ZMatrix> h1_sweep(const std::vector<la::Complex>& grid) const;
     [[nodiscard]] std::vector<la::ZMatrix> output_h1_sweep(
-        const std::vector<la::Complex>& grid) const;
-    /// Diagonal H2 sweep: H2(s, s) at each grid point.
-    [[nodiscard]] std::vector<la::ZMatrix> output_h2_diagonal_sweep(
         const std::vector<la::Complex>& grid) const;
 
     [[nodiscard]] const Qldae& system() const { return sys_; }
@@ -88,13 +84,6 @@ struct HarmonicPrediction {
 
 HarmonicPrediction predict_harmonics(const TransferEvaluator& te, double omega,
                                      double amplitude, int input = 0, int output = 0);
-
-/// Harmonic predictions over a frequency grid, parallelised across the grid
-/// (the paper's distortion-vs-frequency curves). Results land in grid order.
-std::vector<HarmonicPrediction> predict_harmonics_sweep(const TransferEvaluator& te,
-                                                        const std::vector<double>& omegas,
-                                                        double amplitude, int input = 0,
-                                                        int output = 0);
 
 /// One tone of a multi-tone drive u_input(t) = amplitude * sin(omega t +
 /// phase) -- the SIN convention of circuits::multi_tone_input and

@@ -91,20 +91,6 @@ TEST(KronSumLeftSolver, MatchesDenseOracle) {
     EXPECT_LT(la::dist2(res, rhs), 1e-8 * (1.0 + la::norm2(rhs)));
 }
 
-TEST(KronSum3, MatchesDenseTripleSum) {
-    util::Rng rng(1404);
-    const int n = 3;
-    const Matrix a = test::random_stable_matrix(n, rng);
-    auto solver = tn::make_kron_sum3(schur_of(a));
-    ASSERT_EQ(solver->dim(), n * n * n);
-    const Matrix ks3 = tn::kron_sum(a, tn::kron_sum(a, a));
-    const Complex sigma(0.15, -0.4);
-    const ZVec rhs = test::random_zvector(n * n * n, rng);
-    const ZVec x = solver->solve(sigma, rhs);
-    const ZVec x_ref = dense_shifted_solve(ks3, sigma, rhs);
-    EXPECT_LT(la::dist2(x, x_ref), 1e-8 * (1.0 + la::norm2(x_ref)));
-}
-
 TEST(BlockTriangularSolver, MatchesDenseBlockOracle) {
     // Gt2 = [[G1, G2], [0, G1 (+) G1]] exactly as in paper eq. (17).
     util::Rng rng(1405);
@@ -232,16 +218,6 @@ TEST(VecLayoutBitIdentity, G1KronSumGtilde2MatchesColumnForm) {
     const test::RefKronSumLeft ref(schur, ref_gt2);
     const ZVec rhs = sparse_kron_rhs(n, test::random_zvector(n + n * n, rng));
     expect_chain_bit_equal(solver, ref, rhs, Complex(1.0, 0.0));
-}
-
-TEST(VecLayoutBitIdentity, KronSum3MatchesColumnForm) {
-    util::Rng rng(1412);
-    const int n = 24;
-    auto schur = schur_of(test::random_stable_matrix(n, rng));
-    const auto solver = tn::make_kron_sum3(schur);
-    const test::RefKronSumLeft ref(schur, std::make_shared<test::RefKronSum2>(schur));
-    const ZVec rhs = sparse_kron_rhs(n, test::random_zvector(n * n, rng));
-    expect_chain_bit_equal(*solver, ref, rhs, Complex(0.2, -0.7));
 }
 
 }  // namespace

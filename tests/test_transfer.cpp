@@ -172,48 +172,23 @@ TEST(Transfer, SweepsMatchPointwiseAcrossThreadCounts) {
 
     std::vector<Complex> grid;
     for (int g = 0; g < 12; ++g) grid.emplace_back(0.1 * g, 0.5 + 0.3 * g);
-    std::vector<ZMatrix> h1_ref, y1_ref, y2_ref;
+    std::vector<ZMatrix> h1_ref, y1_ref;
     for (const Complex s : grid) {
         h1_ref.push_back(te.h1(s));
         y1_ref.push_back(te.output_h1(s));
-        y2_ref.push_back(te.output_h2(s, s));
     }
 
     for (int threads : {1, 4}) {
         util::ThreadPool::set_global_threads(threads);
         const auto h1 = te.h1_sweep(grid);
         const auto y1 = te.output_h1_sweep(grid);
-        const auto y2 = te.output_h2_diagonal_sweep(grid);
         ASSERT_EQ(h1.size(), grid.size());
         for (std::size_t p = 0; p < grid.size(); ++p) {
             EXPECT_LT(la::max_abs(h1[p] - h1_ref[p]), 1e-14) << "threads " << threads;
             EXPECT_LT(la::max_abs(y1[p] - y1_ref[p]), 1e-14) << "threads " << threads;
-            EXPECT_LT(la::max_abs(y2[p] - y2_ref[p]), 1e-13) << "threads " << threads;
         }
     }
     util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
-}
-
-TEST(Transfer, HarmonicSweepMatchesPointwise) {
-    util::Rng rng(2107);
-    test::QldaeOptions opt;
-    opt.n = 7;
-    const Qldae sys = test::random_qldae(opt, rng);
-    const TransferEvaluator te(sys);
-    const std::vector<double> omegas = {0.5, 1.0, 1.7, 2.4};
-
-    util::ThreadPool::set_global_threads(4);
-    const auto sweep = volterra::predict_harmonics_sweep(te, omegas, 0.3);
-    util::ThreadPool::set_global_threads(util::ThreadPool::default_thread_count());
-
-    ASSERT_EQ(sweep.size(), omegas.size());
-    for (std::size_t p = 0; p < omegas.size(); ++p) {
-        const auto ref = volterra::predict_harmonics(te, omegas[p], 0.3);
-        EXPECT_LT(std::abs(sweep[p].first - ref.first), 1e-13);
-        EXPECT_LT(std::abs(sweep[p].second - ref.second), 1e-13);
-        EXPECT_LT(std::abs(sweep[p].third - ref.third), 1e-13);
-        EXPECT_LT(std::abs(sweep[p].dc - ref.dc), 1e-13);
-    }
 }
 
 }  // namespace
