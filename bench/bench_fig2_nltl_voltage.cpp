@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
     ode::TransientOptions topt;
     topt.t_end = 30.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 100;
     const auto y_full = ode::simulate(full, input, topt);
     const auto y_rom = ode::simulate(result.rom, input, topt);

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     ode::TransientOptions topt;
     topt.t_end = 30.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 100;
     // Table 1's regime: the Jacobian is refactored every step (SPICE-style
     // Newton), so solve cost scales with model order as in the paper.

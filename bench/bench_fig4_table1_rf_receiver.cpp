@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
     ode::TransientOptions topt;
     topt.t_end = 20.0;
     topt.dt = 5e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 25;
     topt.refactor_every_step = true;  // Table-1 regime (see fig3 bench)
     const auto y_full = ode::simulate(full, input, topt);

@@ -531,8 +531,8 @@ void BM_DenseRomRhs(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseRomRhs)->Arg(8)->Arg(11)->Arg(16);
 
-/// The factorization of a Newton matrix I - theta*h*J at order q, as
-/// ode::run_implicit stamps it on a dense system.
+/// The factorization of a Newton matrix I - 0.5*h*J at order q, as
+/// ode::run_trapezoidal stamps it on a dense system.
 std::shared_ptr<const la::Factorization> newton_factorization(int q) {
     la::Matrix a = stable_matrix(q, 17);
     a *= 1e-3;
@@ -555,7 +555,7 @@ void BM_NewtonCorrectionLu(benchmark::State& state) {
 BENCHMARK(BM_NewtonCorrectionLu)->Arg(8)->Arg(11)->Arg(16);
 
 /// The same correction through the factorization's explicit inverse: one
-/// la::simd::gemv, as run_implicit applies it once a factorization has
+/// la::simd::gemv, as run_trapezoidal applies it once a factorization has
 /// served q substitutions.
 void BM_NewtonCorrectionInverse(benchmark::State& state) {
     const int q = static_cast<int>(state.range(0));

@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
     ode::TransientOptions topt;
     topt.t_end = 2.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 10;
     std::printf("\n-- batched transients (8 pulse scenarios, shared warm Jacobian) --\n");
     std::vector<double> batch_times;

@@ -122,7 +122,6 @@ int main(int argc, char** argv) {
     batch.raw_inputs = scenarios;
     batch.options.t_end = 30.0;
     batch.options.dt = 2e-3;
-    batch.options.method = ode::Method::trapezoidal;
     batch.options.record_stride = 100;
     const ode::TransientOptions topt = batch.options.to_options();
     rom::ServeRequest transient;

@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
     rom::TransientSpec topt;
     topt.t_end = 5.0;
     topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 50;
 
     // Per-class request handlers against an engine. warm_freq item i: even

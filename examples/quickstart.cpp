@@ -4,7 +4,9 @@
 //
 //   $ ./quickstart
 //
-// Walks through the complete public API surface in ~80 lines.
+// Walks through the complete public API surface in ~80 lines. Exits 1 when
+// the ROM's peak relative error exceeds 1e-3 or the reloaded artifact's
+// replay differs from the in-memory ROM's.
 #include <cstdio>
 
 #include "circuits/nltl.hpp"
@@ -44,14 +46,13 @@ int main() {
     ode::TransientOptions topt;
     topt.t_end = 15.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 50;
     const auto y_full = ode::simulate(full, input, topt);
     const auto y_rom = ode::simulate(result.rom, input, topt);
 
+    const double rom_error = ode::peak_relative_error(y_full, y_rom);
     std::printf("transient: full %.3f s, ROM %.3f s, peak relative error %.2e\n",
-                y_full.solve_seconds, y_rom.solve_seconds,
-                ode::peak_relative_error(y_full, y_rom));
+                y_full.solve_seconds, y_rom.solve_seconds, rom_error);
 
     std::printf("\n%-8s %-14s %-14s\n", "t", "y_full", "y_rom");
     for (std::size_t r = 0; r < y_full.t.size(); r += 15)
@@ -65,9 +66,14 @@ int main() {
     rom::save_model(artifact, "quickstart.atmor-rom");
     const rom::ReducedModel loaded = rom::load_model("quickstart.atmor-rom");
     const auto y_loaded = ode::simulate(loaded.rom, input, topt);
+    const bool replay_exact = ode::peak_relative_error(y_rom, y_loaded) == 0.0;
     std::printf("\nsaved + reloaded quickstart.atmor-rom: source \"%s\", order %d, "
                 "replay matches in-memory ROM: %s\n",
                 loaded.provenance.source.c_str(), loaded.order,
-                ode::peak_relative_error(y_rom, y_loaded) == 0.0 ? "bit-exact" : "DIVERGED");
-    return 0;
+                replay_exact ? "bit-exact" : "DIVERGED");
+    if (rom_error > 1e-3) {
+        std::printf("FAIL: ROM peak relative error %.2e exceeds 1e-3\n", rom_error);
+        return 1;
+    }
+    return replay_exact ? 0 : 1;
 }

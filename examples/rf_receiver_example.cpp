@@ -30,7 +30,6 @@ int main() {
     ode::TransientOptions topt;
     topt.t_end = 20.0;
     topt.dt = 5e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 40;
     const auto y_full = ode::simulate(full, input, topt);
     const auto y_rom = ode::simulate(result.rom, input, topt);

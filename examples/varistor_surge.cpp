@@ -30,7 +30,6 @@ int main() {
     ode::TransientOptions topt;
     topt.t_end = 30.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 150;
     const auto y_full = ode::simulate(full, surge, topt);
     const auto y_rom = ode::simulate(result.rom, surge, topt);

@@ -89,9 +89,4 @@ ode::InputFn combine_inputs(std::vector<ode::InputFn> components) {
     };
 }
 
-ode::InputFn zero_input(int arity) {
-    ATMOR_REQUIRE(arity >= 1, "zero_input: arity >= 1");
-    return [=](double) { return Vec(static_cast<std::size_t>(arity), 0.0); };
-}
-
 }  // namespace atmor::circuits

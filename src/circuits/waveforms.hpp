@@ -34,7 +34,4 @@ ode::InputFn am_input(double amplitude, double carrier_hz, double mod_hz, double
 /// Multi-input wrapper: each component from its own scalar waveform.
 ode::InputFn combine_inputs(std::vector<ode::InputFn> components);
 
-/// Zero input of the given arity.
-ode::InputFn zero_input(int arity);
-
 }  // namespace atmor::circuits

@@ -1,7 +1,7 @@
 // Dense LU factorisation with partial pivoting, real and complex.
 //
 // The factor object is reusable across many right-hand sides, which is how
-// the transient integrators (modified Newton) and resolvent evaluations use
+// the transient integrator (modified Newton) and resolvent evaluations use
 // it: factor once per (matrix, shift), solve thousands of times.
 #pragma once
 

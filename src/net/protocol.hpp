@@ -24,7 +24,7 @@ namespace atmor::net {
 
 /// Bumped on any frame-layout or serve_api payload-layout change; a daemon
 /// only ever speaks one version (no best-effort parsing of future frames).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Frames a peer may send without being cut off. Generous: a response
 /// carrying dense sweep matrices is megabytes, not gigabytes. The daemon's

@@ -22,11 +22,15 @@ using volterra::Qldae;
 
 namespace {
 
+/// Newton convergence: |r|_inf <= kNewtonTol * (1 + |xn|_inf) within
+/// kNewtonMaxIter iterations per attempt.
+constexpr double kNewtonTol = 1e-10;
+constexpr int kNewtonMaxIter = 25;
+
 /// Fixed steps covering [0, t_end] at step size at most dt. Every entry
 /// point calls it before any work: a non-finite or non-positive t_end or dt,
-/// a count past the range of long, a record stride below 1, or Newton
-/// controls under which no step can converge (newton_tol not finite and
-/// positive, newton_max_iter < 1) are the caller's error.
+/// a count past the range of long, or a record stride below 1 are the
+/// caller's error.
 long step_count(const TransientOptions& opt) {
     ATMOR_REQUIRE(std::isfinite(opt.t_end) && opt.t_end > 0.0 && std::isfinite(opt.dt) &&
                       opt.dt > 0.0,
@@ -37,11 +41,6 @@ long step_count(const TransientOptions& opt) {
                   "transient: t_end / dt = " << steps << " steps does not fit in a long");
     ATMOR_REQUIRE(opt.record_stride >= 1,
                   "transient: record_stride = " << opt.record_stride << ", need >= 1");
-    ATMOR_REQUIRE(std::isfinite(opt.newton_tol) && opt.newton_tol > 0.0 &&
-                      opt.newton_max_iter >= 1,
-                  "transient: need a finite positive newton_tol and newton_max_iter >= 1 "
-                  "(newton_tol = "
-                      << opt.newton_tol << ", newton_max_iter = " << opt.newton_max_iter << ")");
     return std::lround(steps);
 }
 
@@ -55,54 +54,19 @@ void record(TransientResult& res, const Qldae& sys, double t, const Vec& x) {
     res.y.push_back(std::move(y));
 }
 
-Vec rk4_step(const Qldae& sys, const InputFn& u, double t, double h, const Vec& x) {
-    const Vec k1 = sys.rhs(x, u(t));
-    Vec x2 = x;
-    la::axpy(0.5 * h, k1, x2);
-    const Vec k2 = sys.rhs(x2, u(t + 0.5 * h));
-    Vec x3 = x;
-    la::axpy(0.5 * h, k2, x3);
-    const Vec k3 = sys.rhs(x3, u(t + 0.5 * h));
-    Vec x4 = x;
-    la::axpy(h, k3, x4);
-    const Vec k4 = sys.rhs(x4, u(t + h));
-    Vec out = x;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] += (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    return out;
-}
-
-TransientResult run_rk4(const Qldae& sys, const InputFn& u, const TransientOptions& opt,
-                        Vec x) {
-    TransientResult res;
-    const long nsteps = step_count(opt);
-    const double h = opt.t_end / static_cast<double>(nsteps);
-    record(res, sys, 0.0, x);
-    for (long s = 0; s < nsteps; ++s) {
-        x = rk4_step(sys, u, h * static_cast<double>(s), h, x);
-        ++res.steps;
-        // Recorded on the implicit methods' grid t_s = h*s, so their traces
-        // compare sample for sample.
-        if ((s + 1) % opt.record_stride == 0 || s + 1 == nsteps)
-            record(res, sys, h * static_cast<double>(s + 1), x);
-    }
-    res.x_final = std::move(x);
-    return res;
-}
-
-/// Newton residual r = xn - x + c0*f0 + c1*f1 and its and xn's infinity
+/// Newton residual r = xn - x + c*f0 + c*f1 and its and xn's infinity
 /// norms in one pass. Each entry takes the operations of three la::axpy
 /// passes in their order (never fused), and a NaN entry makes its norm NaN,
 /// as la::norm_inf does, so a NaN iterate never converges.
 std::pair<double, double> newton_residual(const Vec& xn, const Vec& x, const Vec& f0,
-                                          const Vec& f1, double c0, double c1, Vec& r) {
+                                          const Vec& f1, double c, Vec& r) {
     double rnorm = 0.0;
     double xnorm = 0.0;
     for (std::size_t i = 0; i < xn.size(); ++i) {
         double ri = xn[i];
         ri += -1.0 * x[i];
-        ri += c0 * f0[i];
-        ri += c1 * f1[i];
+        ri += c * f0[i];
+        ri += c * f1[i];
         r[i] = ri;
         const double ar = std::abs(ri);
         const double ax = std::abs(xn[i]);
@@ -112,38 +76,36 @@ std::pair<double, double> newton_residual(const Vec& xn, const Vec& x, const Vec
     return {rnorm, xnorm};
 }
 
-/// The scaled Newton-system operator theta*h*J stamped at a linearisation
-/// point; I - theta*h*J is then (shift*I - A) with shift = 1. Sparse systems
+/// The scaled Newton-system operator 0.5*h*J stamped at a linearisation
+/// point; I - 0.5*h*J is then (shift*I - A) with shift = 1. Sparse systems
 /// stamp the Jacobian as COO; dense systems materialise it.
 std::shared_ptr<const la::LinearOperator> stamp_newton_operator(const Qldae& sys,
                                                                 const Vec& x_lin,
                                                                 const Vec& u_lin,
-                                                                double theta_h) {
+                                                                double h) {
     if (sys.is_sparse()) {
         return la::make_sparse_operator(
-            sparse::CsrMatrix(sys.jacobian_coo(x_lin, u_lin, theta_h)));
+            sparse::CsrMatrix(sys.jacobian_coo(x_lin, u_lin, 0.5 * h)));
     }
     Matrix j = sys.jacobian(x_lin, u_lin);
-    j *= theta_h;
+    j *= 0.5 * h;
     return la::make_dense_operator(std::move(j));
 }
 
-/// Implicit one-step methods (trapezoidal / backward Euler) with a modified
-/// Newton corrector. theta = 1/2 gives trapezoidal, theta = 1 backward Euler.
-/// @param warm optional pre-built factorisation of I - theta*h*J shared
+/// The trapezoidal rule with a modified Newton corrector.
+/// @param warm optional pre-built factorisation of I - 0.5*h*J shared
 ///        read-only with other scenarios of a batch; this run refactors
 ///        privately the moment convergence degrades.
-TransientResult run_implicit(const Qldae& sys, const InputFn& u, const TransientOptions& opt,
-                             Vec x, double theta,
-                             std::shared_ptr<la::SolverBackend> backend = nullptr,
-                             std::shared_ptr<const la::Factorization> warm = nullptr) {
+TransientResult run_trapezoidal(const Qldae& sys, const InputFn& u, const TransientOptions& opt,
+                                Vec x, std::shared_ptr<la::SolverBackend> backend = nullptr,
+                                std::shared_ptr<const la::Factorization> warm = nullptr) {
     TransientResult res;
     const long nsteps = step_count(opt);
     const double h = opt.t_end / static_cast<double>(nsteps);
     record(res, sys, 0.0, x);
 
-    // Newton matrix I - theta*h*J == (shift*I - A) with shift = 1 and
-    // A = theta*h*J: exactly the shifted form the solver backend caches.
+    // Newton matrix I - 0.5*h*J == (shift*I - A) with shift = 1 and
+    // A = 0.5*h*J: exactly the shifted form the solver backend caches.
     // The factorisation is reused across Newton iterations and steps until
     // `refactor` is called.
     //
@@ -162,7 +124,7 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
     Matrix neg_inverse;  // empty while jac_fact substitutes
     std::size_t substitutions = 0;
     auto refactor = [&](const Vec& x_lin, const Vec& u_lin) {
-        const auto a_op = stamp_newton_operator(sys, x_lin, u_lin, theta * h);
+        const auto a_op = stamp_newton_operator(sys, x_lin, u_lin, h);
         // Uncached factorisation: the operator is freshly stamped, so its id
         // would never be looked up again and would only pollute the cache.
         jac_fact = backend->factorize(*a_op, la::Complex(1.0, 0.0));
@@ -179,8 +141,7 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
     Vec xn(n), f0(n), f1(n), r(n), dx(n), work;
     Vec u1 = u(0.0);
     sys.rhs_into(x, u1, f0, work);
-    const double c0 = -h * (1.0 - theta);
-    const double c1 = -h * theta;
+    const double c = -h * 0.5;
     for (long s = 0; s < nsteps; ++s) {
         const double t1 = h * static_cast<double>(s + 1);
         u1 = u(t1);
@@ -194,14 +155,14 @@ TransientResult run_implicit(const Qldae& sys, const InputFn& u, const Transient
         bool finite = true;
         constexpr int kAttempts = 2;
         for (int attempt = 0; attempt < kAttempts && !converged && finite; ++attempt) {
-            for (int it = 0; it < opt.newton_max_iter; ++it) {
+            for (int it = 0; it < kNewtonMaxIter; ++it) {
                 sys.rhs_into(xn, u1, f1, work);
                 ++res.newton_iterations;
-                const auto [rnorm, xnorm] = newton_residual(xn, x, f0, f1, c0, c1, r);
+                const auto [rnorm, xnorm] = newton_residual(xn, x, f0, f1, c, r);
                 // inf <= tol * (1 + inf) holds: only a finite iterate converges.
                 finite = std::isfinite(rnorm) && std::isfinite(xnorm);
                 if (!finite) break;
-                if (rnorm <= opt.newton_tol * (1.0 + xnorm)) {
+                if (rnorm <= kNewtonTol * (1.0 + xnorm)) {
                     converged = true;
                     break;
                 }
@@ -254,18 +215,7 @@ TransientResult simulate(const Qldae& sys, const InputFn& input, const Transient
                   "simulate: input arity mismatch");
 
     util::Timer timer;
-    TransientResult res;
-    switch (opt.method) {
-        case Method::rk4:
-            res = run_rk4(sys, input, opt, std::move(x));
-            break;
-        case Method::trapezoidal:
-            res = run_implicit(sys, input, opt, std::move(x), 0.5);
-            break;
-        case Method::backward_euler:
-            res = run_implicit(sys, input, opt, std::move(x), 1.0);
-            break;
-    }
+    TransientResult res = run_trapezoidal(sys, input, opt, std::move(x));
     res.solve_seconds = timer.seconds();
     return res;
 }
@@ -281,12 +231,8 @@ WarmStart make_warm_start(const Qldae& sys, const TransientOptions& opt, const l
 
     WarmStart warm;
     warm.backend = opt.backend ? opt.backend : la::make_default_backend(sys.g1_op());
-    const bool implicit =
-        opt.method == Method::trapezoidal || opt.method == Method::backward_euler;
-    if (!implicit) return warm;  // explicit methods have nothing to warm
-    const double theta = opt.method == Method::backward_euler ? 1.0 : 0.5;
     const double h = opt.t_end / static_cast<double>(nsteps);
-    const auto a_op = stamp_newton_operator(sys, x, u, theta * h);
+    const auto a_op = stamp_newton_operator(sys, x, u, h);
     warm.factorization = warm.backend->factorize(*a_op, la::Complex(1.0, 0.0));
     return warm;
 }
@@ -310,11 +256,10 @@ std::vector<TransientResult> simulate_batch(const Qldae& sys, const std::vector<
         ATMOR_REQUIRE(static_cast<int>(u(0.0).size()) == sys.inputs(),
                       "simulate_batch: input arity mismatch");
 
-    const double theta = opt.method == Method::backward_euler ? 1.0 : 0.5;
     // The warm handle is immutable, so the threads solve against it
     // concurrently without locking; scenarios whose waveforms drive the state
     // far from the linearisation point refactor privately inside
-    // run_implicit.
+    // run_trapezoidal.
     std::shared_ptr<la::SolverBackend> backend =
         warm.backend ? warm.backend
                      : (opt.backend ? opt.backend : la::make_default_backend(sys.g1_op()));
@@ -323,16 +268,7 @@ std::vector<TransientResult> simulate_batch(const Qldae& sys, const std::vector<
         0, static_cast<long>(inputs.size()), [&](long p) {
             const InputFn& u = inputs[static_cast<std::size_t>(p)];
             util::Timer timer;
-            TransientResult res;
-            switch (opt.method) {
-                case Method::rk4:
-                    res = run_rk4(sys, u, opt, x);
-                    break;
-                case Method::trapezoidal:
-                case Method::backward_euler:
-                    res = run_implicit(sys, u, opt, x, theta, backend, warm.factorization);
-                    break;
-            }
+            TransientResult res = run_trapezoidal(sys, u, opt, x, backend, warm.factorization);
             res.solve_seconds = timer.seconds();
             return res;
         });

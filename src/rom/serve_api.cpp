@@ -18,13 +18,13 @@ namespace {
 // Smallest encoded size of each record a decoded count announces; the
 // decoders bound every count by it through Reader::count before they
 // reserve or loop. Vec: its u64 length. Grid point: two f64. ZMatrix: rows
-// and cols i32. WaveformSpec: kind u8, arity i32 and eight f64 fields.
+// and cols i32. WaveformSpec: kind u8 and eight f64 fields.
 // TransientResult: t, row count and x_final (8 bytes each when empty), then
 // three u64 counters.
 constexpr std::size_t kVecBytes = 8;
 constexpr std::size_t kComplexBytes = 2 * 8;
 constexpr std::size_t kZMatrixBytes = 2 * 4;
-constexpr std::size_t kWaveformBytes = 1 + 4 + 8 * 8;
+constexpr std::size_t kWaveformBytes = 1 + 8 * 8;
 constexpr std::size_t kTransientBytes = 3 * 8 + 3 * 8;
 
 }  // namespace
@@ -76,13 +76,6 @@ std::string ModelRef::cache_key() const {
 // ---------------------------------------------------------------------------
 // WaveformSpec
 // ---------------------------------------------------------------------------
-
-WaveformSpec WaveformSpec::zero(int arity) {
-    WaveformSpec w;
-    w.kind = Kind::zero;
-    w.arity = arity;
-    return w;
-}
 
 WaveformSpec WaveformSpec::step(double amplitude, double t_on) {
     WaveformSpec w;
@@ -145,8 +138,6 @@ WaveformSpec WaveformSpec::am(double amplitude, double carrier_hz, double mod_hz
 
 ode::InputFn WaveformSpec::instantiate() const {
     switch (kind) {
-        case Kind::zero:
-            return circuits::zero_input(arity);
         case Kind::step:
             return circuits::step_input(amplitude, t_on);
         case Kind::pulse:
@@ -172,11 +163,7 @@ ode::TransientOptions TransientSpec::to_options() const {
     ode::TransientOptions opt;
     opt.t_end = t_end;
     opt.dt = dt;
-    opt.method = method;
     opt.record_stride = record_stride;
-    opt.newton_tol = newton_tol;
-    opt.newton_max_iter = newton_max_iter;
-    opt.refactor_every_step = refactor_every_step;
     return opt;
 }
 
@@ -220,7 +207,6 @@ ModelRef read_model_ref(Reader& r) {
 
 void write_waveform(Writer& w, const WaveformSpec& spec) {
     w.u8(static_cast<std::uint8_t>(spec.kind));
-    w.i32(spec.arity);
     w.f64(spec.amplitude);
     w.f64(spec.t_on);
     w.f64(spec.rise);
@@ -247,7 +233,6 @@ WaveformSpec read_waveform(Reader& r) {
     if (kind > static_cast<std::uint8_t>(WaveformSpec::Kind::am))
         fail_corrupt("unknown WaveformSpec kind");
     spec.kind = static_cast<WaveformSpec::Kind>(kind);
-    spec.arity = r.i32();
     spec.amplitude = r.f64();
     spec.t_on = r.f64();
     spec.rise = r.f64();
@@ -271,25 +256,14 @@ WaveformSpec read_waveform(Reader& r) {
 void write_transient_spec(Writer& w, const TransientSpec& s) {
     w.f64(s.t_end);
     w.f64(s.dt);
-    w.u8(static_cast<std::uint8_t>(s.method));
     w.i32(s.record_stride);
-    w.f64(s.newton_tol);
-    w.i32(s.newton_max_iter);
-    w.u8(s.refactor_every_step ? 1 : 0);
 }
 
 TransientSpec read_transient_spec(Reader& r) {
     TransientSpec s;
     s.t_end = r.f64();
     s.dt = r.f64();
-    const std::uint8_t method = r.u8();
-    if (method > static_cast<std::uint8_t>(ode::Method::backward_euler))
-        fail_corrupt("unknown ode::Method");
-    s.method = static_cast<ode::Method>(method);
     s.record_stride = r.i32();
-    s.newton_tol = r.f64();
-    s.newton_max_iter = r.i32();
-    s.refactor_every_step = r.u8() != 0;
     return s;
 }
 

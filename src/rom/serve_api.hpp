@@ -113,21 +113,20 @@ struct ModelRef {
     [[nodiscard]] std::string cache_key() const;
 };
 
-/// A typed, serializable input waveform: the parameter records behind the
-/// circuits::*_input factories, instantiable on either side of the wire.
+/// A typed, serializable single-input waveform: the parameter records behind
+/// the circuits::*_input factories, instantiable on either side of the wire.
+/// The default record, step(0), is the zero drive.
 struct WaveformSpec {
     enum class Kind : std::uint8_t {
-        zero = 0,
-        step = 1,
-        pulse = 2,
-        sine = 3,
-        surge = 4,
-        multi_tone = 5,  ///< sum of sin tones (intermodulation drives)
-        am = 6,          ///< amplitude-modulated carrier (envelope drives)
+        step = 0,
+        pulse = 1,
+        sine = 2,
+        surge = 3,
+        multi_tone = 4,  ///< sum of sin tones (intermodulation drives)
+        am = 5,          ///< amplitude-modulated carrier (envelope drives)
     };
 
-    Kind kind = Kind::zero;
-    int arity = 1;             ///< output vector length (zero kind); 1 otherwise
+    Kind kind = Kind::step;
     double amplitude = 0.0;    ///< also the am carrier amplitude
     double t_on = 0.0;         ///< step/pulse switch-on time
     double rise = 0.0;         ///< pulse rise span
@@ -144,7 +143,6 @@ struct WaveformSpec {
     std::vector<double> tones_hz;
     std::vector<double> tone_phases;
 
-    [[nodiscard]] static WaveformSpec zero(int arity = 1);
     [[nodiscard]] static WaveformSpec step(double amplitude, double t_on = 0.0);
     [[nodiscard]] static WaveformSpec pulse(double amplitude, double t_on, double rise,
                                             double t_off, double fall);
@@ -163,17 +161,14 @@ struct WaveformSpec {
     [[nodiscard]] ode::InputFn instantiate() const;
 };
 
-/// The serializable subset of ode::TransientOptions (everything but the
-/// caller-supplied backend, which the engine overrides with its own warm
-/// backend anyway).
+/// The wire form of ode::TransientOptions: the horizon, the fixed step and
+/// the record stride. A served transient runs the trapezoidal rule at its
+/// fixed Newton controls with modified Newton (refactor_every_step off) on
+/// the engine's own warm backend.
 struct TransientSpec {
     double t_end = 1.0;
     double dt = 1e-3;
-    ode::Method method = ode::Method::trapezoidal;
     int record_stride = 1;
-    double newton_tol = 1e-10;
-    int newton_max_iter = 25;
-    bool refactor_every_step = false;
 
     [[nodiscard]] ode::TransientOptions to_options() const;
 };

@@ -315,12 +315,12 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
     ode::TransientOptions o = opt;
     o.backend = st->transient_backend;
 
-    // Stamp the warm Newton factorisation once per (model, step size,
-    // method); every later batch with that configuration replays it, and
-    // clients alternating configurations each keep theirs. Stamped at the
-    // zero state/input (the rest state every deviation model starts from),
-    // so it is batch-content independent; a waveform that drives Newton off
-    // the linearisation refactors privately inside run_implicit.
+    // Stamp the warm Newton factorisation once per (model, t_end, dt); every
+    // later batch with that configuration replays it, and clients
+    // alternating configurations each keep theirs. Stamped at the zero
+    // state/input (the rest state every deviation model starts from), so it
+    // is batch-content independent; a waveform that drives Newton off the
+    // linearisation refactors privately inside the integrator.
     // A NaN horizon would break the ordering of the cache's keys, so it is
     // rejected before the lookup; make_warm_start rejects every other bad
     // horizon before an entry is evicted.
@@ -328,8 +328,7 @@ std::vector<ode::TransientResult> ServeEngine::run_transient_batch(
                   "transient: NaN t_end or dt (t_end = " << o.t_end << ", dt = " << o.dt << ")");
     ode::WarmStart warm;
     {
-        const auto config =
-            std::make_tuple(o.t_end, o.dt, static_cast<int>(o.method));
+        const auto config = std::make_pair(o.t_end, o.dt);
         std::lock_guard<std::mutex> lock(st->warm_mutex);
         auto it = st->warm.find(config);
         if (it == st->warm.end()) {

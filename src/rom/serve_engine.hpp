@@ -7,7 +7,7 @@
 // per-model TransferEvaluator whose resolvent backend caches factorisations
 // across queries (a repeated grid is pure cache hits). Transient batches ride
 // ode::simulate_batch's warm-factorisation path, with the warm Newton
-// Jacobian stamped ONCE per (model, step size, method) and replayed by every
+// Jacobian stamped ONCE per (model, horizon, step size) and replayed by every
 // later batch.
 //
 // Concurrency model (the serving claims are counters, not eyeballs):
@@ -38,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -109,7 +108,7 @@ public:
     /// coalescing with concurrent requests never changes the bits), fanned
     /// out across grid points. Transient batches answer one waveform per
     /// input, all sharing the model's warm Newton factorisation (stamped on
-    /// first use for the given step size/method, replayed afterwards).
+    /// first use for the given horizon and step size, replayed afterwards).
     /// Parametric queries locate the point's training cell in the hosted
     /// family, serve the certifying member's sweep with the cell's
     /// offline-certified error as the certificate, or route to the host's
@@ -172,13 +171,12 @@ private:
         /// sweep traffic.
         std::uint64_t last_used = 0;
         std::mutex warm_mutex;  ///< guards the warm-start map below
-        /// One warm Newton factorisation per transient configuration, so
-        /// clients alternating step sizes/methods each keep their replay.
+        /// One warm Newton factorisation per (t_end, dt), so clients
+        /// alternating horizons or step sizes each keep their replay.
         /// Bounded (kMaxWarmStarts in the .cpp) with least-recently-USED
         /// eviction via the tick, so a hot configuration is never the
         /// victim of colder ones.
-        std::map<std::tuple<double, double, int>, std::pair<ode::WarmStart, std::uint64_t>>
-            warm;
+        std::map<std::pair<double, double>, std::pair<ode::WarmStart, std::uint64_t>> warm;
         std::uint64_t warm_tick = 0;
     };
 

@@ -108,8 +108,8 @@ public:
     ///   G1 + G2 (I (x) x + x (x) I) + G3(...) + sum_i D1_i u_i.
     [[nodiscard]] la::Matrix jacobian(const la::Vec& x, const la::Vec& u) const;
 
-    /// Sparse COO stamp of scale * df/dx at (x, u) -- the implicit
-    /// integrators feed this to the sparse solver backend instead of
+    /// Sparse COO stamp of scale * df/dx at (x, u) -- the transient
+    /// integrator feeds this to the sparse solver backend instead of
     /// materialising a dense Jacobian.
     [[nodiscard]] sparse::CooBuilder jacobian_coo(const la::Vec& x, const la::Vec& u,
                                                   double scale = 1.0) const;

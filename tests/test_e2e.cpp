@@ -25,7 +25,6 @@ ode::TransientOptions trap_options(double t_end, double dt) {
     ode::TransientOptions opt;
     opt.t_end = t_end;
     opt.dt = dt;
-    opt.method = ode::Method::trapezoidal;
     opt.record_stride = 10;
     return opt;
 }

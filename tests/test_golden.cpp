@@ -159,7 +159,6 @@ TEST(Golden, Fig2NltlVoltageTrace) {
     ode::TransientOptions topt;
     topt.t_end = 10.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 100;
     run_golden_case("fig2_nltl_voltage.txt", copt.key(), full, reduced,
                     circuits::sine_input(0.2, 0.1), topt, 5e-6);
@@ -184,7 +183,6 @@ TEST(Golden, Fig4RfReceiverTrace) {
     ode::TransientOptions topt;
     topt.t_end = 10.0;
     topt.dt = 5e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 50;
     const ode::InputFn input = circuits::combine_inputs(
         {circuits::sine_input(0.2, 0.05), circuits::sine_input(0.06, 0.12)});
@@ -210,7 +208,6 @@ TEST(Golden, PowerGridIrDropTrace) {
     ode::TransientOptions topt;
     topt.t_end = 8.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 80;
     run_golden_case("power_grid_ir_drop.txt", copt.key(), full, reduced,
                     circuits::pulse_input(0.4, 0.5, 0.5, 4.0, 0.5), topt, 5e-6);
@@ -232,7 +229,6 @@ TEST(Golden, MixerTwoToneTrace) {
     ode::TransientOptions topt;
     topt.t_end = 12.0;
     topt.dt = 2e-3;
-    topt.method = ode::Method::trapezoidal;
     topt.record_stride = 100;
     const ode::InputFn input = circuits::combine_inputs(
         {circuits::multi_tone_input({0.12, 0.08}, {0.18, 0.3}, {0.0, 0.7}),

@@ -118,7 +118,6 @@ TEST(QldaeSparse, ImplicitTransientMatchesDensePath) {
     ode::TransientOptions topt;
     topt.t_end = 2.0;
     topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
     const auto input = [](double t) { return Vec{0.2 * std::sin(0.5 * t)}; };
     const auto rs = ode::simulate(p.sparse, input, topt);
     const auto rd = ode::simulate(p.dense, input, topt);

@@ -92,7 +92,6 @@ TEST(RomIo, ModelRoundTripIsBitExact) {
     ode::TransientOptions topt;
     topt.t_end = 1.0;
     topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
     const auto input = circuits::combine_inputs(
         {circuits::sine_input(0.05, 0.5), circuits::sine_input(0.03, 0.8)});
     const auto y_mem = ode::simulate(model.rom, input, topt);

@@ -70,7 +70,6 @@ rom::TransientSpec transient_spec() {
     rom::TransientSpec topt;
     topt.t_end = 0.4;
     topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
     return topt;
 }
 
@@ -307,31 +306,6 @@ TEST(RomServe, NonFiniteHorizonIsAPreconditionError) {
     ASSERT_EQ(after.transients.size(), 1u);
     EXPECT_EQ(after.transients[0].t, before.transients[0].t);
     EXPECT_EQ(after.transients[0].y, before.transients[0].y);
-}
-
-TEST(RomServe, NewtonControlsAreCheckedBeforeAnyStamp) {
-    // Newton controls under which no step can converge are the caller's
-    // fault: a typed precondition answer from a fresh engine, before it
-    // stamps a warm start (no factorization at all).
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const std::vector<ode::InputFn> drive = {circuits::sine_input(0.05, 1.0)};
-    const auto expect_precondition = [&](const rom::TransientSpec& topt, const std::string& what) {
-        Fixture f;
-        const rom::ServeResponse resp = test::transients(f.engine, f.m, drive, topt);
-        EXPECT_EQ(resp.error.code, util::ErrorCode::precondition) << what << ": "
-                                                                  << resp.error.message;
-        EXPECT_TRUE(resp.transients.empty()) << what;
-        EXPECT_EQ(f.engine.stats().solver.factorizations, 0) << what;
-    };
-    for (const double tol : {inf, nan, -1.0, 0.0}) {
-        rom::TransientSpec topt = transient_spec();
-        topt.newton_tol = tol;
-        expect_precondition(topt, "newton_tol = " + std::to_string(tol));
-    }
-    rom::TransientSpec topt = transient_spec();
-    topt.newton_max_iter = 0;
-    expect_precondition(topt, "newton_max_iter = 0");
 }
 
 TEST(RomServe, DivergingTransientIsAnInternalError) {

@@ -113,7 +113,6 @@ TEST(ServeConcurrent, MixedStressIsBitIdenticalToSerialReplayWithExactStats) {
     rom::TransientSpec topt;
     topt.t_end = 0.4;
     topt.dt = 1e-2;
-    topt.method = ode::Method::trapezoidal;
 
     // Threads 0-3 hammer ONE shared model (sweeps racing into the
     // coalescer); threads 4-7 each own a distinct model (shard

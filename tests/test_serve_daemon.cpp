@@ -315,7 +315,6 @@ TEST(ServeDaemon, InvalidWaveformFieldsAnswerTypedAndConnectionSurvives) {
     invalid.push_back(bad_surge(1.0, 1.0));         // tau_decay == tau_rise
     invalid.push_back(bad_surge(2.0, 1.0));         // tau_decay < tau_rise
     invalid.push_back(bad_surge(0.0, 1.0));         // tau_rise <= 0
-    invalid.push_back(rom::WaveformSpec::zero(0));  // zero arity < 1
 
     net::ServeClient client("127.0.0.1", daemon.port());
     for (std::size_t i = 0; i < invalid.size(); ++i) {

@@ -41,18 +41,14 @@ rom::ServeRequest transient_request() {
     req.tenant = "tenant-b";
     rom::TransientBatchRequest body;
     body.model = rom::ModelRef::from_artifact("/models/plant.atmor");
-    body.inputs = {rom::WaveformSpec::zero(2), rom::WaveformSpec::step(0.75, 0.25),
+    body.inputs = {rom::WaveformSpec::step(0.75, 0.25),
                    rom::WaveformSpec::pulse(0.4, 0.5, 1.0, 2.0, 1.5),
                    rom::WaveformSpec::sine(0.2, 3.5), rom::WaveformSpec::surge(1.0, 0.5, 2.0),
                    rom::WaveformSpec::multi_tone({0.3, 0.2}, {1.5, 2.25}, {0.1, -0.4}),
                    rom::WaveformSpec::am(0.5, 3.0, 0.25, 0.8)};
     body.options.t_end = 4.0;
     body.options.dt = 5e-3;
-    body.options.method = ode::Method::trapezoidal;
     body.options.record_stride = 25;
-    body.options.newton_tol = 1e-11;
-    body.options.newton_max_iter = 17;
-    body.options.refactor_every_step = true;
     req.body = body;
     return req;
 }
@@ -120,26 +116,25 @@ TEST(ServeProtocol, TransientFieldsSurviveTheWire) {
     const rom::ServeRequest back =
         rom::decode_request(rom::encode_request(transient_request()));
     const auto& body = std::get<rom::TransientBatchRequest>(back.body);
-    ASSERT_EQ(body.inputs.size(), 7u);
-    EXPECT_EQ(body.inputs[0].kind, rom::WaveformSpec::Kind::zero);
-    EXPECT_EQ(body.inputs[0].arity, 2);
-    EXPECT_EQ(body.inputs[2].kind, rom::WaveformSpec::Kind::pulse);
-    EXPECT_EQ(body.inputs[2].rise, 1.0);
-    EXPECT_EQ(body.inputs[4].tau_decay, 2.0);
-    EXPECT_EQ(body.inputs[5].kind, rom::WaveformSpec::Kind::multi_tone);
-    EXPECT_EQ(body.inputs[5].tone_amplitudes, (std::vector<double>{0.3, 0.2}));
-    EXPECT_EQ(body.inputs[5].tones_hz, (std::vector<double>{1.5, 2.25}));
-    EXPECT_EQ(body.inputs[5].tone_phases, (std::vector<double>{0.1, -0.4}));
-    EXPECT_EQ(body.inputs[6].kind, rom::WaveformSpec::Kind::am);
-    EXPECT_EQ(body.inputs[6].mod_hz, 0.25);
-    EXPECT_EQ(body.inputs[6].mod_depth, 0.8);
-    EXPECT_EQ(body.options.method, ode::Method::trapezoidal);
-    EXPECT_EQ(body.options.newton_tol, 1e-11);
-    EXPECT_EQ(body.options.newton_max_iter, 17);
-    EXPECT_TRUE(body.options.refactor_every_step);
+    ASSERT_EQ(body.inputs.size(), 6u);
+    EXPECT_EQ(body.inputs[0].kind, rom::WaveformSpec::Kind::step);
+    EXPECT_EQ(body.inputs[0].t_on, 0.25);
+    EXPECT_EQ(body.inputs[1].kind, rom::WaveformSpec::Kind::pulse);
+    EXPECT_EQ(body.inputs[1].rise, 1.0);
+    EXPECT_EQ(body.inputs[3].tau_decay, 2.0);
+    EXPECT_EQ(body.inputs[4].kind, rom::WaveformSpec::Kind::multi_tone);
+    EXPECT_EQ(body.inputs[4].tone_amplitudes, (std::vector<double>{0.3, 0.2}));
+    EXPECT_EQ(body.inputs[4].tones_hz, (std::vector<double>{1.5, 2.25}));
+    EXPECT_EQ(body.inputs[4].tone_phases, (std::vector<double>{0.1, -0.4}));
+    EXPECT_EQ(body.inputs[5].kind, rom::WaveformSpec::Kind::am);
+    EXPECT_EQ(body.inputs[5].mod_hz, 0.25);
+    EXPECT_EQ(body.inputs[5].mod_depth, 0.8);
+    EXPECT_EQ(body.options.t_end, 4.0);
+    EXPECT_EQ(body.options.dt, 5e-3);
+    EXPECT_EQ(body.options.record_stride, 25);
     EXPECT_TRUE(body.raw_inputs.empty());
     // The spec instantiates to the exact circuits:: closed forms.
-    const ode::InputFn pulse = body.inputs[2].instantiate();
+    const ode::InputFn pulse = body.inputs[1].instantiate();
     EXPECT_EQ(pulse(1.0)[0], 0.2);  // halfway up the linear rise
     EXPECT_EQ(pulse(1.75)[0], 0.4);
 }
@@ -251,31 +246,37 @@ TEST(ServeProtocol, PayloadTruncationAtEveryBoundaryIsTyped) {
     }
 }
 
-TEST(ServeProtocol, MethodByteNamingNoIntegratorIsTypedCorrupt) {
-    // The method byte is the one byte in which a trapezoidal and a backward
-    // Euler request differ; any value past backward_euler names no
-    // integrator.
-    rom::ServeRequest euler = transient_request();
-    std::get<rom::TransientBatchRequest>(euler.body).options.method = ode::Method::backward_euler;
-    const std::string trap_bytes = rom::encode_request(transient_request());
-    const std::string euler_bytes = rom::encode_request(euler);
-    ASSERT_EQ(trap_bytes.size(), euler_bytes.size());
+TEST(ServeProtocol, WaveformKindByteNamingNoWaveformIsTypedCorrupt) {
+    // The kind byte is the one byte in which a step and a pulse with the
+    // same fields differ; any value past am names no waveform.
+    const auto request = [](const rom::WaveformSpec& wave) {
+        rom::ServeRequest req = transient_request();
+        std::get<rom::TransientBatchRequest>(req.body).inputs = {wave};
+        return req;
+    };
+    rom::WaveformSpec pulse = rom::WaveformSpec::pulse(0.4, 0.5, 1.0, 2.0, 1.5);
+    rom::WaveformSpec step = pulse;
+    step.kind = rom::WaveformSpec::Kind::step;
+    const std::string step_bytes = rom::encode_request(request(step));
+    const std::string pulse_bytes = rom::encode_request(request(pulse));
+    ASSERT_EQ(step_bytes.size(), pulse_bytes.size());
     std::vector<std::size_t> differ;
-    for (std::size_t i = 0; i < trap_bytes.size(); ++i)
-        if (trap_bytes[i] != euler_bytes[i]) differ.push_back(i);
+    for (std::size_t i = 0; i < step_bytes.size(); ++i)
+        if (step_bytes[i] != pulse_bytes[i]) differ.push_back(i);
     ASSERT_EQ(differ.size(), 1u);
     const std::size_t at = differ[0];
-    ASSERT_EQ(static_cast<std::uint8_t>(euler_bytes[at]),
-              static_cast<std::uint8_t>(ode::Method::backward_euler));
+    ASSERT_EQ(static_cast<std::uint8_t>(pulse_bytes[at]),
+              static_cast<std::uint8_t>(rom::WaveformSpec::Kind::pulse));
+    EXPECT_NO_THROW((void)rom::decode_request(pulse_bytes));
 
-    for (const int method : {static_cast<int>(ode::Method::backward_euler) + 1, 0x7f, 0xff}) {
-        std::string forged = euler_bytes;
-        forged[at] = static_cast<char>(method);
+    for (const int kind : {static_cast<int>(rom::WaveformSpec::Kind::am) + 1, 0x7f, 0xff}) {
+        std::string forged = pulse_bytes;
+        forged[at] = static_cast<char>(kind);
         try {
             (void)rom::decode_request(forged);
-            FAIL() << "method byte " << method << " decoded";
+            FAIL() << "kind byte " << kind << " decoded";
         } catch (const rom::IoError& e) {
-            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << "method byte " << method;
+            EXPECT_EQ(e.kind(), rom::IoErrorKind::corrupt) << "kind byte " << kind;
         }
     }
 }
@@ -505,10 +506,11 @@ TEST(ServeProtocol, GarbageMagicRejectedAtEightBytes) {
 }
 
 TEST(ServeProtocol, VersionSkewRejected) {
-    // Only the one protocol version is spoken: older peers (v0-v2) and
+    // Only the one protocol version is spoken: older peers (v0-v3) and
     // future ones are refused by the version field alone.
     const std::string payload = "p";
-    for (const std::uint32_t version : {0u, 1u, 2u, net::kProtocolVersion + 1}) {
+    ASSERT_EQ(net::kProtocolVersion, 4u);
+    for (const std::uint32_t version : {0u, 1u, 2u, 3u, net::kProtocolVersion + 1}) {
         std::string frame = net::frame_message(net::FrameKind::request, payload);
         std::memcpy(&frame[8], &version, sizeof(version));
         net::FrameKind kind;
